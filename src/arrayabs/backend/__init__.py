@@ -15,7 +15,6 @@ from .exact import (
     ExactError,
     ExactResult,
     analyze_loopfree_exact,
-    path_summaries,
     primed,
     unroll,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "analyze_loopfree_exact",
     "analyze_program",
     "analyze_scalar",
-    "path_summaries",
     "primed",
     "unroll",
 ]

@@ -9,7 +9,7 @@ runs that reached it with those flag values. With no flags the state
 is a single bucket and the analysis is a plain product-domain
 interpretation.
 
-Loops run an ascending pass (join for `widening_delay` steps, then
+Loops run an ascending pass (join for WIDENING_DELAY steps, then
 widening) followed by bounded narrowing. Assertion checks and loop
 invariant snapshots happen in one final pass over the stable state, so
 verdicts never depend on intermediate iterates.
@@ -40,6 +40,9 @@ from ..lia import FALSE, Formula, Lin, eq, land, lnot, lor, subst
 from .product import Product
 
 Valuation = tuple  # of 0 | 1 | None per flag, None meaning unknown
+
+WIDENING_DELAY = 2  # loop rounds that join before widening starts
+PARTITION_CAP = 12  # flag partitions kept before they collapse into one
 
 
 class AnalysisError(ValueError):
@@ -175,16 +178,11 @@ class AnalysisResult:
     def all_asserts_hold(self) -> bool:
         return all(a.proven for a in self.asserts)
 
-    def exit_entails(self, f: Formula) -> bool:
-        return self.exit.entails(f)
-
 
 @dataclass
 class _Interp:
     numeric: tuple[str, ...]
     flags: tuple[str, ...]
-    widening_delay: int
-    partition_cap: int
     asserts: list[AssertVerdict] = field(default_factory=list)
     heads: list[tuple[int, AbstractState]] = field(default_factory=list)
 
@@ -243,7 +241,7 @@ class _Interp:
             a = self.block(s.then, st.assume(f), check)
             b = self.block(s.els, st.assume(lnot(f)), check)
             out = a.join(b)
-            if len(out.parts) > self.partition_cap:
+            if len(out.parts) > PARTITION_CAP:
                 out = out.collapse()
             return out
         if isinstance(s, While):
@@ -260,8 +258,8 @@ class _Interp:
             if nxt.leq(inv):
                 break
             rounds += 1
-            inv = inv.join(nxt) if rounds <= self.widening_delay else inv.widen(nxt)
-            if len(inv.parts) > self.partition_cap:
+            inv = inv.join(nxt) if rounds <= WIDENING_DELAY else inv.widen(nxt)
+            if len(inv.parts) > PARTITION_CAP:
                 inv = inv.collapse()
         # one descending step to recover bounds the widening threw away
         body_out = self.block(s.body, inv.assume(f), False)
@@ -276,8 +274,6 @@ def analyze_program(
     program: Program,
     *,
     flags: tuple[str, ...] = (),
-    widening_delay: int = 2,
-    partition_cap: int = 12,
 ) -> AnalysisResult:
     """Abstractly interpret an array-free program.
 
@@ -294,7 +290,7 @@ def analyze_program(
         if v not in flags:
             el = el.assign(v, Lin.of(0))
     entry = AbstractState(tuple(flags), {(0,) * len(flags): el})
-    interp = _Interp(numeric, tuple(flags), widening_delay, partition_cap)
+    interp = _Interp(numeric, tuple(flags))
     exit_state = interp.block(program.body, entry, True)
     return AnalysisResult(
         program=program,
@@ -306,7 +302,7 @@ def analyze_program(
     )
 
 
-def analyze_scalar(sp, **kw) -> AnalysisResult:
+def analyze_scalar(sp) -> AnalysisResult:
     """analyze_program over a transformed program, partitioning on its
     observer flags."""
-    return analyze_program(sp.program, flags=sp.flags, **kw)
+    return analyze_program(sp.program, flags=sp.flags)

@@ -85,12 +85,12 @@ def unroll(p, k: int):
         raise ExactError("unroll bound must be nonnegative")
     if isinstance(p, Program):
         return replace(p, body=_unroll_block(p.body, k))
-    inner = unroll(p.program, k)
-    cleared = tuple(replace(s, path=()) for s in p.origin)
-    return replace(p, program=inner, origin=cleared)
+    return replace(p, program=unroll(p.program, k))
 
 
 # ----------------------------------------------------------------- analyze
+
+PATH_CAP = 4096  # live paths past which the analysis gives up
 
 
 @dataclass
@@ -107,7 +107,6 @@ class _Path:
 class _Ctx:
     budget: Budget
     inputs: frozenset
-    cap: int
     fresh: int = 0
     asserts: dict[tuple[int, int], bool] = field(default_factory=dict)
 
@@ -183,8 +182,8 @@ def _stmt(paths: list[_Path], s: Stmt, ctx: _Ctx) -> list[_Path]:
             if _alive(e, ctx):
                 into_els.append(_Path(e, dict(p.cur)))
         out = _block(into_then, s.then, ctx) + _block(into_els, s.els, ctx)
-        if len(out) > ctx.cap:
-            raise ExactError(f"path count {len(out)} exceeds cap {ctx.cap}")
+        if len(out) > PATH_CAP:
+            raise ExactError(f"path count {len(out)} exceeds cap {PATH_CAP}")
         return out
     if isinstance(s, While):
         raise ExactError(f"line {s.line}: loop reached the exact analysis; unroll first")
@@ -210,7 +209,7 @@ class ExactResult:
         return all(ok for _, ok in self.asserts)
 
 
-def analyze_loopfree_exact(p, budget: Budget | None = None, cap: int = 4096) -> ExactResult:
+def analyze_loopfree_exact(p, budget: Budget | None = None) -> ExactResult:
     """Exact input/output relation of a loop-free program.
 
     Scalars appear under their own names for input values and primed
@@ -221,7 +220,7 @@ def analyze_loopfree_exact(p, budget: Budget | None = None, cap: int = 4096) -> 
     prog: Program = p if isinstance(p, Program) else p.program
     budget = budget or Budget()
     scalars = prog.scalars()
-    ctx = _Ctx(budget, frozenset(scalars), cap)
+    ctx = _Ctx(budget, frozenset(scalars))
     start = land(*(eq(Lin.var(v), Lin.of(0)) for v in prog.locals))
     paths = _block([_Path(start, {v: v for v in scalars})], prog.body, ctx)
     outs: list[Formula] = []
@@ -243,10 +242,3 @@ def analyze_loopfree_exact(p, budget: Budget | None = None, cap: int = 4096) -> 
         inputs=tuple(scalars),
         asserts=tuple((line, ok) for (line, _), ok in sorted(ctx.asserts.items())),
     )
-
-
-def path_summaries(result: ExactResult, cap: int = 4096) -> tuple[Formula, ...]:
-    """Per-path reachability formulas; their disjunction is the relation."""
-    if len(result.summaries) > cap:
-        raise ExactError(f"path count {len(result.summaries)} exceeds cap {cap}")
-    return result.summaries

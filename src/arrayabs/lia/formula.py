@@ -458,14 +458,6 @@ def nnf(f: Formula, neg: bool = False) -> Formula:
     raise LiaError(f"bad node {k}")
 
 
-_fresh_counter = [0]
-
-
-def fresh_name(base: str) -> str:
-    _fresh_counter[0] += 1
-    return f"{base}#{_fresh_counter[0]}"
-
-
 def subst(f: Formula, env: Mapping[str, Lin]) -> Formula:
     """Capture-avoiding substitution of terms for free integer variables."""
     if not env:
@@ -490,11 +482,18 @@ def subst(f: Formula, env: Mapping[str, Lin]) -> Formula:
         bound = list(f.bound)
         body = f.args[0]
         renames: dict[str, Lin] = {}
-        for i, b in enumerate(bound):
-            if b in img_vars:
-                nb = fresh_name(b)
-                renames[b] = Lin.var(nb)
-                bound[i] = nb
+        if img_vars.intersection(bound):
+            # a renamed bound variable takes the smallest b#n that no
+            # free variable, image variable or substituted name uses
+            taken = img_vars | set(body.free_vars()) | set(env2)
+            for i, b in enumerate(bound):
+                if b in img_vars:
+                    n = 1
+                    while f"{b}#{n}" in taken:
+                        n += 1
+                    bound[i] = f"{b}#{n}"
+                    taken.add(bound[i])
+                    renames[b] = Lin.var(bound[i])
         if renames:
             body = subst(body, renames)
         body = subst(body, env2)

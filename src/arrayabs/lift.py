@@ -19,26 +19,10 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
-from .bridge import BridgeError, expr_to_lin, formula_to_cond
-from .lang.ast import (
-    ArrRead,
-    BoolConst,
-    Cmp,
-    Cond,
-    CondAnd,
-    CondNot,
-    CondOr,
-    Expr,
-    Mul,
-    Num,
-    Sub,
-    Target,
-    Var,
-)
-from .lang.ast import Add as EAdd
+from .bridge import BridgeError, cond_to_formula, expr_to_lin, formula_to_cond
+from .lang.ast import ArrRead, Target
 from .lang.printer import cond_str
 from .lia import (
     Budget,
@@ -46,7 +30,6 @@ from .lia import (
     Formula,
     Lin,
     eliminate_quantifiers,
-    eq,
     exists,
     forall,
     implies,
@@ -54,13 +37,10 @@ from .lia import (
     land,
     le,
     lnot,
-    lor,
     lt,
-    ne,
     rename,
     simplify,
     subst,
-    to_smtlib,
     to_str,
 )
 from .transform.core import Cell, ScalarProgram
@@ -133,27 +113,20 @@ def universe_of(sp: ScalarProgram) -> Formula:
     return land(*parts)
 
 
-def quantify(
-    phi: Formula,
-    sp: ScalarProgram,
-    *,
-    per_position: tuple[str, ...] | None = None,
-) -> QuantifiedInvariant:
+def quantify(phi: Formula, sp: ScalarProgram) -> QuantifiedInvariant:
     """Read a scalar invariant as a universal array invariant.
 
     phi must speak only of program scalars and generated cell
     variables; it is typically the exit state of an analysis of
-    sp.program. Pass per_position to override which variables are
-    treated as position-dependent (default: the observer flags).
+    sp.program. The observer flags are the position-dependent
+    variables.
     """
     indices = tuple(n for c in sp.all_cells() for n in c.index)
     allowed = set(sp.program.params) | set(sp.program.locals)
     loose = sorted(set(phi.free_vars()) - allowed)
     if loose:
         raise LiftError(f"invariant mentions unknown variables: {', '.join(loose)}")
-    if per_position is None:
-        per_position = sp.flags
-    return QuantifiedInvariant(indices, universe_of(sp), phi, dict(sp.cells), per_position)
+    return QuantifiedInvariant(indices, universe_of(sp), phi, dict(sp.cells), sp.flags)
 
 
 # --------------------------------------------------------- check_target
@@ -168,64 +141,20 @@ def _fresh(base: str, taken: set[str]) -> str:
     return f"{base}~{n}"
 
 
-class _TargetTranslator:
-    """Rewrite an ensures condition over a fixed index renaming.
-
-    Array reads become value symbols, one per distinct
-    (array, entry/final, index terms) triple; the bookkeeping of which
-    symbol stands for which position drives the instantiation search.
-    """
-
-    def __init__(self, index_map: Mapping[str, str]):
-        self.index_map = dict(index_map)
-        # (array, initial, terms) -> symbol
-        self.accesses: dict[tuple[str, bool, tuple[Lin, ...]], str] = {}
-
-    def expr(self, e: Expr) -> Lin:
-        if isinstance(e, Num):
-            return Lin.of(e.value)
-        if isinstance(e, Var):
-            return Lin.var(self.index_map.get(e.name, e.name))
-        if isinstance(e, EAdd):
-            return self.expr(e.left) + self.expr(e.right)
-        if isinstance(e, Sub):
-            return self.expr(e.left) - self.expr(e.right)
-        if isinstance(e, Mul):
-            return self.expr(e.arg).scale(e.factor)
-        if isinstance(e, ArrRead):
-            key = (e.array, e.initial, tuple(self.expr(i) for i in e.index))
-            sym = self.accesses.get(key)
-            if sym is None:
-                tag = "entry" if e.initial else "final"
-                sym = f"{e.array}@{tag}{len(self.accesses)}"
-                self.accesses[key] = sym
-            return Lin.var(sym)
-        raise LiftError(f"no translation for expression {e!r}")
-
-    def cond(self, c: Cond) -> Formula:
-        if isinstance(c, BoolConst):
-            return land() if c.value else lor()
-        if isinstance(c, Cmp):
-            a, b = self.expr(c.left), self.expr(c.right)
-            op = {
-                "==": eq, "!=": ne,
-                "<": lt, "<=": le,
-                ">": lambda x, y: lt(y, x), ">=": lambda x, y: le(y, x),
-            }[c.op]
-            return op(a, b)
-        if isinstance(c, CondAnd):
-            return land(*(self.cond(p) for p in c.parts))
-        if isinstance(c, CondOr):
-            return lor(*(self.cond(p) for p in c.parts))
-        if isinstance(c, CondNot):
-            return lnot(self.cond(c.arg))
-        raise LiftError(f"not a condition: {c!r}")
+Accesses = dict[tuple[str, bool, tuple[Lin, ...]], str]
 
 
-def _cell_bindings(
-    inv: QuantifiedInvariant,
-    accesses: dict[tuple[str, bool, tuple[Lin, ...]], str],
-) -> list[dict[str, Lin]]:
+def _symbol(accesses: Accesses, array: str, initial: bool, terms: tuple[Lin, ...]) -> str:
+    """The value symbol of one (array, entry/final, index terms) triple,
+    minted on first use."""
+    key = (array, initial, terms)
+    sym = accesses.get(key)
+    if sym is None:
+        sym = accesses[key] = f"{array}@{'entry' if initial else 'final'}{len(accesses)}"
+    return sym
+
+
+def _cell_bindings(inv: QuantifiedInvariant, accesses: Accesses) -> list[dict[str, Lin]]:
     """Every way of pinning cells to accessed positions, one array at
     a time. Each binding is a substitution: index variables go to the
     position terms, value variables to the access symbols. Cells left
@@ -236,16 +165,6 @@ def _cell_bindings(
     distinct bindings of one cell must not pin its free name to two
     different spots.
     """
-
-    def sym_for(array: str, initial: bool, t: tuple[Lin, ...]) -> str:
-        key = (array, initial, t)
-        sym = accesses.get(key)
-        if sym is None:
-            tag = "entry" if initial else "final"
-            sym = f"{array}@{tag}{len(accesses)}"
-            accesses[key] = sym
-        return sym
-
     by_array: dict[str, list[tuple[bool, tuple[Lin, ...]]]] = {}
     for array, initial, terms in list(accesses):
         by_array.setdefault(array, []).append((initial, terms))
@@ -276,30 +195,14 @@ def _cell_bindings(
                     continue
                 for xv, term in zip(c.index, t):
                     env[xv] = term
-                env[c.value] = Lin.var(sym_for(array, c.frozen, t))
+                env[c.value] = Lin.var(_symbol(accesses, array, c.frozen, t))
                 if c.init:
-                    env[c.init] = Lin.var(sym_for(array, True, t))
+                    env[c.init] = Lin.var(_symbol(accesses, array, True, t))
             out.append(env)
     return out
 
 
-def export_smt(f: Formula, directory: str | Path, tag: str) -> Path:
-    """Drop the query as an SMT-LIB script for outside cross-checking."""
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    p = d / f"{tag}.smt2"
-    p.write_text(to_smtlib(f))
-    return p
-
-
-def check_target(
-    inv: QuantifiedInvariant,
-    target: Target,
-    *,
-    budget: Budget | None = None,
-    smtlib_dir: str | Path | None = None,
-    tag: str = "target",
-) -> bool:
+def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | None = None) -> bool:
     """Does the lifted invariant entail the ensures clause?
 
     The clause's indices become fresh constants, its array reads
@@ -322,23 +225,33 @@ def check_target(
         taken.add(nm)
         index_map[k] = nm
 
-    tr = _TargetTranslator(index_map)
-    goal = tr.cond(target.cond)
+    accesses: Accesses = {}
+
+    def read(e: ArrRead, index: tuple[Lin, ...]) -> Lin:
+        terms = tuple(t.rename(index_map) for t in index)
+        return Lin.var(_symbol(accesses, e.array, e.initial, terms))
+
+    try:
+        goal = rename(cond_to_formula(target.cond, read), index_map)
+    except BridgeError as e:
+        raise LiftError(f"no translation for the target: {e}") from e
 
     base = implies(inv.universe, inv.matrix)
     premises = [base]
     local = [v for v in inv.per_position if v in base.free_vars()]
-    for n, env in enumerate(_cell_bindings(inv, tr.accesses)):
+    for n, env in enumerate(_cell_bindings(inv, accesses)):
         copy = subst(base, env)
         if local:
             # flags travel with the positions: each instantiation of
             # the invariant speaks about its own observer outcome
-            copy = rename(copy, {v: f"{v}~{n}" for v in local})
+            copies = {}
+            for v in local:
+                copies[v] = _fresh(f"{v}~{n}", taken)
+                taken.add(copies[v])
+            copy = rename(copy, copies)
         premises.append(copy)
 
     query = land(*premises, lnot(goal))
-    if smtlib_dir is not None:
-        export_smt(query, smtlib_dir, tag)
     try:
         model = is_sat(query, budget or Budget())
     except BudgetError:
@@ -350,29 +263,18 @@ def check_target(
 # ---------------------------------------------------------- reduce_dual
 
 
-def _dual_array(sp: ScalarProgram, array: str | None) -> str:
+def _dual_array(sp: ScalarProgram) -> str:
     good = [
         name
         for name, spec in sp.cfg.arrays.items()
         if spec.ordered and spec.count == 2 and not spec.frozen
     ]
-    if array is not None:
-        if array not in good:
-            raise LiftError(f"{array} is not configured as an ordered pair of cells")
-        return array
     if len(good) != 1:
-        raise LiftError("need exactly one ordered two-cell array (or name one)")
+        raise LiftError("need exactly one ordered two-cell array")
     return good[0]
 
 
-def reduce_dual(
-    phi: Formula,
-    sp: ScalarProgram,
-    *,
-    array: str | None = None,
-    symmetric: bool = False,
-    budget: Budget | None = None,
-) -> Formula:
+def reduce_dual(phi: Formula, sp: ScalarProgram, *, budget: Budget | None = None) -> Formula:
     """Strengthen an ordered-pair invariant without changing its
     meaning on arrays.
 
@@ -384,12 +286,11 @@ def reduce_dual(
 
     removes the tuples that fail this, which is exactly the
     information a convex or disjunctive scalar domain loses about
-    non-adjacent positions. With symmetric=True the mirrored pass
-    quantifies the right cell as well. Runs of phi through this are
-    decreasing and idempotent; if elimination exceeds the budget, phi
-    comes back unchanged (which is always sound) with a warning.
+    non-adjacent positions. Runs of phi through this are decreasing
+    and idempotent; if elimination exceeds the budget, phi comes back
+    unchanged (which is always sound) with a warning.
     """
-    name = _dual_array(sp, array)
+    name = _dual_array(sp)
     left, right = sp.cells[name]
     dim = expr_to_lin(sp.source.array(name).dims[0])
 
@@ -409,19 +310,10 @@ def reduce_dual(
             return phi
         uni.append(sp.cfg.focus)
 
-    def one_pass(f: Formula, cell: Cell) -> Formula:
-        vals = [cell.value] + ([cell.init] if cell.init else [])
-        q = forall(
-            (cell.index[0],),
-            exists(vals, implies(land(*uni), f)),
-        )
-        return land(f, eliminate_quantifiers(q, budget or Budget()))
-
+    vals = [left.value] + ([left.init] if left.init else [])
+    q = forall((left.index[0],), exists(vals, implies(land(*uni), phi)))
     try:
-        out = one_pass(phi, left)
-        if symmetric:
-            out = one_pass(out, right)
-        return simplify(out)
+        return simplify(land(phi, eliminate_quantifiers(q, budget or Budget())))
     except BudgetError:
         warnings.warn("pair reduction ran out of budget; keeping the invariant as is", stacklevel=2)
         return phi

@@ -2,7 +2,6 @@
 
 from .config import ArrayCells, IndexConfig, ObsFlag, ObserverSpec, TransformError
 from .core import (
-    AccessSite,
     Cell,
     ScalarProgram,
     cells_for,
@@ -14,10 +13,8 @@ from .core import (
     transform_write,
     value_var,
 )
-from .observers import instrument_observers
 
 __all__ = [
-    "AccessSite",
     "ArrayCells",
     "Cell",
     "IndexConfig",
@@ -29,7 +26,6 @@ __all__ = [
     "imp",
     "index_var",
     "init_var",
-    "instrument_observers",
     "transform_program",
     "transform_read",
     "transform_write",

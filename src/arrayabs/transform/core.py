@@ -8,14 +8,17 @@ index matches. The prologue havocs the cell values and pins the index
 parameters inside the array bounds, adds the ordering chain and focus
 precondition when configured, asserts nothing and reads nothing.
 
-The result is a plain Program (so the whole lang toolbox applies)
-wrapped with enough metadata to instrument observers, lift invariants
-and check targets later.
+Observer flags latch, at one access site each, whether their
+predicate holds when the access executes; they start at 0 and nothing
+in the program reads them, so the analysis can partition on their
+values. The result is a plain Program (so the whole lang toolbox
+applies) wrapped with the cell layout that lifting invariants and
+checking targets need.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from ..bridge import BridgeError, formula_to_cond
@@ -25,6 +28,7 @@ from ..lang.ast import (
     Assert,
     Assign,
     Assume,
+    BoolConst,
     Cmp,
     Cond,
     CondAnd,
@@ -40,10 +44,11 @@ from ..lang.ast import (
     Var,
     While,
     cond_reads,
+    cond_vars,
     expr_reads,
 )
 from ..lang.checks import check_program
-from .config import ArrayCells, IndexConfig, TransformError
+from .config import ArrayCells, IndexConfig, ObsFlag, TransformError
 
 
 def index_var(array: str, cell: int, dim: int) -> str:
@@ -67,10 +72,6 @@ class Cell:
     frozen: bool = False
     init: str | None = None
 
-    @property
-    def live(self) -> bool:
-        return not self.frozen
-
 
 def cells_for(array: str, dims: int, spec: ArrayCells) -> tuple[Cell, ...]:
     out = []
@@ -90,38 +91,11 @@ def cells_for(array: str, dims: int, spec: ArrayCells) -> tuple[Cell, ...]:
 
 
 @dataclass(frozen=True)
-class AccessSite:
-    """One syntactic array access and where its translation sits.
-
-    `path` addresses the insertion point just before the emitted
-    statements: alternating (statement index, branch attribute) steps
-    ending in a plain index into the innermost statement tuple.
-    `width` counts the emitted statements, so path[-1] + width indexes
-    just past them. Observer latches insert at `path`: splitting the
-    state before the guarded cell updates keeps each partition's
-    branch decisions sharp.
-    """
-
-    id: int
-    array: str
-    kind: str  # "read" | "write"
-    index: tuple[str, ...]
-    var: str | None  # read target
-    value: Expr | None  # written expression
-    path: tuple
-    width: int = 0
-
-    def index_exprs(self) -> tuple[Expr, ...]:
-        return tuple(Var(n) for n in self.index)
-
-
-@dataclass(frozen=True)
 class ScalarProgram:
     program: Program  # array-free
     source: Program  # the decomposed original
     cfg: IndexConfig
     cells: Mapping[str, tuple[Cell, ...]]
-    origin: tuple[AccessSite, ...]
     flags: tuple[str, ...] = ()
     target: Target | None = None
     prologue_len: int = 0
@@ -176,7 +150,7 @@ def transform_write(stmt: ArrWrite, cfg: IndexConfig) -> list[Stmt]:
 
 
 def _check_decomposed(p: Program) -> None:
-    from ..lang.ast import cond_vars, is_elementary_read, is_elementary_write, walk_stmts
+    from ..lang.ast import is_elementary_read, is_elementary_write, walk_stmts
 
     for s in walk_stmts(p.body):
         if isinstance(s, Assign):
@@ -193,62 +167,54 @@ def _check_decomposed(p: Program) -> None:
                 raise TransformError(f"line {s.line}: array read inside a condition")
 
 
+def _latch(flag: ObsFlag) -> Stmt:
+    if flag.pred == BoolConst(True):
+        return Assign(flag.name, Num(1))
+    if flag.pred == BoolConst(False):
+        return Assign(flag.name, Num(0))
+    return If(flag.pred, (Assign(flag.name, Num(1)),), (Assign(flag.name, Num(0)),))
+
+
 class _Walker:
-    def __init__(self, p: Program, cfg: IndexConfig):
-        self.p = p
+    """Emits the scalar body. Access sites are numbered in emission
+    order. Each site's observer latches come first, then its bounds
+    assert, then its cell statements: splitting the state before the
+    guarded cell updates keeps each partition's branch decisions
+    sharp."""
+
+    def __init__(self, p: Program, cfg: IndexConfig, latches: Mapping[int, list[Stmt]]):
         self.cfg = cfg
         self.dims = {a.name: a.dims for a in p.arrays}
-        self.sites: list[AccessSite] = []
-        self.next_id = 0
+        self.latches = latches
+        self.sites = 0
 
-    def _bounds_assert(self, array: str, index: tuple[Expr, ...], line: int) -> Stmt:
-        parts = []
-        for ie, dim in zip(index, self.dims[array]):
-            parts.append(Cmp("<=", Num(0), ie))
-            parts.append(Cmp("<", ie, dim))
-        cond = parts[0] if len(parts) == 1 else CondAnd(tuple(parts))
-        return Assert(cond, line=line)
+    def _site(self, array: str, index: tuple[Expr, ...], line: int, out: list[Stmt]) -> None:
+        out.extend(self.latches.get(self.sites, ()))
+        self.sites += 1
+        if self.cfg.bounds_checks:
+            parts = []
+            for ie, dim in zip(index, self.dims[array]):
+                parts.append(Cmp("<=", Num(0), ie))
+                parts.append(Cmp("<", ie, dim))
+            out.append(Assert(parts[0] if len(parts) == 1 else CondAnd(tuple(parts)), line=line))
 
-    def block(self, stmts: tuple[Stmt, ...], prefix: tuple, out: list[Stmt]) -> None:
+    def block(self, stmts: tuple[Stmt, ...], out: list[Stmt]) -> None:
         for s in stmts:
             if isinstance(s, Assign) and isinstance(s.expr, ArrRead):
-                r = s.expr
-                start = len(out)
-                if self.cfg.bounds_checks:
-                    out.append(self._bounds_assert(r.array, r.index, s.line))
+                self._site(s.expr.array, s.expr.index, s.line, out)
                 out.extend(transform_read(s, self.cfg))
-                self.sites.append(
-                    AccessSite(
-                        self.next_id, r.array, "read",
-                        tuple(v.name for v in r.index), s.var, None,
-                        prefix + (start,), len(out) - start,
-                    )
-                )
-                self.next_id += 1
             elif isinstance(s, ArrWrite):
-                start = len(out)
-                if self.cfg.bounds_checks:
-                    out.append(self._bounds_assert(s.array, s.index, s.line))
+                self._site(s.array, s.index, s.line, out)
                 out.extend(transform_write(s, self.cfg))
-                self.sites.append(
-                    AccessSite(
-                        self.next_id, s.array, "write",
-                        tuple(v.name for v in s.index), None, s.value,
-                        prefix + (start,), len(out) - start,
-                    )
-                )
-                self.next_id += 1
             elif isinstance(s, If):
-                at = len(out)
                 then: list[Stmt] = []
-                self.block(s.then, prefix + (at, "then"), then)
+                self.block(s.then, then)
                 els: list[Stmt] = []
-                self.block(s.els, prefix + (at, "els"), els)
+                self.block(s.els, els)
                 out.append(If(s.cond, tuple(then), tuple(els), line=s.line))
             elif isinstance(s, While):
-                at = len(out)
                 body: list[Stmt] = []
-                self.block(s.body, prefix + (at, "body"), body)
+                self.block(s.body, body)
                 out.append(While(s.cond, tuple(body), line=s.line))
             else:
                 out.append(s)
@@ -321,26 +287,37 @@ def transform_program(p: Program, cfg: IndexConfig) -> ScalarProgram:
             if c.init:
                 pro.append(Assign(c.init, Var(c.value)))
 
-    walker = _Walker(p, cfg)
-    body: list[Stmt] = list(pro)
-    walker.block(p.body, (), body)
-
     value_locals = [c.value for cs in cells.values() for c in cs]
     init_locals = [c.init for cs in cells.values() for c in cs if c.init]
+    scalars = set(p.params) | set(index_params) | set(p.locals) | set(value_locals) | set(init_locals)
+    flags = cfg.observers.flags if cfg.observers is not None else ()
+    names = tuple(f.name for f in flags)
+    if len(set(names)) != len(names):
+        raise TransformError("duplicate observer flag names")
+    clash = sorted(set(names) & scalars)
+    if clash:
+        raise TransformError(f"observer flags collide with program names: {', '.join(clash)}")
+    latches: dict[int, list[Stmt]] = {}
+    for f in flags:
+        loose = sorted(set(cond_vars(f.pred)) - scalars)
+        if loose:
+            raise TransformError(f"observer predicate mentions unknown names: {', '.join(loose)}")
+        latches.setdefault(f.site, []).append(_latch(f))
+    pro.extend(Assign(n, Num(0)) for n in names)
+
+    walker = _Walker(p, cfg, latches)
+    body: list[Stmt] = list(pro)
+    walker.block(p.body, body)
+    unknown = sorted(site for site in latches if not 0 <= site < walker.sites)
+    if unknown:
+        raise TransformError(f"observer targets unknown access {unknown[0]}")
+
     prog = Program(
         p.name,
         p.params + tuple(index_params),
         (),
-        p.locals + tuple(value_locals) + tuple(init_locals),
+        p.locals + tuple(value_locals) + tuple(init_locals) + names,
         tuple(body),
     )
     check_program(prog)
-    sp = ScalarProgram(
-        prog, p, cfg, cells, tuple(walker.sites),
-        target=p.target, prologue_len=len(pro),
-    )
-    if cfg.observers is not None:
-        from .observers import instrument_observers
-
-        sp = instrument_observers(sp, cfg.observers)
-    return sp
+    return ScalarProgram(prog, p, cfg, cells, names, target=p.target, prologue_len=len(pro))

@@ -157,6 +157,14 @@ class TestConstructors:
         assert g.kind == "exists" and "y" in g.free_vars()
         assert eliminate_quantifiers(g) is TRUE
 
+    def test_subst_renames_bound_variable_apart_and_repeatably(self):
+        # forall x. x + x#1 >= y  with y := x: the renamed bound x must
+        # capture neither the free x#1 nor the incoming x
+        f = forall(["x"], ge0(x + Lin.var("x#1") - y))
+        g = subst(f, {"y": x})
+        assert g == forall(["x#2"], ge0(Lin.var("x#2") + Lin.var("x#1") - x))
+        assert subst(f, {"y": x}) == g
+
     def test_rename(self):
         f = land(ge0(x), dvd(2, y))
         assert rename(f, {"x": "u"}).free_vars() == ("u", "y")
