@@ -1,6 +1,6 @@
 """Scalar invariant inference: abstract interpretation over an
 octagon x affine-equality product partitioned on boolean flags, and an
-exact path-based analysis for loop-free (or unrolled) programs."""
+exact path-based analysis for loop-free programs."""
 
 from .abstract import (
     AbstractState,
@@ -16,7 +16,6 @@ from .exact import (
     ExactResult,
     analyze_loopfree_exact,
     primed,
-    unroll,
 )
 from .octagon import Octagon
 from .product import Product
@@ -35,5 +34,4 @@ __all__ = [
     "analyze_program",
     "analyze_scalar",
     "primed",
-    "unroll",
 ]

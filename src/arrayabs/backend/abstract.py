@@ -21,7 +21,7 @@ widening just relaxed and loop forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from ..bridge import BridgeError, cond_to_formula, expr_to_lin
@@ -55,10 +55,6 @@ class AbstractState:
 
     flags: tuple[str, ...]
     parts: Mapping[Valuation, Product]
-
-    @staticmethod
-    def bottom(flags: tuple[str, ...]) -> "AbstractState":
-        return AbstractState(flags, {})
 
     def is_empty(self) -> bool:
         return not self.parts
@@ -98,19 +94,13 @@ class AbstractState:
     def assume(self, f: Formula) -> "AbstractState":
         return self.map(lambda el: el.assume(f).reduce())
 
-    def assign_flag(self, flag: str, value: int) -> "AbstractState":
+    def assign_flag(self, flag: str, value: int | None) -> "AbstractState":
+        """Move every bucket to flag = value (None: unknown), joining on
+        collision."""
         i = self.flags.index(flag)
         out: dict[Valuation, Product] = {}
         for k, v in self.parts.items():
             nk = k[:i] + (value,) + k[i + 1:]
-            out[nk] = out[nk].join(v) if nk in out else v
-        return self._norm(out)
-
-    def forget_flag(self, flag: str) -> "AbstractState":
-        i = self.flags.index(flag)
-        out: dict[Valuation, Product] = {}
-        for k, v in self.parts.items():
-            nk = k[:i] + (None,) + k[i + 1:]
             out[nk] = out[nk].join(v) if nk in out else v
         return self._norm(out)
 
@@ -225,7 +215,7 @@ class _Interp:
             return st.map(lambda el: el.assign(s.var, self._lin(s.expr)))
         if isinstance(s, Havoc):
             if s.var in self.flags:
-                return st.forget_flag(s.var)
+                return st.assign_flag(s.var, None)
             if s.var not in self.numeric:
                 raise AnalysisError(f"unknown variable {s.var}")
             return st.map(lambda el: el.forget(s.var))

@@ -1,68 +1,110 @@
 """Affine equalities domain (Karr).
 
-Elements are conjunctions of equalities sum(c_i * v_i) = b kept in
-reduced row echelon form over the rationals, one row per pivot
-variable. The canonical form makes equality a tuple comparison. Joins
-compute the affine hull: the implied-equality spaces of both sides are
-intersected (Zassenhaus block trick). Assignments go through a fresh
-column so invertible updates like x = x + 1 stay exact. Chains are
-finite (each strict join drops rank), so no widening is needed.
+Elements are conjunctions of equalities sum(c_i * v_i) = b kept as
+integer rows in reduced echelon form, one row per pivot variable: each
+row is primitive (its entries have gcd 1), has a positive pivot and is
+zero in the other pivot columns. That is the rational reduced row
+echelon form with every row scaled to integers, so the form is
+canonical and equality is a tuple comparison. Elimination
+cross-multiplies and divides by the row gcd, which keeps entries small
+without fractions. Joins compute the affine hull: the
+implied-equality spaces of both sides are intersected (Zassenhaus
+block trick). Assignments go through a fresh column so invertible
+updates like x = x + 1 stay exact. Chains are finite (each strict join
+drops rank), so no widening is needed.
 
-Integer semantics: a reduced row with no integer solution, like
-2x = 1, marks the element empty.
+Integer semantics: rows with no common integer solution, like 2x = 1,
+or 2x - z = -1 with 2y + z = 0 (together 2x + 2y = -1), mark the
+element empty.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from ..lia import FALSE, Formula, Lin, TRUE, eq0, land
 
-Row = tuple[Fraction, ...]  # coefficients per variable, then the constant
+Row = tuple[int, ...]  # coefficients per variable, then the constant
+
+# Rows being worked on are lists, stored rows tuples: short-lived tuples
+# of many lengths would fill the interpreter's per-length tuple free
+# lists and raise the peak memory of a run.
 
 
-def _rref(rows: list[list[Fraction]], width: int) -> tuple[list[list[Fraction]], bool]:
-    """Reduce in place over the first `width` columns; the remaining
-    columns ride along. Returns (rows, contradiction) where a
-    contradiction is a zero coefficient row with nonzero tail inside
-    the ride-along constant column (callers with extra columns pass
-    width covering all pivot-eligible columns)."""
-    pivots: list[int] = []
+def _primitive(row: Sequence[int]) -> Sequence[int]:
+    """row divided by the gcd of its entries, first nonzero entry positive."""
+    g = math.gcd(*row)
+    if g == 0:
+        return row
+    if next(x for x in row if x) < 0:
+        g = -g
+    return row if g == 1 else [x // g for x in row]
+
+
+def _eliminate(row: Sequence[int], pivot: Sequence[int], c: int) -> Sequence[int]:
+    """Primitive combination of row and pivot that is zero in column c."""
+    a, b = pivot[c], row[c]
+    return _primitive([a * x - b * y for x, y in zip(row, pivot)])
+
+
+def _rref(rows: list[Sequence[int]], width: int) -> list[Sequence[int]]:
+    """Reduce over the first `width` columns; the remaining columns
+    ride along. Pivot rows come first; of the rest only nonzero rows
+    are kept (with width covering every variable column, those are
+    contradictions 0 = b)."""
     r = 0
     for c in range(width):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                sel = i
-                break
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if sel is None:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
+        pivot = _primitive(rows[sel])
+        rows[sel] = rows[r]
+        rows[r] = pivot
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
+            if i != r and rows[i][c]:
+                rows[i] = _eliminate(rows[i], pivot, c)
         r += 1
-    return rows[:r] + [row for row in rows[r:] if any(x != 0 for x in row)], False
+    return rows[:r] + [row for row in rows[r:] if any(row)]
 
 
-def _scale_int(row: Sequence[Fraction]) -> tuple[int, ...]:
-    den = 1
-    for x in row:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+def _integral(rows: list[Sequence[int]], n: int) -> bool:
+    """Whether reduced rows (no 0 = b row among them) have a common
+    integer solution. A row with pivot 1 is solved by its pivot
+    variable, which no other row mentions, so only rows with a larger
+    pivot constrain the rest. Those are met one at a time over the
+    integer solutions of the ones before, kept as x = x0 + sum t_j u_j
+    with t integer: unimodular steps on the u_j leave one u_j that the
+    row sees, and the row fixes its t_j or has no integer solution."""
+    hard = [row for row in rows if next(x for x in row if x) != 1]
+    if not hard:
+        return True
+    x0 = [0] * n
+    basis = [[int(i == j) for i in range(n)] for j in range(n)]
+    for row in hard:
+        a = row[:n]
+        c = [sum(ai * ui for ai, ui in zip(a, u)) for u in basis]
+        rest = row[n] - sum(ai * xi for ai, xi in zip(a, x0))
+        nz = [j for j, cj in enumerate(c) if cj]
+        while len(nz) > 1:
+            m = min(nz, key=lambda j: abs(c[j]))
+            for j in nz:
+                if j != m:
+                    q = c[j] // c[m]
+                    c[j] -= q * c[m]
+                    basis[j] = [u - q * w for u, w in zip(basis[j], basis[m])]
+            nz = [j for j in nz if c[j]]
+        if not nz:
+            if rest:
+                return False
+            continue
+        j = nz[0]
+        if rest % c[j]:
+            return False
+        x0 = [xi + rest // c[j] * u for xi, u in zip(x0, basis[j])]
+        del basis[j], c[j]
+    return True
 
 
 @dataclass(frozen=True)
@@ -79,46 +121,36 @@ class AffineEqs:
     def bottom(vars: Sequence[str]) -> "AffineEqs":
         return AffineEqs(tuple(vars), (), True)
 
-    def _canon(self, raw: list[list[Fraction]]) -> "AffineEqs":
+    def _canon(self, raw: list[Sequence[int]]) -> "AffineEqs":
         n = len(self.vars)
-        rows, _ = _rref(raw, n)
-        out: list[Row] = []
-        for row in rows:
-            if all(x == 0 for x in row[:n]):
-                if row[n] != 0:
-                    return AffineEqs.bottom(self.vars)
-                continue
-            ints = _scale_int(row)
-            g = 0
-            for x in ints[:n]:
-                g = math.gcd(g, abs(x))
-            if g and ints[n] % g != 0:  # no integer point on this row
-                return AffineEqs.bottom(self.vars)
-            out.append(tuple(row))
-        return AffineEqs(self.vars, tuple(out))
+        rows = _rref(raw, n)
+        # a 0 = b row, if any, comes last
+        if rows and not any(rows[-1][:n]) or not _integral(rows, n):
+            return AffineEqs.bottom(self.vars)
+        return AffineEqs(self.vars, tuple(map(tuple, rows)))
 
     # -- constraints
 
-    def _row_of(self, lin: Lin) -> list[Fraction]:
+    def _row_of(self, lin: Lin) -> list[int]:
         """Row for lin = 0."""
         coeffs = dict(lin.coeffs)
         unknown = set(coeffs) - set(self.vars)
         if unknown:
             raise ValueError(f"unknown variables {sorted(unknown)}")
-        return [Fraction(coeffs.get(v, 0)) for v in self.vars] + [Fraction(-lin.const)]
+        return [*(coeffs.get(v, 0) for v in self.vars), -lin.const]
 
     def add_eq(self, lin: Lin) -> "AffineEqs":
         """Meet with lin = 0."""
         if self.empty:
             return self
-        return self._canon([list(r) for r in self.rows] + [self._row_of(lin)])
+        return self._canon([*self.rows, self._row_of(lin)])
 
     def meet(self, other: "AffineEqs") -> "AffineEqs":
         if self.empty:
             return self
         if other.empty:
             return other
-        return self._canon([list(r) for r in self.rows + other.rows])
+        return self._canon([*self.rows, *other.rows])
 
     # -- transfer
 
@@ -126,19 +158,12 @@ class AffineEqs:
         if self.empty or v not in self.vars:
             return self
         c = self.vars.index(v)
-        rows = [list(r) for r in self.rows]
-        pivot = next((r for r in rows if r[c] != 0), None)
+        pivot = next((r for r in self.rows if r[c]), None)
         if pivot is None:
             return self
-        out = []
-        for r in rows:
-            if r is pivot:
-                continue
-            if r[c] != 0:
-                f = r[c] / pivot[c]
-                r = [x - f * y for x, y in zip(r, pivot)]
-            out.append(r)
-        return self._canon(out)
+        return self._canon(
+            [_eliminate(r, pivot, c) if r[c] else r for r in self.rows if r is not pivot]
+        )
 
     def assign(self, v: str, lin: Lin) -> "AffineEqs":
         """Exact affine assignment v := lin."""
@@ -146,41 +171,30 @@ class AffineEqs:
             return self
         c = self.vars.index(v)
         # route the old value of v through a temporary extra column
-        rows = [list(r) + [Fraction(0)] for r in self.rows]
+        rows = [[*r, r[c]] for r in self.rows]
         for r in rows:
-            r[-1], r[c] = r[c], Fraction(0)  # rename v -> tmp
-        coeffs = dict(lin.coeffs)
-        new = [Fraction(coeffs.get(w, 0)) for w in self.vars] + [Fraction(-lin.const), Fraction(0)]
-        new[-1] += new[c]  # occurrences of v in lin mean the old value
-        new[c] = Fraction(-1)  # lin - v_new = 0
+            r[c] = 0  # rename v -> tmp
+        new = [*self._row_of(lin), 0]
+        new[-1], new[c] = new[c], -1  # lin - v_new = 0, v in lin meaning the old value
         rows.append(new)
         # eliminate the temporary column
-        tmp = len(self.vars) + 1
-        pivot = next((r for r in rows if r[tmp] != 0), None)
+        pivot = next((r for r in rows if r[-1]), None)
         if pivot is not None:
-            rows = [
-                r if r is pivot or r[tmp] == 0
-                else [x - (r[tmp] / pivot[tmp]) * y for x, y in zip(r, pivot)]
-                for r in rows
-            ]
-            rows = [r for r in rows if r is not pivot]
-        rows = [r[:-1] for r in rows]
-        return self._canon(rows)
+            rows = [_eliminate(r, pivot, -1) if r[-1] else r for r in rows if r is not pivot]
+        return self._canon([r[:-1] for r in rows])
 
     # -- lattice
 
     def is_empty(self) -> bool:
         return self.empty
 
-    def implies_row(self, row: Sequence[Fraction]) -> bool:
-        work = list(row)
+    def implies_row(self, row: Sequence[int]) -> bool:
         n = len(self.vars)
         for r in self.rows:
-            lead = next(i for i in range(n) if r[i] != 0)
-            if work[lead] != 0:
-                f = work[lead] / r[lead]
-                work = [x - f * y for x, y in zip(work, r)]
-        return all(x == 0 for x in work)
+            lead = next(i for i in range(n) if r[i])
+            if row[lead]:
+                row = _eliminate(row, r, lead)
+        return not any(row)
 
     def leq(self, other: "AffineEqs") -> bool:
         if self.empty:
@@ -195,13 +209,8 @@ class AffineEqs:
         if other.empty:
             return self
         w = len(self.vars) + 1
-        block: list[list[Fraction]] = []
-        for r in self.rows:
-            block.append(list(r) + list(r))
-        for r in other.rows:
-            block.append(list(r) + [Fraction(0)] * w)
-        block, _ = _rref(block, 2 * w)
-        inter = [row[w:] for row in block if all(x == 0 for x in row[:w])]
+        block = [[*r, *r] for r in self.rows] + [[*r, *[0] * w] for r in other.rows]
+        inter = [row[w:] for row in _rref(block, 2 * w) if not any(row[:w])]
         return self._canon(inter)
 
     def widen(self, other: "AffineEqs") -> "AffineEqs":
@@ -211,21 +220,10 @@ class AffineEqs:
     # -- queries
 
     def equalities(self) -> Iterator[tuple[dict[str, int], int]]:
-        """Integer-scaled rows: (coeffs, b) meaning sum = b."""
+        """Rows as (coeffs, b) meaning sum = b."""
         for r in self.rows:
-            ints = _scale_int(r)
-            coeffs = {v: c for v, c in zip(self.vars, ints) if c != 0}
-            yield coeffs, ints[-1]
-
-    def value_of(self, v: str) -> Fraction | None:
-        """The constant value of v, when the system pins one."""
-        if self.empty or v not in self.vars:
-            return None
-        c = self.vars.index(v)
-        for r in self.rows:
-            if r[c] == 1 and all(x == 0 for i, x in enumerate(r[:-1]) if i != c):
-                return r[-1]
-        return None
+            coeffs = {v: c for v, c in zip(self.vars, r) if c != 0}
+            yield coeffs, r[-1]
 
     def to_formula(self) -> Formula:
         if self.empty:

@@ -1,37 +1,29 @@
 """Exact relational analysis of loop-free scalar programs.
 
-Loops are first unrolled to a bound: each `while (c) B` becomes k
-guarded copies `if (c) B` followed by `assume(!c)`. Runs needing at
-most k iterations traverse the copies and exit; the trailing assume
-discards the rest, so the unrolled program is equivalent to the
-original restricted to bounded runs.
-
 The analyzer enumerates program paths. Each path carries a constraint
 over input copies (bare names) and per-variable current versions;
 assignments mint a new version and the dead one is projected out at
 once, so path constraints stay small. Paths whose constraints go
-unsatisfiable are pruned at every split, which is what keeps the path
-count polynomial on unrolled loops: a run cannot re-enter a loop copy
-after failing an earlier guard, and the contradiction kills the branch
-immediately. The disjunction of the finished path formulas, outputs
-renamed to primed names, is the program's exact input/output relation.
+unsatisfiable are pruned at every split. The disjunction of the
+finished path formulas, outputs renamed to primed names, is the
+program's exact input/output relation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..bridge import BridgeError, cond_to_formula, expr_to_lin
 from ..lang.ast import (
     Assert,
     Assign,
     Assume,
-    CondNot,
     Havoc,
     If,
     Program,
     Stmt,
     While,
+    walk_stmts,
 )
 from ..lia import (
     Budget,
@@ -57,37 +49,6 @@ def primed(name: str) -> str:
     return name + "'"
 
 
-# ------------------------------------------------------------------ unroll
-
-
-def _unroll_block(stmts: tuple[Stmt, ...], k: int) -> tuple[Stmt, ...]:
-    out: list[Stmt] = []
-    for s in stmts:
-        if isinstance(s, While):
-            body = _unroll_block(s.body, k)
-            for _ in range(k):
-                out.append(If(s.cond, body, line=s.line))
-            out.append(Assume(CondNot(s.cond), line=s.line))
-        elif isinstance(s, If):
-            out.append(
-                replace(s, then=_unroll_block(s.then, k), els=_unroll_block(s.els, k))
-            )
-        else:
-            out.append(s)
-    return tuple(out)
-
-
-def unroll(p, k: int):
-    """Replace every loop, innermost first, by k guarded body copies
-    plus a final blocking assume. Accepts a Program or anything with a
-    .program field (returned wrapped the same way)."""
-    if k < 0:
-        raise ExactError("unroll bound must be nonnegative")
-    if isinstance(p, Program):
-        return replace(p, body=_unroll_block(p.body, k))
-    return replace(p, program=unroll(p.program, k))
-
-
 # ----------------------------------------------------------------- analyze
 
 PATH_CAP = 4096  # live paths past which the analysis gives up
@@ -107,8 +68,9 @@ class _Path:
 class _Ctx:
     budget: Budget
     inputs: frozenset
+    order: dict[int, int]  # statement id -> position in a walk of the program
     fresh: int = 0
-    asserts: dict[tuple[int, int], bool] = field(default_factory=dict)
+    asserts: dict[tuple[int, int], bool] = field(default_factory=dict)  # (position, line)
 
     def version(self, var: str) -> str:
         self.fresh += 1
@@ -163,7 +125,7 @@ def _stmt(paths: list[_Path], s: Stmt, ctx: _Ctx) -> list[_Path]:
         return out
     if isinstance(s, Assert):
         g = _cond_of(s.cond)
-        key = (s.line, id(s))
+        key = (ctx.order[id(s)], s.line)
         for p in paths:
             gg = p.ground(g)
             ok = is_sat(land(p.f, lnot(gg)), ctx.budget) is None
@@ -186,7 +148,7 @@ def _stmt(paths: list[_Path], s: Stmt, ctx: _Ctx) -> list[_Path]:
             raise ExactError(f"path count {len(out)} exceeds cap {PATH_CAP}")
         return out
     if isinstance(s, While):
-        raise ExactError(f"line {s.line}: loop reached the exact analysis; unroll first")
+        raise ExactError(f"line {s.line}: loop reached the exact analysis (loop-free programs only)")
     raise ExactError(f"line {s.line}: array statement reached the exact analysis")
 
 
@@ -203,7 +165,7 @@ class ExactResult:
     relation: Formula  # over inputs (bare) and outputs (primed)
     summaries: tuple[Formula, ...]  # one per surviving path; lor = relation
     inputs: tuple[str, ...]
-    asserts: tuple[tuple[int, bool], ...]  # (line, proven on every path)
+    asserts: tuple[tuple[int, bool], ...]  # (line, proven on every path), program order
 
     def all_asserts_hold(self) -> bool:
         return all(ok for _, ok in self.asserts)
@@ -220,7 +182,8 @@ def analyze_loopfree_exact(p, budget: Budget | None = None) -> ExactResult:
     prog: Program = p if isinstance(p, Program) else p.program
     budget = budget or Budget()
     scalars = prog.scalars()
-    ctx = _Ctx(budget, frozenset(scalars))
+    order = {id(s): i for i, s in enumerate(walk_stmts(prog.body))}
+    ctx = _Ctx(budget, frozenset(scalars), order)
     start = land(*(eq(Lin.var(v), Lin.of(0)) for v in prog.locals))
     paths = _block([_Path(start, {v: v for v in scalars})], prog.body, ctx)
     outs: list[Formula] = []
@@ -240,5 +203,5 @@ def analyze_loopfree_exact(p, budget: Budget | None = None) -> ExactResult:
         relation=lor(*outs) if outs else lor(),
         summaries=tuple(outs),
         inputs=tuple(scalars),
-        asserts=tuple((line, ok) for (line, _), ok in sorted(ctx.asserts.items())),
+        asserts=tuple((line, ok) for (_, line), ok in sorted(ctx.asserts.items())),
     )

@@ -6,12 +6,12 @@ difference-bound matrix over the signed variables +v, -v. Node 2i is
 None standing for +infinity. A single unary bound v <= c appears as
 the even-odd entry +v - (-v) <= 2c.
 
-Canonical form is the tight integer closure: shortest paths, unary
-bounds floored to even values, and the pairwise strengthening step
-m[a][b] <= m[a][a^1]/2 + m[b^1][b]/2, iterated to a fixpoint.
-Emptiness shows up as a negative diagonal. Joins and widenings work
-entrywise; widening results are deliberately left unclosed so the
-ascending iteration terminates.
+Canonical form is the tight integer closure, reached in one pass
+(Bagnara, Hill and Zaffanella, VMCAI 2008): shortest paths, then the
+strengthening step m[a][b] <= floor(m[a][a^1]/2) + floor(m[b^1][b]/2),
+which at b = a^1 also floors each unary bound to an even value.
+Emptiness shows up as a negative diagonal. Joins and widenings work entrywise; widening results are
+deliberately left unclosed so the ascending iteration terminates.
 """
 
 from __future__ import annotations
@@ -19,23 +19,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from ..lia import Formula, Lin, TRUE, ge0, land
+from ..lia import FALSE, Formula, Lin, TRUE, ge0, land
 
 INF = None  # +infinity marker inside the matrix
+
+
+def _octagonal(coeffs: dict[str, int]) -> bool:
+    return 1 <= len(coeffs) <= 2 and all(abs(c) == 1 for c in coeffs.values())
 
 
 def _add(a: int | None, b: int | None) -> int | None:
     if a is None or b is None:
         return INF
     return a + b
-
-
-def _min(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 def _le(a: int | None, b: int | None) -> bool:
@@ -70,6 +66,10 @@ class Octagon:
     def _pos(self, v: str) -> int:
         return 2 * self.vars.index(v)
 
+    def _node(self, v: str, sign: int) -> int:
+        """Node of the signed variable sign*v: 2i for +v_i, 2i+1 for -v_i."""
+        return self._pos(v) + (sign < 0)
+
     def _rows(self) -> list[list[int | None]]:
         return [list(r) for r in self.m]
 
@@ -84,52 +84,41 @@ class Octagon:
             return self
         n = len(self.m)
         d = self._rows()
-        changed = True
-        rounds = 0
-        while changed:
-            rounds += 1
-            if rounds > 50:  # the fixpoint is reached in 2 rounds in theory
-                raise RuntimeError("octagon closure failed to stabilize")
-            changed = False
-            for k in range(n):
-                for i in range(n):
-                    dik = d[i][k]
-                    if dik is None:
-                        continue
-                    row_k = d[k]
-                    row_i = d[i]
-                    for j in range(n):
-                        dkj = row_k[j]
-                        if dkj is None:
-                            continue
-                        s = dik + dkj
-                        if row_i[j] is None or s < row_i[j]:
-                            row_i[j] = s
+        for k in range(n):
+            row_k = d[k]
             for i in range(n):
-                if d[i][i] is not None and d[i][i] < 0:
-                    return Octagon.bottom(self.vars)
-                d[i][i] = 0
-            # integer tightening of unary rows, then strengthening
-            for i in range(n):
-                b = d[i][i ^ 1]
-                if b is not None and b % 2 != 0:
-                    d[i][i ^ 1] = b - 1
-                    changed = True
-            for i in range(n):
-                bi = d[i][i ^ 1]
-                if bi is None:
+                dik = d[i][k]
+                if dik is None:
                     continue
+                row_i = d[i]
                 for j in range(n):
-                    bj = d[j ^ 1][j]
-                    if bj is None:
+                    dkj = row_k[j]
+                    if dkj is None:
                         continue
-                    s = bi // 2 + bj // 2
-                    if d[i][j] is None or s < d[i][j]:
-                        d[i][j] = s
-                        changed = True
-            for i in range(n):
-                if d[i][i] is not None and d[i][i] < 0:
-                    return Octagon.bottom(self.vars)
+                    s = dik + dkj
+                    if row_i[j] is None or s < row_i[j]:
+                        row_i[j] = s
+        for i in range(n):
+            if d[i][i] is not None and d[i][i] < 0:
+                return Octagon.bottom(self.vars)
+            d[i][i] = 0
+        # strengthening with floored halves; at j = i^1 it floors the
+        # unary bound to an even value, which is the integer tightening
+        for i in range(n):
+            bi = d[i][i ^ 1]
+            if bi is None:
+                continue
+            row_i = d[i]
+            for j in range(n):
+                bj = d[j ^ 1][j]
+                if bj is None:
+                    continue
+                s = bi // 2 + bj // 2
+                if row_i[j] is None or s < row_i[j]:
+                    row_i[j] = s
+        for i in range(n):
+            if d[i][i] is not None and d[i][i] < 0:
+                return Octagon.bottom(self.vars)
         return self._with(d, closed=True)
 
     # -- lattice
@@ -161,14 +150,6 @@ class Octagon:
             rows[i][i] = 0
         return a._with(rows, closed=True)  # entrywise max of closed is closed
 
-    def meet(self, other: "Octagon") -> "Octagon":
-        if self.empty:
-            return self
-        if other.empty:
-            return other
-        rows = [[_min(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(self.m, other.m)]
-        return self._with(rows).close()
-
     def widen(self, other: "Octagon") -> "Octagon":
         """Keep stable bounds, drop the rest. Left side is used as
         stored (possibly unclosed); the result stays unclosed."""
@@ -199,41 +180,20 @@ class Octagon:
     # -- constraints
 
     def add(self, coeffs: dict[str, int], k: int) -> "Octagon":
-        """Meet with sum(coeffs)*vars <= k, |coeffs| in {1,2}, unit."""
+        """Meet with sum(coeffs)*vars <= k: one or two variables, unit
+        coefficients."""
         if self.empty:
             return self
-        items = sorted(coeffs.items())
+        if not _octagonal(coeffs):
+            raise ValueError(f"not an octagon constraint: {coeffs}")
+        nodes = [self._node(v, c) for v, c in coeffs.items()]
+        if len(nodes) == 1:  # s*v <= k  <=>  (s*v) - (-s*v) <= 2k
+            a, b, k = nodes[0], nodes[0] ^ 1, 2 * k
+        else:  # s*v + t*w <= k  <=>  (s*v) - (-t*w) <= k
+            a, b = nodes[0], nodes[1] ^ 1
         rows = self._rows()
-
-        def put(a: int, b: int, c: int) -> None:
-            if rows[a][b] is None or c < rows[a][b]:
-                rows[a][b] = c
-                rows[b ^ 1][a ^ 1] = c
-
-        if len(items) == 1:
-            (v, cv), = items
-            p = self._pos(v)
-            if cv == 1:  # v <= k
-                put(p, p ^ 1, 2 * k)
-            elif cv == -1:  # -v <= k
-                put(p ^ 1, p, 2 * k)
-            else:
-                raise ValueError(f"non-unit coefficient {cv}")
-        elif len(items) == 2:
-            (v, cv), (w, cw) = items
-            p, q = self._pos(v), self._pos(w)
-            if cv == 1 and cw == -1:
-                put(p, q, k)  # v - w <= k
-            elif cv == -1 and cw == 1:
-                put(q, p, k)
-            elif cv == 1 and cw == 1:
-                put(p, q ^ 1, k)  # v + w <= k
-            elif cv == -1 and cw == -1:
-                put(p ^ 1, q, k)  # -v - w <= k
-            else:
-                raise ValueError(f"non-unit coefficients {cv},{cw}")
-        else:
-            raise ValueError("octagon constraints take one or two variables")
+        if rows[a][b] is None or k < rows[a][b]:
+            rows[a][b] = rows[b ^ 1][a ^ 1] = k
         return self._with(rows)
 
     def assume(self, lin: Lin) -> "Octagon":
@@ -241,7 +201,7 @@ class Octagon:
         if self.empty:
             return self
         coeffs = dict(lin.coeffs)
-        if 1 <= len(coeffs) <= 2 and all(abs(c) == 1 for c in coeffs.values()):
+        if _octagonal(coeffs):
             # lin >= 0  <=>  -lin <= const
             return self.add({v: -c for v, c in coeffs.items()}, lin.const)
         return self
@@ -334,29 +294,18 @@ class Octagon:
         a = self.close()
         if a.empty:
             return
-        n = len(a.m)
-        for i in range(n):
-            for j in range(n):
+        signed = [(v, s) for v in a.vars for s in (1, -1)]  # index i is _node(v, s)
+        for i, (v, s) in enumerate(signed):
+            for j, (w, t) in enumerate(signed):
                 c = a.m[i][j]
-                if c is None or i == j:
+                if c is None or i == j or i > (j ^ 1):  # i > j^1: coherent mirror
                     continue
-                if i == (j ^ 1):  # unary: emit once from the even row
-                    vi = a.vars[i // 2]
-                    if i % 2 == 0:
-                        yield {vi: 1}, c // 2
-                    else:
-                        yield {vi: -1}, c // 2
-                    continue
-                if i > (j ^ 1):  # coherent mirror already emitted
-                    continue
-                vi, vj = a.vars[i // 2], a.vars[j // 2]
-                si = 1 if i % 2 == 0 else -1
-                sj = 1 if j % 2 == 0 else -1
-                yield {vi: si, vj: -sj} if vi != vj else {vi: si - sj}, c
+                if v == w:  # (s*v) - (-s*v) <= c
+                    yield {v: s}, c // 2
+                else:
+                    yield {v: s, w: -t}, c
 
     def to_formula(self) -> Formula:
-        from ..lia import FALSE
-
         if self.is_empty():
             return FALSE
         parts = []

@@ -1,11 +1,12 @@
 """Reduced product of the octagon and affine-equality domains.
 
 Both components track the same variable tuple. Reduction exchanges
-facts in both directions: affine rows with unit coefficients on one or
-two variables become octagon bounds, and octagon constraints that pin
-an exact equality (matching <= and >= pairs) become affine rows. The
-exchange repeats until neither side changes, which terminates because
-octagon entries only tighten and affine rank only grows.
+facts in both directions: affine rows the octagon can hold (unit
+coefficients on one or two variables) become octagon bounds, and
+octagon constraints that pin an exact equality (matching <= and >=
+pairs) become affine rows. The exchange repeats until neither side
+changes, which terminates because octagon entries only tighten and
+affine rank only grows.
 
 Reduction must not run on widening results: re-tightening a widened
 bound can oscillate and break termination, so widen() is purely
@@ -20,10 +21,6 @@ from typing import Sequence
 from ..lia import FALSE, Formula, Lin, land, nnf
 from .affine import AffineEqs
 from .octagon import Octagon
-
-
-def _octagonal(coeffs: dict[str, int]) -> bool:
-    return 1 <= len(coeffs) <= 2 and all(abs(c) == 1 for c in coeffs.values())
 
 
 @dataclass(frozen=True)
@@ -55,15 +52,13 @@ class Product:
             if o.is_empty() or a.is_empty():
                 return self._as_bottom()
             changed = False
-            # affine rows -> octagon (rows are equalities, push both sides)
+            # affine rows -> octagon (rows are equalities, push both
+            # sides; the octagon ignores rows it cannot hold)
             for coeffs, b in a.equalities():
-                if _octagonal(coeffs):
-                    o2 = o.add(coeffs, b).add({v: -c for v, c in coeffs.items()}, -b)
-                    o2 = o2.close()
-                    if not o2.leq(o) or not o.leq(o2):
-                        o, changed = o2, True
-                    else:
-                        o = o2
+                lin = Lin.make(coeffs, -b)
+                o2 = o.assume(lin).assume(-lin).close()
+                if o2 != o:  # closed forms are canonical
+                    o, changed = o2, True
             if o.is_empty():
                 return self._as_bottom()
             # octagon equality pairs -> affine rows
@@ -96,9 +91,6 @@ class Product:
         if other.is_empty():
             return self
         return Product(self.oct.join(other.oct), self.aff.join(other.aff))
-
-    def meet(self, other: "Product") -> "Product":
-        return Product(self.oct.meet(other.oct), self.aff.meet(other.aff))
 
     def widen(self, other: "Product") -> "Product":
         # componentwise only; never reduce a widened element

@@ -24,7 +24,6 @@ from .ast import (
     Havoc,
     If,
     Program,
-    Stmt,
     While,
     walk_stmts,
 )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .formula import FALSE, TRUE, BudgetError, Formula, land, lnot, lor, nnf, simplify
+from .formula import BudgetError, Formula, land, lnot, lor, nnf, simplify
 
 
 def to_dnf(f: Formula, cap: int = 4096) -> list[list[Formula]]:

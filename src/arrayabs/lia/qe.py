@@ -34,7 +34,6 @@ from .formula import (
     conj_literals,
     dvd,
     exists,
-    forall,
     ge0,
     land,
     lnot,

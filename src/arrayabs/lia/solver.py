@@ -20,9 +20,6 @@ import math
 from typing import Mapping
 
 from .formula import (
-    FALSE,
-    TRUE,
-    BudgetError,
     Formula,
     LiaError,
     Lin,

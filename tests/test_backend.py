@@ -1,0 +1,182 @@
+"""Numeric domains of the backend, and the exact analysis' assert order.
+
+Properties compare an element's formula with the constraints it was
+built from, point by point over a small integer box (helpers.truth_table).
+"""
+
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
+from arrayabs.backend import AffineEqs, Octagon, Product, analyze_loopfree_exact
+from arrayabs.lang import parse_program
+from arrayabs.lia import Lin, eq, eq0, is_sat, land, le, subst
+
+from helpers import truth_table
+
+NAMES = ("x", "y", "z")
+LO, HI = -3, 3
+x, y, z = (Lin.var(v) for v in NAMES)
+
+
+def points(f, names=NAMES):
+    return truth_table(f, names, LO, HI)
+
+
+# ------------------------------------------------------------------ octagon
+
+# (coeffs, k) meaning sum(coeffs) <= k, one or two variables, unit coefficients
+oct_constraint = st.builds(
+    lambda vs, signs, k: ({v: s for v, s in zip(vs, signs)}, k),
+    st.sampled_from([vs for n in (1, 2) for vs in itertools.combinations(NAMES, n)]),
+    st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+    st.integers(-4, 4),
+)
+
+
+def octagon(constraints):
+    o = Octagon.top(NAMES)
+    for coeffs, k in constraints:
+        o = o.add(coeffs, k)
+    return o
+
+
+def as_formula(constraints):
+    return land(*(le(Lin.make(coeffs), Lin.of(k)) for coeffs, k in constraints))
+
+
+class TestOctagon:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(oct_constraint, max_size=6))
+    def test_close_keeps_the_points(self, cs):
+        assert (points(octagon(cs).close().to_formula()) == points(as_formula(cs))).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(oct_constraint, max_size=6))
+    def test_close_is_tight(self, cs):
+        """Empty exactly when no integer point exists, and every bound of
+        the closed form is attained by an integer point."""
+        c = octagon(cs).close()
+        f = as_formula(cs)
+        assert c.is_empty() == (is_sat(f) is None)
+        for coeffs, k in c.constraints():
+            assert is_sat(land(f, eq(Lin.make(coeffs), Lin.of(k)))) is not None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(oct_constraint, max_size=6))
+    def test_closed_form_is_canonical(self, cs):
+        """Closing again, or rebuilding from the constraints the closed
+        form reports, gives back the same matrix."""
+        c = octagon(cs).close()
+        again = Octagon(c.vars, c.m, c.empty).close()  # same matrix, not marked closed
+        assert again.m == c.m
+        assert c.empty or octagon(list(c.constraints())).close() == c
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(oct_constraint, max_size=4), st.lists(oct_constraint, max_size=4))
+    def test_join_contains_both_sides(self, cs, ds):
+        a, b = octagon(cs), octagon(ds)
+        j = points(a.join(b).to_formula())
+        assert (points(as_formula(cs)) <= j).all()
+        assert (points(as_formula(ds)) <= j).all()
+        assert a.leq(a.join(b)) and b.leq(a.join(b))
+
+
+# ------------------------------------------------------------------- affine
+
+coeff = st.integers(-2, 2)
+aff_lin = st.builds(lambda a, b, c, k: Lin.make({"x": a, "y": b, "z": c}, k), coeff, coeff, coeff, st.integers(-4, 4))
+
+
+def eliminable(v):
+    """Equalities lin = 0 whose first lin has coefficient 1 on v, so that
+    v is an integer function of the others and projecting v is exact."""
+    first = st.builds(lambda lin: lin.drop(v) + Lin.var(v), aff_lin)
+    return st.tuples(first, st.lists(aff_lin, max_size=2)).map(lambda t: [t[0], *t[1]])
+
+
+def affine(lins, names=NAMES):
+    e = AffineEqs.top(names)
+    for lin in lins:
+        e = e.add_eq(lin)
+    return e
+
+
+def project(lins, v):
+    """The other equalities with v solved from the first."""
+    sol = Lin.var(v) - lins[0]
+    return land(*(eq0(lin.subst({v: sol})) for lin in lins[1:]))
+
+
+class TestAffine:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(aff_lin, max_size=4))
+    def test_add_eq_is_exact(self, lins):
+        expected = land(*(eq0(lin) for lin in lins))
+        assert (points(affine(lins).to_formula()) == points(expected)).all()
+        assert affine(lins).is_empty() == (is_sat(expected) is None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(eliminable("z"))
+    def test_forget_is_projection(self, lins):
+        got = affine(lins).forget("z")
+        assert (points(got.to_formula()) == points(project(lins, "z"))).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(aff_lin, max_size=3))
+    def test_assign_increment_is_exact(self, lins):
+        got = affine(lins).assign("x", x + 1)
+        expected = subst(land(*(eq0(lin) for lin in lins)), {"x": x - 1})
+        assert (points(got.to_formula()) == points(expected)).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(eliminable("x"))
+    def test_assign_affine_is_exact(self, lins):
+        got = affine(lins).assign("x", y * 2 + 1)
+        expected = land(eq(x, y * 2 + 1), project(lins, "x"))
+        assert (points(got.to_formula()) == points(expected)).all()
+
+    def test_join_is_the_affine_hull(self):
+        origin = affine([x, y], ("x", "y"))
+        other = affine([x - 2, y - 4], ("x", "y"))
+        assert origin.join(other) == affine([y - x * 2], ("x", "y"))
+
+    def test_integer_rows(self):
+        assert affine([x * 2 - 1]).is_empty()
+        assert affine([x * 2 - z + 1, y * 2 + z]).is_empty()  # 2x + 2y = -1
+        e = affine([x * 2 + y * 4 - 2])
+        assert e.rows == ((1, 2, 0, 1),)
+        assert list(e.equalities()) == [({"x": 1, "y": 2}, 1)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(aff_lin, max_size=4).flatmap(lambda ls: st.tuples(st.just(ls), st.permutations(ls))))
+    def test_order_does_not_matter(self, pair):
+        lins, shuffled = pair
+        assert affine(lins) == affine(shuffled)
+
+
+# ------------------------------------------------------------------ product
+
+
+class TestProduct:
+    def test_affine_row_reaches_octagon(self):
+        p = Product.top(("x", "y"))
+        p = Product(p.oct, p.aff.add_eq(x - y)).reduce()
+        assert p.oct.leq(Octagon.top(("x", "y")).add({"x": 1, "y": -1}, 0).add({"x": -1, "y": 1}, 0))
+
+    def test_octagon_pair_reaches_affine(self):
+        p = Product.top(("x", "y"))
+        p = Product(p.oct.add({"x": 1}, 3).add({"x": -1}, -3), p.aff).reduce()
+        assert p.aff == AffineEqs.top(("x", "y")).add_eq(x - 3)
+
+
+# -------------------------------------------------------------------- exact
+
+
+class TestExactAsserts:
+    def test_asserts_on_one_line_in_program_order(self):
+        src = "proc p(x: int) {\n  var y: int;\n  assert(%s); assert(%s);\n}\n"
+        for first, second, verdicts in (("x == 0", "y == 0", [False, True]), ("y == 0", "x == 0", [True, False])):
+            res = analyze_loopfree_exact(parse_program(src % (first, second)))
+            assert [ok for _, ok in res.asserts] == verdicts
+            assert len({line for line, _ in res.asserts}) == 1

@@ -1,7 +1,7 @@
 """Tests for the linear integer arithmetic stack.
 
 Crafted cases pin down the constructors, parser, satisfiability
-checker, quantifier elimination, DNF conversion and SMT-LIB export.
+checker, quantifier elimination and DNF conversion.
 Randomized sections compare the solver and the eliminator against
 brute-force evaluation over small integer boxes; quantifiers in those
 cases carry explicit box bounds so enumeration decides them exactly.
@@ -18,7 +18,6 @@ from arrayabs.lia import (
     TRUE,
     BudgetError,
     Budget,
-    Formula,
     Lin,
     bvar,
     dnf_to_formula,
@@ -31,7 +30,6 @@ from arrayabs.lia import (
     equivalent,
     exists,
     forall,
-    from_smtlib,
     ge0,
     implies,
     is_sat,
@@ -48,7 +46,6 @@ from arrayabs.lia import (
     simplify,
     subst,
     to_dnf,
-    to_smtlib,
     to_str,
 )
 
@@ -402,52 +399,3 @@ class TestDNF:
         tf = truth_table(f, names, -4, 4)
         tg = truth_table(g, names, -4, 4)
         assert (tf == tg).all()
-
-
-# -------------------------------------------------------------- SMT-LIB
-
-
-class TestSmtlib:
-    def test_export_shape(self):
-        f = land(ge0(x - y), dvd(3, x), bvar("flag"))
-        text = to_smtlib(f)
-        assert "(set-logic LIA)" in text
-        assert "(declare-const x Int)" in text
-        assert "(declare-const flag Bool)" in text
-        assert "(check-sat)" in text
-
-    def test_round_trip(self):
-        f = land(ge0(2 * x - y + 1), lor(dvd(3, x), lnot(bvar("p"))))
-        g = from_smtlib(to_smtlib(f))
-        assert g == simplify(nnf(f)) or equivalent_bool_int(f, g)
-
-    def test_quoted_generated_names(self):
-        f = ge0(Lin.var("t$0$v") - Lin.var("a'"))
-        text = to_smtlib(f)
-        assert "|a'|" in text
-        g = from_smtlib(text)
-        assert set(g.free_vars()) == {"t$0$v", "a'"}
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10**9))
-    def test_round_trip_random(self, seed):
-        rng = random.Random(seed)
-        names = ["a", "b", "c"]
-        f = rand_formula(rng, names, depth=2)
-        g = from_smtlib(to_smtlib(f))
-        tf = truth_table(f, names, -4, 4)
-        tg = truth_table(g, names, -4, 4)
-        assert (tf == tg).all()
-
-
-def equivalent_bool_int(f: Formula, g: Formula) -> bool:
-    """Equivalence when boolean atoms are also encoded as 0/1 integers."""
-    names = sorted(set(f.free_vars()) | set(g.free_vars()))
-    for vals in itertools.product(range(-2, 3), repeat=len(names)):
-        env = dict(zip(names, vals))
-        try:
-            if bool(f.evaluate(env)) != bool(g.evaluate(env)):
-                return False
-        except Exception:
-            continue
-    return True
