@@ -191,9 +191,10 @@ class Octagon:
             a, b, k = nodes[0], nodes[0] ^ 1, 2 * k
         else:  # s*v + t*w <= k  <=>  (s*v) - (-t*w) <= k
             a, b = nodes[0], nodes[1] ^ 1
+        if _le(self.m[a][b], k):
+            return self  # implied: keeps a closed form closed
         rows = self._rows()
-        if rows[a][b] is None or k < rows[a][b]:
-            rows[a][b] = rows[b ^ 1][a ^ 1] = k
+        rows[a][b] = rows[b ^ 1][a ^ 1] = k
         return self._with(rows)
 
     def assume(self, lin: Lin) -> "Octagon":

@@ -122,13 +122,11 @@ class Product:
             return self
         if k == "false":
             return self._as_bottom()
-        if k == "atom":
-            if f.op == "ge":
-                return Product(self.oct.assume(f.lin), self.aff)
-            return self  # divisibility: no octagon or affine content
+        if k == "ge":
+            return Product(self.oct.assume(f.lin), self.aff)
         if k == "and":
             out = self
-            atoms = [g.lin for g in f.args if g.kind == "atom" and g.op == "ge"]
+            atoms = [g.lin for g in f.args if g.kind == "ge"]
             for g in f.args:
                 out = out._assume(g)
             # complementary inequality pairs pin an affine equality
@@ -143,7 +141,7 @@ class Product:
             for p in parts[1:]:
                 out = out.join(p)
             return out
-        return self  # bvar or residual negation: no information taken
+        return self  # divisibility, bvar or residual negation: no information taken
 
     # -- output
 

@@ -4,7 +4,10 @@ Scalar expressions and conditions map onto linear terms and formulas.
 Array reads have no arithmetic counterpart: a caller that meets them
 passes a `read` callback that names each read's value, otherwise they
 raise BridgeError. The reverse direction renders analysis results back
-in source condition syntax, e.g. for ensures-style reporting.
+in source condition syntax, e.g. for ensures-style reporting: it parses
+what the formula printer writes, so the printer alone decides which
+side of a comparison each term goes on and when two inequalities read
+as one equality.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from .lang.ast import (
     Sub,
     Var,
 )
-from .lia import FALSE, TRUE, Formula, Lin, eq, land, le, lnot, lor, lt
+from .lang.parser import ParseError, parse_condition
+from .lia import FALSE, TRUE, Formula, Lin, eq, land, le, lnot, lor, lt, ne, to_str
 
 
 class BridgeError(ValueError):
@@ -61,7 +65,7 @@ def cond_to_formula(c: Cond, read: Read | None = None) -> Formula:
         if c.op == "==":
             return eq(a, b)
         if c.op == "!=":
-            return lnot(eq(a, b))
+            return ne(a, b)
         if c.op == "<":
             return lt(a, b)
         if c.op == "<=":
@@ -80,89 +84,16 @@ def cond_to_formula(c: Cond, read: Read | None = None) -> Formula:
     raise BridgeError(f"not a condition: {c!r}")
 
 
-def lin_to_expr(lin: Lin) -> Expr:
-    """Linear term as a source expression, constant last."""
-    out: Expr | None = None
-    for v, c in lin.coeffs:
-        if out is None:
-            if c == 1:
-                out = Var(v)
-            else:
-                out = Mul(c, Var(v))
-        elif c == 1:
-            out = Add(out, Var(v))
-        elif c == -1:
-            out = Sub(out, Var(v))
-        elif c < 0:
-            out = Sub(out, Mul(-c, Var(v)))
-        else:
-            out = Add(out, Mul(c, Var(v)))
-    k = lin.const
-    if out is None:
-        return Num(k)
-    if k > 0:
-        return Add(out, Num(k))
-    if k < 0:
-        return Sub(out, Num(-k))
-    return out
-
-
-def _ge0_to_cmp(lin: Lin) -> Cmp:
-    # render lin >= 0 as pos >= neg with all coefficients positive
-    pos = Lin.of(0)
-    neg = Lin.of(0)
-    for v, c in lin.coeffs:
-        if c > 0:
-            pos = pos + Lin.var(v).scale(c)
-        else:
-            neg = neg + Lin.var(v).scale(-c)
-    if lin.const > 0:
-        pos = pos + lin.const
-    elif lin.const < 0:
-        neg = neg - lin.const
-    return Cmp(">=", lin_to_expr(pos), lin_to_expr(neg))
-
-
 def formula_to_cond(f: Formula) -> Cond:
-    """Quantifier-free formula as a source condition.
+    """Quantifier-free formula as a source condition: the formula
+    printer's text, parsed as a condition.
 
-    Divisibility atoms and boolean variables have no source syntax and
-    raise BridgeError; callers fall back to the native formula printer.
+    Divisibility atoms, boolean variables and quantifiers have no source
+    syntax, so they fail to parse and raise BridgeError; callers fall
+    back to the native formula printer.
     """
-    k = f.kind
-    if k == "true":
-        return BoolConst(True)
-    if k == "false":
-        return BoolConst(False)
-    if k == "atom" and f.op == "ge":
-        return _ge0_to_cmp(f.lin)
-    if k == "and":
-        return _fold_eq([formula_to_cond(p) for p in f.args])
-    if k == "or":
-        return CondOr(tuple(formula_to_cond(p) for p in f.args))
-    if k == "not":
-        return CondNot(formula_to_cond(f.args[0]))
-    raise BridgeError(f"no source syntax for {k!r}/{f.op!r} formulas")
-
-
-def _fold_eq(parts: list[Cond]) -> Cond:
-    """Merge adjacent a>=b / b>=a pairs into a==b for readability."""
-    out: list[Cond] = []
-    i = 0
-    while i < len(parts):
-        a = parts[i]
-        b = parts[i + 1] if i + 1 < len(parts) else None
-        if (
-            isinstance(a, Cmp)
-            and isinstance(b, Cmp)
-            and a.op == ">="
-            and b.op == ">="
-            and b.left == a.right
-            and b.right == a.left
-        ):
-            out.append(Cmp("==", a.left, a.right))
-            i += 2
-        else:
-            out.append(a)
-            i += 1
-    return out[0] if len(out) == 1 else CondAnd(tuple(out))
+    text = to_str(f)
+    try:
+        return parse_condition(text)
+    except ParseError as e:
+        raise BridgeError(f"no source syntax for {text}: {e}") from e

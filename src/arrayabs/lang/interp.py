@@ -8,17 +8,20 @@ array content within the given bounds. Assume-violations silently
 drop a path; assertion failures and out-of-bounds accesses produce
 distinguished error states that remain in the result set.
 
-States returned are canonical, hashable, and totally ordered, so sets
-of outcomes compare across runs and implementations. A shared step
-budget makes enumeration blow-ups an explicit error rather than a
-hang.
+Execution runs from a work list of pending states rather than by
+recursion, so a run may execute any number of statements without
+growing the Python stack. States returned are canonical, hashable, and
+totally ordered, so sets of outcomes compare across runs and
+implementations. A shared step budget, one step per executed
+statement, makes enumeration blow-ups an explicit error rather than a
+hang; the total does not depend on the order of exploration.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .ast import (
     Add,
@@ -50,7 +53,6 @@ ASSERT_FAILED = "assert-failed"
 OUT_OF_BOUNDS = "out-of-bounds"
 
 Arrays = dict[str, dict[tuple[int, ...], int]]
-Trace = Callable[[tuple[int, ...], dict[str, int]], None]
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -156,101 +158,67 @@ def eval_cond(
 
 
 class _Runner:
-    def __init__(self, values: Sequence[int], budget: list[int], trace: Trace | None):
+    """Runs statements from a work list of (scalars, arrays, frame)
+    items, so no Python stack grows with the length of a run. A frame
+    is (stmts, index, outer frame): the position of the next statement
+    in each enclosing block, innermost first, None past the outermost.
+    A loop keeps its own position in the outer frame while its body
+    runs, so finishing the body returns to the loop head."""
+
+    def __init__(self, values: Sequence[int], budget: list[int]):
         self.values = tuple(values)
         self.budget = budget
-        self.trace = trace
 
     def spend(self) -> None:
         self.budget[0] -= 1
         if self.budget[0] < 0:
             raise EnumerationBudgetError("enumeration budget exceeded")
 
-    def seq(
-        self,
-        stmts: tuple[Stmt, ...],
-        k: int,
-        scalars: dict[str, int],
-        arrays: Arrays,
-        path: tuple[int, ...],
+    def run(
+        self, body: tuple[Stmt, ...], scalars: dict[str, int], arrays: Arrays
     ) -> Iterator[tuple[str, dict[str, int], Arrays]]:
-        if k == len(stmts):
-            yield OK, scalars, arrays
-            return
-        s = stmts[k]
-        self.spend()
-        if self.trace is not None:
-            self.trace(path + (k,), dict(scalars))
-        if isinstance(s, Assign):
-            try:
-                v = eval_expr(s.expr, scalars, arrays)
-            except _OutOfBounds:
-                yield OUT_OF_BOUNDS, scalars, arrays
-                return
-            yield from self.seq(stmts, k + 1, {**scalars, s.var: v}, arrays, path)
-        elif isinstance(s, Havoc):
-            for v in self.values:
-                yield from self.seq(stmts, k + 1, {**scalars, s.var: v}, arrays, path)
-        elif isinstance(s, ArrWrite):
-            try:
-                idx = tuple(eval_expr(i, scalars, arrays) for i in s.index)
-                val = eval_expr(s.value, scalars, arrays)
-            except _OutOfBounds:
-                yield OUT_OF_BOUNDS, scalars, arrays
-                return
-            if idx not in arrays[s.array]:
-                yield OUT_OF_BOUNDS, scalars, arrays
-                return
-            updated = {**arrays, s.array: {**arrays[s.array], idx: val}}
-            yield from self.seq(stmts, k + 1, scalars, updated, path)
-        elif isinstance(s, Assume):
-            try:
-                ok = eval_cond(s.cond, scalars, arrays)
-            except _OutOfBounds:
-                yield OUT_OF_BOUNDS, scalars, arrays
-                return
-            if ok:
-                yield from self.seq(stmts, k + 1, scalars, arrays, path)
-        elif isinstance(s, Assert):
-            try:
-                ok = eval_cond(s.cond, scalars, arrays)
-            except _OutOfBounds:
-                yield OUT_OF_BOUNDS, scalars, arrays
-                return
-            if ok:
-                yield from self.seq(stmts, k + 1, scalars, arrays, path)
-            else:
-                yield ASSERT_FAILED, scalars, arrays
-        elif isinstance(s, If):
-            try:
-                cond = eval_cond(s.cond, scalars, arrays)
-            except _OutOfBounds:
-                yield OUT_OF_BOUNDS, scalars, arrays
-                return
-            branch = s.then if cond else s.els
-            sub = (k, 0) if cond else (k, 1)
-            for st, sc, ar in self.seq(branch, 0, scalars, arrays, path + sub):
-                if st == OK:
-                    yield from self.seq(stmts, k + 1, sc, ar, path)
+        """Every final (status, scalars, arrays), one spend() per executed statement."""
+        work = [(scalars, arrays, (body, 0, None))]
+        while work:
+            scalars, arrays, frame = work.pop()
+            stmts, k, outer = frame
+            if k == len(stmts):
+                if outer is None:
+                    yield OK, scalars, arrays
                 else:
-                    yield st, sc, ar
-        elif isinstance(s, While):
+                    work.append((scalars, arrays, outer))
+                continue
+            s = stmts[k]
+            self.spend()
+            after = (stmts, k + 1, outer)
             try:
-                cond = eval_cond(s.cond, scalars, arrays)
+                if isinstance(s, Assign):
+                    work.append(({**scalars, s.var: eval_expr(s.expr, scalars, arrays)}, arrays, after))
+                elif isinstance(s, Havoc):
+                    work.extend(({**scalars, s.var: v}, arrays, after) for v in self.values)
+                elif isinstance(s, ArrWrite):
+                    idx = tuple(eval_expr(i, scalars, arrays) for i in s.index)
+                    val = eval_expr(s.value, scalars, arrays)
+                    if idx not in arrays[s.array]:
+                        raise _OutOfBounds()
+                    work.append((scalars, {**arrays, s.array: {**arrays[s.array], idx: val}}, after))
+                elif isinstance(s, (Assume, Assert)):
+                    if eval_cond(s.cond, scalars, arrays):
+                        work.append((scalars, arrays, after))
+                    elif isinstance(s, Assert):
+                        yield ASSERT_FAILED, scalars, arrays
+                elif isinstance(s, If):
+                    branch = s.then if eval_cond(s.cond, scalars, arrays) else s.els
+                    work.append((scalars, arrays, (branch, 0, after)))
+                elif isinstance(s, While):
+                    if eval_cond(s.cond, scalars, arrays):
+                        work.append((scalars, arrays, (s.body, 0, frame)))
+                    else:
+                        work.append((scalars, arrays, after))
+                else:
+                    raise TypeError(f"not a statement: {s!r}")
             except _OutOfBounds:
                 yield OUT_OF_BOUNDS, scalars, arrays
-                return
-            if not cond:
-                yield from self.seq(stmts, k + 1, scalars, arrays, path)
-                return
-            for st, sc, ar in self.seq(s.body, 0, scalars, arrays, path + (k, 0)):
-                if st == OK:
-                    # back to the loop head
-                    yield from self.seq(stmts, k, sc, ar, path)
-                else:
-                    yield st, sc, ar
-        else:
-            raise TypeError(f"not a statement: {s!r}")
 
 
 def run_program(
@@ -259,17 +227,13 @@ def run_program(
     arrays: Mapping[str, Mapping[tuple[int, ...], int]],
     values: Sequence[int] = (0, 1, 2),
     max_steps: int = 1_000_000,
-    trace: Trace | None = None,
 ) -> tuple[ConcreteState, ...]:
     """All final states from one initial state (havoc branches over values)."""
     init_scalars = {n: 0 for n in p.locals}
     init_scalars.update(scalars)
     init_arrays: Arrays = {n: dict(f) for n, f in arrays.items()}
-    runner = _Runner(values, [max_steps], trace)
-    out = {
-        ConcreteState.make(st, sc, ar)
-        for st, sc, ar in runner.seq(p.body, 0, init_scalars, init_arrays, ())
-    }
+    runner = _Runner(values, [max_steps])
+    out = {ConcreteState.make(st, sc, ar) for st, sc, ar in runner.run(p.body, init_scalars, init_arrays)}
     return tuple(sorted(out))
 
 
@@ -282,7 +246,7 @@ def index_box(p: Program, params: Mapping[str, int]) -> dict[str, list[tuple[int
     return out
 
 
-def enumerate_executions(p: Program, bounds: Bounds, trace: Trace | None = None) -> tuple[ConcreteState, ...]:
+def enumerate_executions(p: Program, bounds: Bounds) -> tuple[ConcreteState, ...]:
     """The exact, deterministically ordered set of reachable final states.
 
     Parameters range over bounds.params; every array content over
@@ -307,7 +271,7 @@ def enumerate_executions(p: Program, bounds: Bounds, trace: Trace | None = None)
         for contents in itertools.product(*per_array):
             arrays = {a.name: contents[i] for i, a in enumerate(p.arrays)}
             scalars = {**{n: 0 for n in p.locals}, **penv}
-            runner = _Runner(bounds.values, budget, trace)
-            for st, sc, ar in runner.seq(p.body, 0, scalars, arrays, ()):
+            runner = _Runner(bounds.values, budget)
+            for st, sc, ar in runner.run(p.body, scalars, arrays):
                 finals.add(ConcreteState.make(st, sc, ar))
     return tuple(sorted(finals))

@@ -81,32 +81,38 @@ def cond_str(c: Cond, prec: int = 0) -> str:
     raise TypeError(f"not a condition: {c!r}")
 
 
-def _stmt_lines(s: Stmt, ind: str) -> list[str]:
+# how each dialect spells havoc and assume, the two statements they
+# write differently: (havoc, assume) format strings
+_SOURCE = ("havoc {};", "assume({});")
+_CLIKE = ("{} = __VERIFIER_nondet_int();", "__VERIFIER_assume({});")
+
+
+def _stmt_lines(s: Stmt, ind: str, spell: tuple[str, str] = _SOURCE) -> list[str]:
     if isinstance(s, Assign):
         return [f"{ind}{s.var} = {expr_str(s.expr)};"]
     if isinstance(s, Havoc):
-        return [f"{ind}havoc {s.var};"]
+        return [ind + spell[0].format(s.var)]
     if isinstance(s, ArrWrite):
         idx = "".join(f"[{expr_str(i)}]" for i in s.index)
         return [f"{ind}{s.array}{idx} = {expr_str(s.value)};"]
     if isinstance(s, Assume):
-        return [f"{ind}assume({cond_str(s.cond)});"]
+        return [ind + spell[1].format(cond_str(s.cond))]
     if isinstance(s, Assert):
         return [f"{ind}assert({cond_str(s.cond)});"]
     if isinstance(s, If):
         out = [f"{ind}if ({cond_str(s.cond)}) {{"]
         for t in s.then:
-            out.extend(_stmt_lines(t, ind + "  "))
+            out.extend(_stmt_lines(t, ind + "  ", spell))
         if s.els:
             out.append(f"{ind}}} else {{")
             for t in s.els:
-                out.extend(_stmt_lines(t, ind + "  "))
+                out.extend(_stmt_lines(t, ind + "  ", spell))
         out.append(f"{ind}}}")
         return out
     if isinstance(s, While):
         out = [f"{ind}while ({cond_str(s.cond)}) {{"]
         for t in s.body:
-            out.extend(_stmt_lines(t, ind + "  "))
+            out.extend(_stmt_lines(t, ind + "  ", spell))
         out.append(f"{ind}}}")
         return out
     raise TypeError(f"not a statement: {s!r}")
@@ -129,37 +135,6 @@ def to_source(p: Program) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _clike_stmt(s: Stmt, ind: str) -> list[str]:
-    if isinstance(s, Assign):
-        return [f"{ind}{s.var} = {expr_str(s.expr)};"]
-    if isinstance(s, Havoc):
-        return [f"{ind}{s.var} = __VERIFIER_nondet_int();"]
-    if isinstance(s, ArrWrite):
-        idx = "".join(f"[{expr_str(i)}]" for i in s.index)
-        return [f"{ind}{s.array}{idx} = {expr_str(s.value)};"]
-    if isinstance(s, Assume):
-        return [f"{ind}__VERIFIER_assume({cond_str(s.cond)});"]
-    if isinstance(s, Assert):
-        return [f"{ind}assert({cond_str(s.cond)});"]
-    if isinstance(s, If):
-        out = [f"{ind}if ({cond_str(s.cond)}) {{"]
-        for t in s.then:
-            out.extend(_clike_stmt(t, ind + "  "))
-        if s.els:
-            out.append(f"{ind}}} else {{")
-            for t in s.els:
-                out.extend(_clike_stmt(t, ind + "  "))
-        out.append(f"{ind}}}")
-        return out
-    if isinstance(s, While):
-        out = [f"{ind}while ({cond_str(s.cond)}) {{"]
-        for t in s.body:
-            out.extend(_clike_stmt(t, ind + "  "))
-        out.append(f"{ind}}}")
-        return out
-    raise TypeError(f"not a statement: {s!r}")
-
-
 def to_clike(p: Program) -> str:
     params = ", ".join(f"int {n}" for n in p.params)
     lines = [f"void {p.name}({params}) {{"]
@@ -169,7 +144,7 @@ def to_clike(p: Program) -> str:
         dims = "".join(f"[{expr_str(d)}]" for d in a.dims)
         lines.append(f"  int {a.name}{dims};")
     for s in p.body:
-        lines.extend(_clike_stmt(s, "  "))
+        lines.extend(_stmt_lines(s, "  ", _CLIKE))
     lines.append("}")
     if p.target is not None:
         quant = f"forall {', '.join(p.target.indices)}: " if p.target.indices else ""

@@ -74,8 +74,8 @@ def to_dnf(f: Formula, cap: int = 4096) -> list[list[Formula]]:
 def _lit_key(lit: Formula):
     neg = lit.kind == "not"
     core = lit.args[0] if neg else lit
-    if core.kind == "atom":
-        return (0, core.op, core.lin.coeffs, core.lin.const, core.mod, neg)
+    if core.kind in ("ge", "dvd"):
+        return (0, core.kind, core.lin.coeffs, core.lin.const, core.mod, neg)
     return (1, core.name, (), 0, 0, neg)
 
 

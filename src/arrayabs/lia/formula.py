@@ -1,13 +1,13 @@
 """Linear integer arithmetic terms, atoms, and formulas.
 
 Terms are affine expressions c1*v1 + ... + cn*vn + k over named integer
-variables. Two atom shapes exist:
+variables. Two atom kinds exist, and an atom's `kind` names it:
 
-    Ge(t)      meaning  t >= 0
-    Dvd(m, t)  meaning  m divides t          (m >= 2)
+    "ge"   lin >= 0
+    "dvd"  mod divides lin          (mod >= 2)
 
-Everything else is sugar: t <= u becomes Ge(u - t), t == u becomes the
-conjunction Ge(u - t) && Ge(t - u), t < u becomes Ge(u - t - 1).
+Everything else is sugar: t <= u becomes u - t >= 0, t == u becomes the
+conjunction u - t >= 0 && t - u >= 0, t < u becomes u - t - 1 >= 0.
 Inequality atoms are gcd-reduced with the constant floored, so syntactic
 equality of atoms is a sound (in)equality test. Formulas are immutable
 trees over atoms and boolean variables with and/or/not and quantifier
@@ -77,12 +77,6 @@ class Lin:
         return self.scale(k)
 
     __rmul__ = __mul__
-
-    def __radd__(self, other: int) -> "Lin":
-        return self + other
-
-    def __rsub__(self, other: int) -> "Lin":
-        return (-self) + other
 
     def scale(self, k: int) -> "Lin":
         if k == 0:
@@ -156,14 +150,13 @@ class Lin:
 # ---------------------------------------------------------------------------
 # Formulas
 
-# Node kinds: "true" "false" "atom" "bvar" "not" "and" "or" "exists" "forall"
+# Node kinds: "true" "false" "ge" "dvd" "bvar" "not" "and" "or" "exists" "forall"
 
 
 @dataclass(frozen=True)
 class Formula:
     kind: str
     # atom payload
-    op: str = ""  # "ge" | "dvd"
     lin: Lin | None = None
     mod: int = 0
     name: str = ""  # bvar name
@@ -175,7 +168,7 @@ class Formula:
         object.__setattr__(
             self,
             "_hash",
-            hash((self.kind, self.op, self.lin, self.mod, self.name, self.args, self.bound)),
+            hash((self.kind, self.lin, self.mod, self.name, self.args, self.bound)),
         )
 
     def __hash__(self) -> int:
@@ -184,9 +177,9 @@ class Formula:
     # -- inspectors
 
     def is_literal(self) -> bool:
-        if self.kind in ("atom", "bvar"):
+        if self.kind in ("ge", "dvd", "bvar"):
             return True
-        return self.kind == "not" and self.args[0].kind in ("atom", "bvar")
+        return self.kind == "not" and self.args[0].kind in ("ge", "dvd", "bvar")
 
     def has_quantifier(self) -> bool:
         if self.kind in ("exists", "forall"):
@@ -199,7 +192,7 @@ class Formula:
         seen: set[str] = set()
 
         def walk(f: Formula, bound: frozenset[str]) -> None:
-            if f.kind == "atom":
+            if f.kind in ("ge", "dvd"):
                 for v in f.lin.vars():
                     if v not in bound and v not in seen:
                         seen.add(v)
@@ -229,7 +222,7 @@ class Formula:
         seen: set[Formula] = set()
 
         def walk(f: Formula) -> None:
-            if f.kind == "atom":
+            if f.kind in ("ge", "dvd"):
                 if f not in seen:
                     seen.add(f)
                     out.append(f)
@@ -246,9 +239,10 @@ class Formula:
             return True
         if k == "false":
             return False
-        if k == "atom":
-            val = self.lin.evaluate(model)
-            return val >= 0 if self.op == "ge" else val % self.mod == 0
+        if k == "ge":
+            return self.lin.evaluate(model) >= 0
+        if k == "dvd":
+            return self.lin.evaluate(model) % self.mod == 0
         if k == "bvar":
             return bool(model[self.name])
         if k == "not":
@@ -269,10 +263,6 @@ TRUE = Formula("true")
 FALSE = Formula("false")
 
 
-def _mkatom(op: str, lin: Lin, mod: int = 0) -> Formula:
-    return Formula("atom", op=op, lin=lin, mod=mod)
-
-
 def ge0(lin: Lin) -> Formula:
     """Atom lin >= 0, gcd-normalized; constant terms fold to true/false."""
     if lin.is_const():
@@ -281,7 +271,7 @@ def ge0(lin: Lin) -> Formula:
     if g > 1:
         # sum(c_i v_i) + k >= 0  with g | c_i  <=>  sum(c_i/g v_i) + floor(k/g) >= 0
         lin = Lin(tuple((v, c // g) for v, c in lin.coeffs), lin.const // g)
-    return _mkatom("ge", lin)
+    return Formula("ge", lin=lin)
 
 
 def dvd(m: int, lin: Lin) -> Formula:
@@ -301,7 +291,7 @@ def dvd(m: int, lin: Lin) -> Formula:
         const //= g
         if m == 1:
             return TRUE
-    return _mkatom("dvd", Lin(coeffs, const), mod=m)
+    return Formula("dvd", lin=Lin(coeffs, const), mod=m)
 
 
 def eq0(lin: Lin) -> Formula:
@@ -319,7 +309,7 @@ def lnot(f: Formula) -> Formula:
         return TRUE
     if f.kind == "not":
         return f.args[0]
-    if f.kind == "atom" and f.op == "ge":
+    if f.kind == "ge":
         # not(lin >= 0)  <=>  -lin - 1 >= 0
         return ge0(-f.lin - 1)
     return Formula("not", args=(f,))
@@ -433,13 +423,9 @@ def nnf(f: Formula, neg: bool = False) -> Formula:
         return FALSE if neg else TRUE
     if k == "false":
         return TRUE if neg else FALSE
-    if k == "atom":
-        if not neg:
-            return f
-        if f.op == "ge":
-            return ge0(-f.lin - 1)
-        return Formula("not", args=(f,))
-    if k == "bvar":
+    if k == "ge":
+        return ge0(-f.lin - 1) if neg else f
+    if k in ("dvd", "bvar"):
         return Formula("not", args=(f,)) if neg else f
     if k == "not":
         return nnf(f.args[0], not neg)
@@ -465,9 +451,10 @@ def subst(f: Formula, env: Mapping[str, Lin]) -> Formula:
     k = f.kind
     if k in ("true", "false", "bvar"):
         return f
-    if k == "atom":
-        lin = f.lin.subst(env)
-        return ge0(lin) if f.op == "ge" else dvd(f.mod, lin)
+    if k == "ge":
+        return ge0(f.lin.subst(env))
+    if k == "dvd":
+        return dvd(f.mod, f.lin.subst(env))
     if k == "not":
         return lnot(subst(f.args[0], env))
     if k == "and":
@@ -523,7 +510,7 @@ def simplify(f: Formula) -> Formula:
     interval. Dually for disjunctions. Sound and linear-ish, not complete.
     """
     k = f.kind
-    if k in ("true", "false", "atom", "bvar"):
+    if k in ("true", "false", "ge", "dvd", "bvar"):
         return f
     if k == "not":
         return lnot(simplify(f.args[0]))
@@ -549,7 +536,7 @@ def _merge_bounds(f: Formula, conj: bool) -> Formula:
     best: dict[tuple[tuple[str, int], ...], int] = {}
     others: list[Formula] = []
     for a in f.args:
-        if a.kind == "atom" and a.op == "ge":
+        if a.kind == "ge":
             key = a.lin.coeffs
             c = a.lin.const
             if key in best:
@@ -565,6 +552,6 @@ def _merge_bounds(f: Formula, conj: bool) -> Formula:
             nkey = tuple((v, -co) for v, co in key)
             if nkey in best and c + best[nkey] < 0:
                 return FALSE
-    atoms = [Formula("atom", op="ge", lin=Lin(key, c)) for key, c in best.items()]
+    atoms = [Formula("ge", lin=Lin(key, c)) for key, c in best.items()]
     atoms.sort(key=lambda a: (a.lin.coeffs, a.lin.const))
     return land(*atoms, *others) if conj else lor(*atoms, *others)

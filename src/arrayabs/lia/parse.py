@@ -20,7 +20,6 @@ character so generated names round trip.
 from __future__ import annotations
 
 import re
-from typing import Mapping
 
 from .formula import Formula, Lin, bvar, dvd, eq, exists, forall, ge0, land, lnot, lor, ne
 
@@ -81,23 +80,23 @@ class _Tokens:
             raise ParseError(f"expected {val!r}, got {got!r}")
 
 
-def parse_formula(text: str, consts: Mapping[str, int] | None = None) -> Formula:
+def parse_formula(text: str) -> Formula:
     t = _Tokens(text)
-    f = _formula(t, consts or {})
+    f = _formula(t)
     if t.peek() is not None:
         raise ParseError(f"trailing input at token {t.peek()!r}")
     return f
 
 
-def _formula(t: _Tokens, consts: Mapping[str, int]) -> Formula:
+def _formula(t: _Tokens) -> Formula:
     for word, ctor in (("forall", forall), ("exists", exists)):
         if t.accept_word(word):
             names = [_ident(t)]
             while t.accept(","):
                 names.append(_ident(t))
             t.expect(":")
-            return ctor(names, _formula(t, consts))
-    return _imp(t, consts)
+            return ctor(names, _formula(t))
+    return _imp(t)
 
 
 def _ident(t: _Tokens) -> str:
@@ -107,31 +106,31 @@ def _ident(t: _Tokens) -> str:
     return val
 
 
-def _imp(t: _Tokens, consts: Mapping[str, int]) -> Formula:
-    left = _disj(t, consts)
+def _imp(t: _Tokens) -> Formula:
+    left = _disj(t)
     if t.accept("==>"):
-        right = _formula(t, consts)  # right assoc; quantifiers allowed here
+        right = _formula(t)  # right assoc; quantifiers allowed here
         return lor(lnot(left), right)
     return left
 
 
-def _disj(t: _Tokens, consts: Mapping[str, int]) -> Formula:
-    parts = [_conj(t, consts)]
+def _disj(t: _Tokens) -> Formula:
+    parts = [_conj(t)]
     while t.accept("||"):
-        parts.append(_conj(t, consts))
+        parts.append(_conj(t))
     return lor(*parts)
 
 
-def _conj(t: _Tokens, consts: Mapping[str, int]) -> Formula:
-    parts = [_unary(t, consts)]
+def _conj(t: _Tokens) -> Formula:
+    parts = [_unary(t)]
     while t.accept("&&"):
-        parts.append(_unary(t, consts))
+        parts.append(_unary(t))
     return land(*parts)
 
 
-def _unary(t: _Tokens, consts: Mapping[str, int]) -> Formula:
+def _unary(t: _Tokens) -> Formula:
     if t.accept("!"):
-        return lnot(_unary(t, consts))
+        return lnot(_unary(t))
     p = t.peek()
     if p == ("id", "true"):
         t.next()
@@ -148,33 +147,33 @@ def _unary(t: _Tokens, consts: Mapping[str, int]) -> Formula:
         save = t.i
         t.next()
         try:
-            inner = _formula(t, consts)
+            inner = _formula(t)
             t.expect(")")
         except ParseError:
             t.i = save
-            return _compare(t, consts)
+            return _compare(t)
         # a comparison may still follow a parenthesized sum; only plain
         # formulas can be followed by boolean connectives or the end
         nxt = t.peek()
         if nxt and nxt[0] == "op" and nxt[1] in ("==", "!=", "<=", "<", ">=", ">", "+", "-", "*", "|"):
             t.i = save
-            return _compare(t, consts)
+            return _compare(t)
         return inner
-    return _compare(t, consts)
+    return _compare(t)
 
 
-def _compare(t: _Tokens, consts: Mapping[str, int]) -> Formula:
-    left = _sum(t, consts)
+def _compare(t: _Tokens) -> Formula:
+    left = _sum(t)
     p = t.peek()
     if p and p[0] == "op" and p[1] == "|":
         if not left.is_const():
             raise ParseError("divisibility modulus must be a constant")
         t.next()
-        rhs = _sum(t, consts)
+        rhs = _sum(t)
         return dvd(left.const, rhs)
     if p and p[0] == "op" and p[1] in ("==", "!=", "<=", "<", ">=", ">"):
         _, op = t.next()
-        right = _sum(t, consts)
+        right = _sum(t)
         if op == "==":
             return eq(left, right)
         if op == "!=":
@@ -192,31 +191,31 @@ def _compare(t: _Tokens, consts: Mapping[str, int]) -> Formula:
     raise ParseError(f"expected comparison, got {p!r}")
 
 
-def _sum(t: _Tokens, consts: Mapping[str, int]) -> Lin:
-    acc = _prod(t, consts)
+def _sum(t: _Tokens) -> Lin:
+    acc = _prod(t)
     while True:
         if t.accept("+"):
-            acc = acc + _prod(t, consts)
+            acc = acc + _prod(t)
         elif t.accept("-"):
-            acc = acc - _prod(t, consts)
+            acc = acc - _prod(t)
         else:
             return acc
 
 
-def _prod(t: _Tokens, consts: Mapping[str, int]) -> Lin:
+def _prod(t: _Tokens) -> Lin:
     if t.accept("-"):
-        return -_prod(t, consts)
+        return -_prod(t)
     kind, val = t.next()
     if kind == "int":
         base = Lin.of(int(val))
         if t.accept("*"):
-            factor = _prod(t, consts)
+            factor = _prod(t)
             return factor.scale(base.const)
         return base
     if kind == "id":
         if val in KEYWORDS:
             raise ParseError(f"unexpected keyword {val!r} in term")
-        base = Lin.of(consts[val]) if val in consts else Lin.var(val)
+        base = Lin.var(val)
         if t.accept("*"):
             kind2, val2 = t.next()
             if kind2 != "int":
@@ -224,7 +223,7 @@ def _prod(t: _Tokens, consts: Mapping[str, int]) -> Lin:
             return base.scale(int(val2))
         return base
     if val == "(":
-        inner = _sum(t, consts)
+        inner = _sum(t)
         t.expect(")")
         if t.accept("*"):
             kind2, val2 = t.next()

@@ -16,7 +16,7 @@ def _side(pairs: list[tuple[str, int]], const: int) -> str:
 
 
 def atom_str(a: Formula) -> str:
-    if a.op == "dvd":
+    if a.kind == "dvd":
         return f"{a.mod} | ({a.lin})"
     pos = [(v, c) for v, c in a.lin.coeffs if c > 0]
     neg = [(v, -c) for v, c in a.lin.coeffs if c < 0]
@@ -46,7 +46,7 @@ def to_str(f: Formula, prec: int = 0) -> str:
         return "true"
     if k == "false":
         return "false"
-    if k == "atom":
+    if k in ("ge", "dvd"):
         return atom_str(f)
     if k == "bvar":
         return f.name
@@ -61,10 +61,8 @@ def to_str(f: Formula, prec: int = 0) -> str:
             a = f.args[i]
             if (
                 i + 1 < len(f.args)
-                and a.kind == "atom"
-                and a.op == "ge"
-                and f.args[i + 1].kind == "atom"
-                and f.args[i + 1].op == "ge"
+                and a.kind == "ge"
+                and f.args[i + 1].kind == "ge"
                 and f.args[i + 1].lin == -a.lin
             ):
                 parts.append(_eq_str(a.lin))

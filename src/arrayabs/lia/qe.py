@@ -32,9 +32,7 @@ from .formula import (
     Formula,
     Lin,
     conj_literals,
-    dvd,
     exists,
-    ge0,
     land,
     lnot,
     lor,
@@ -56,18 +54,14 @@ class Budget:
             raise BudgetError("lia work budget exceeded")
 
 
-_DEFAULT_STEPS = 2_000_000
-
-
 def eliminate_quantifiers(f: Formula, budget: Budget | None = None) -> Formula:
     """Equivalent quantifier-free formula (free variables unchanged)."""
-    budget = budget or Budget(_DEFAULT_STEPS)
-    return _elim(nnf(f), budget)
+    return _elim(nnf(f), budget or Budget())
 
 
 def _elim(f: Formula, budget: Budget) -> Formula:
     k = f.kind
-    if k in ("true", "false", "atom", "bvar", "not"):
+    if k in ("true", "false", "ge", "dvd", "bvar", "not"):
         return f
     if k == "and":
         return land(*(_elim(a, budget) for a in f.args))
@@ -101,17 +95,11 @@ def _elim_block(bound: tuple[str, ...], f: Formula, budget: Budget) -> Formula:
     return f
 
 
-def eliminate_exists(vs: Iterable[str], f: Formula, budget: Budget | None = None) -> Formula:
-    """Eliminate exists vs. f with f quantifier-free."""
-    budget = budget or Budget(_DEFAULT_STEPS)
-    return _elim(exists(tuple(vs), nnf(f)), budget)
-
-
 def project(f: Formula, keep: Iterable[str], budget: Budget | None = None) -> Formula:
     """Existentially eliminate every free variable not in `keep`."""
     keepset = set(keep)
     drop = [v for v in f.free_vars() if v not in keepset]
-    return eliminate_exists(drop, f, budget)
+    return _elim(exists(drop, nnf(f)), budget or Budget())
 
 
 def _elim_exists(x: str, f: Formula, budget: Budget) -> Formula:
@@ -148,7 +136,7 @@ def _const_range(x: str, f: Formula) -> tuple[int, int] | None:
     lo: int | None = None
     hi: int | None = None
     for lit in conj_literals(f):
-        if lit.kind != "atom" or lit.op != "ge":
+        if lit.kind != "ge":
             continue
         c = lit.lin.coeff(x)
         if c == 0 or not lit.lin.drop(x).is_const():
@@ -169,12 +157,12 @@ def _pinned_value(x: str, f: Formula) -> Lin | None:
     """Term t with x == t forced by unit-coefficient atoms of the conjunction."""
     lows: set[Lin] = set()
     for lit in conj_literals(f):
-        if lit.kind == "atom" and lit.op == "ge":
+        if lit.kind == "ge":
             c = lit.lin.coeff(x)
             if c == 1:
                 lows.add(lit.lin)  # x + r >= 0, so x >= -r
     for lit in conj_literals(f):
-        if lit.kind == "atom" and lit.op == "ge" and lit.lin.coeff(x) == -1:
+        if lit.kind == "ge" and lit.lin.coeff(x) == -1:
             neg = -lit.lin
             if neg in lows:  # x >= t and x <= t pin x to t
                 return lit.lin.drop(x)
@@ -192,23 +180,23 @@ def _cooper(x: str, f: Formula, budget: Budget) -> Formula:
 
     def unitize(g: Formula) -> Formula:
         # rewrite so every atom mentions x with coefficient exactly +1
-        if g.kind == "atom":
+        if g.kind in ("ge", "dvd"):
             c = g.lin.coeff(x)
             if c == 0:
                 return g
             k = l // abs(c)
-            if g.op == "ge":
+            if g.kind == "ge":
                 # scale by k (positive): coefficient of x becomes +-l
                 lin = g.lin.scale(k)
                 c2 = lin.coeff(x)
                 rest = lin.drop(x)
                 if c2 > 0:
-                    return Formula("atom", op="ge", lin=rest + Lin.var(x))
-                return Formula("atom", op="ge", lin=rest - Lin.var(x))
+                    return Formula("ge", lin=rest + Lin.var(x))
+                return Formula("ge", lin=rest - Lin.var(x))
             lin = g.lin if c > 0 else -g.lin
             lin = lin.scale(k)
             rest = lin.drop(x)
-            return Formula("atom", op="dvd", lin=rest + Lin.var(x), mod=g.mod * k)
+            return Formula("dvd", lin=rest + Lin.var(x), mod=g.mod * k)
         if g.kind == "not":
             return Formula("not", args=(unitize(g.args[0]),))
         if g.kind in ("and", "or"):
@@ -217,7 +205,7 @@ def _cooper(x: str, f: Formula, budget: Budget) -> Formula:
 
     g = unitize(f)
     if l > 1:
-        g = land(g, Formula("atom", op="dvd", lin=Lin.var(x), mod=l))
+        g = land(g, Formula("dvd", lin=Lin.var(x), mod=l))
 
     # 2. collect boundaries and moduli (coefficient of x is now +-1)
     lows: list[Lin] = []
@@ -227,7 +215,7 @@ def _cooper(x: str, f: Formula, budget: Budget) -> Formula:
         c = a.lin.coeff(x)
         if c == 0:
             continue
-        if a.op == "dvd":
+        if a.kind == "dvd":
             D = D * a.mod // math.gcd(D, a.mod)
         elif c > 0:
             lows.append(-(a.lin.drop(x)))  # x >= -rest
@@ -242,13 +230,13 @@ def _cooper(x: str, f: Formula, budget: Budget) -> Formula:
 
     def at(term: Lin) -> Formula:
         budget.tick(4)
-        return _subst_unit(g, x, term)
+        return subst(g, {x: term})
 
     def inf_version(h: Formula) -> Formula:
         # drop inequality atoms on x: kept side true, other false
-        if h.kind == "atom":
+        if h.kind in ("ge", "dvd"):
             c = h.lin.coeff(x)
-            if c == 0 or h.op == "dvd":
+            if c == 0 or h.kind == "dvd":
                 return h
             if (c > 0) == use_low:
                 return FALSE  # the binding side
@@ -265,7 +253,7 @@ def _cooper(x: str, f: Formula, budget: Budget) -> Formula:
     disjuncts: list[Formula] = []
     if ginf.kind != "false":
         for j in range(1, D + 1):
-            d = simplify(_subst_unit(ginf, x, Lin.of(j if use_low else -j)))
+            d = simplify(subst(ginf, {x: Lin.of(j if use_low else -j)}))
             if d.kind == "true":
                 return TRUE
             if d.kind != "false":
@@ -280,16 +268,3 @@ def _cooper(x: str, f: Formula, budget: Budget) -> Formula:
                 disjuncts.append(d)
     return simplify(lor(*disjuncts))
 
-
-def _subst_unit(f: Formula, x: str, term: Lin) -> Formula:
-    """Substitute x := term and renormalize atoms."""
-    if f.kind == "atom":
-        lin = f.lin.subst({x: term})
-        return ge0(lin) if f.op == "ge" else dvd(f.mod, lin)
-    if f.kind == "not":
-        return lnot(_subst_unit(f.args[0], x, term))
-    if f.kind == "and":
-        return land(*(_subst_unit(a, x, term) for a in f.args))
-    if f.kind == "or":
-        return lor(*(_subst_unit(a, x, term) for a in f.args))
-    return f

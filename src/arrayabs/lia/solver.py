@@ -221,7 +221,7 @@ def _solve_single(x: str, f: Formula, budget: Budget) -> int | None:
         rest = a.lin.drop(x)
         if not rest.is_const():
             raise LiaError("solve_single expects a single free variable")
-        if a.op == "dvd":
+        if a.kind == "dvd":
             D = D * a.mod // math.gcd(D, a.mod)
         elif c > 0:
             consts.append(-(rest.const // c))  # ceil(-r/c)

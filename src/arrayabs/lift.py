@@ -58,9 +58,9 @@ class QuantifiedInvariant:
     """forall `indices` satisfying `universe`: `matrix` holds.
 
     Position parameters are quantified; everything else (program
-    scalars, cell values) stays free. A live cell's value variable
-    denotes the final array content at its position, a frozen cell's
-    value and any snapshot variable denote the content at entry.
+    scalars, cell values) stays free. A cell's value variable denotes
+    the final array content at its position, a snapshot variable the
+    content at entry.
     """
 
     indices: tuple[str, ...]
@@ -195,7 +195,7 @@ def _cell_bindings(inv: QuantifiedInvariant, accesses: Accesses) -> list[dict[st
                     continue
                 for xv, term in zip(c.index, t):
                     env[xv] = term
-                env[c.value] = Lin.var(_symbol(accesses, array, c.frozen, t))
+                env[c.value] = Lin.var(_symbol(accesses, array, False, t))
                 if c.init:
                     env[c.init] = Lin.var(_symbol(accesses, array, True, t))
             out.append(env)
@@ -267,7 +267,7 @@ def _dual_array(sp: ScalarProgram) -> str:
     good = [
         name
         for name, spec in sp.cfg.arrays.items()
-        if spec.ordered and spec.count == 2 and not spec.frozen
+        if spec.ordered and spec.count == 2
     ]
     if len(good) != 1:
         raise LiftError("need exactly one ordered two-cell array")

@@ -72,13 +72,12 @@ def check_completeness(
     over every initial array content, the transformed side over every
     admissible position tuple. Every configured array must be nonempty
     under every parameter valuation, and cells must be plain (no
-    frozen, no snapshots).
+    snapshots).
     """
     if not _loopfree(p):
         raise OracleError("completeness check needs a loop-free program")
-    for name, spec in cfg.arrays.items():
-        if spec.frozen or spec.snapshot:
-            raise OracleError("plain cells only")
+    if any(spec.snapshot for spec in cfg.arrays.values()):
+        raise OracleError("plain cells only")
     params = params or {}
     for n in p.params:
         if n not in params:

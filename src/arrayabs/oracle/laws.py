@@ -176,11 +176,6 @@ def check_galois(
 # ------------------------------------------------ statement soundness
 
 
-def _scalar_tuple(final, names: Sequence[str]) -> tuple:
-    sc = final.scalar_dict()
-    return tuple(sc[n] for n in names)
-
-
 def _index_vals(dom: FiniteDomain) -> list[int]:
     vals = list(dom.A)
     if not all(isinstance(a, int) for a in vals):

@@ -1,4 +1,8 @@
-"""Configuration types for the scalar translation."""
+"""Configuration types for the scalar translation.
+
+Every cell follows the writes to its position; the array contents at
+entry are reached through `snapshot` variables.
+"""
 
 from __future__ import annotations
 
@@ -17,23 +21,17 @@ class TransformError(ValueError):
 class ArrayCells:
     """How one array is abstracted.
 
-    count symbolic cells track the array; cells listed in `frozen` are
-    never updated by writes, so they keep describing the array contents
-    at procedure entry. With `snapshot`, every live cell additionally
-    records its entry value in a one-shot variable.
+    count symbolic cells track the array. With `snapshot`, every cell
+    additionally records its entry value in a one-shot variable.
     """
 
     count: int
     ordered: bool = False
-    frozen: tuple[int, ...] = ()
     snapshot: bool = False
 
     def __post_init__(self):
         if self.count < 1:
             raise TransformError("cell count must be >= 1 (drop an array by omitting it)")
-        for j in self.frozen:
-            if not 0 <= j < self.count:
-                raise TransformError(f"frozen cell {j} out of range 0..{self.count - 1}")
 
 
 @dataclass(frozen=True)

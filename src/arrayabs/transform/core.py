@@ -3,8 +3,8 @@
 Each abstracted array f gets k symbolic cells: per cell j a tuple of
 index parameters f$j$x0.. (one per dimension) and a value variable
 f$j$v. A read r=f[i] becomes a havoc of r followed by one guarded
-assume per live cell; a write f[i]=r updates every live cell whose
-index matches. The prologue havocs the cell values and pins the index
+assume per cell; a write f[i]=r updates every cell whose index
+matches. The prologue havocs the cell values and pins the index
 parameters inside the array bounds, adds the ordering chain and focus
 precondition when configured, asserts nothing and reads nothing.
 
@@ -69,25 +69,20 @@ class Cell:
     pos: int
     index: tuple[str, ...]
     value: str
-    frozen: bool = False
     init: str | None = None
 
 
 def cells_for(array: str, dims: int, spec: ArrayCells) -> tuple[Cell, ...]:
-    out = []
-    for j in range(spec.count):
-        frozen = j in spec.frozen
-        out.append(
-            Cell(
-                array,
-                j,
-                tuple(index_var(array, j, d) for d in range(dims)),
-                value_var(array, j),
-                frozen,
-                init_var(array, j) if spec.snapshot and not frozen else None,
-            )
+    return tuple(
+        Cell(
+            array,
+            j,
+            tuple(index_var(array, j, d) for d in range(dims)),
+            value_var(array, j),
+            init_var(array, j) if spec.snapshot else None,
         )
-    return tuple(out)
+        for j in range(spec.count)
+    )
 
 
 @dataclass(frozen=True)
@@ -123,14 +118,12 @@ def _cells(cfg: IndexConfig, array: str, dims: int) -> tuple[Cell, ...]:
 
 
 def transform_read(stmt: Assign, cfg: IndexConfig) -> list[Stmt]:
-    """r = f[i...]  ->  havoc r; one guarded assume per live cell."""
+    """r = f[i...]  ->  havoc r; one guarded assume per cell."""
     read = stmt.expr
     if not isinstance(read, ArrRead):
         raise TransformError("transform_read expects an elementary array read")
     out: list[Stmt] = [Havoc(stmt.var, line=stmt.line)]
     for cell in _cells(cfg, read.array, len(read.index)):
-        if cell.frozen:
-            continue
         guard = _index_guard(cell, read.index)
         body = (Assume(Cmp("==", Var(stmt.var), Var(cell.value)), line=stmt.line),)
         out.append(If(guard, body, line=stmt.line))
@@ -138,11 +131,9 @@ def transform_read(stmt: Assign, cfg: IndexConfig) -> list[Stmt]:
 
 
 def transform_write(stmt: ArrWrite, cfg: IndexConfig) -> list[Stmt]:
-    """f[i...] = r  ->  one guarded cell update per live cell."""
+    """f[i...] = r  ->  one guarded cell update per cell."""
     out: list[Stmt] = []
     for cell in _cells(cfg, stmt.array, len(stmt.index)):
-        if cell.frozen:
-            continue
         guard = _index_guard(cell, stmt.index)
         body = (Assign(cell.value, stmt.value, line=stmt.line),)
         out.append(If(guard, body, line=stmt.line))

@@ -38,11 +38,11 @@ def grid_eval(f: Formula, grids: Mapping[str, np.ndarray]) -> np.ndarray:
     if k == "false":
         shape = next(iter(grids.values())).shape if grids else ()
         return np.zeros(shape, dtype=bool)
-    if k == "atom":
+    if k in ("ge", "dvd"):
         acc = np.full_like(next(iter(grids.values())), f.lin.const, dtype=np.int64)
         for v, c in f.lin.coeffs:
             acc = acc + c * grids[v].astype(np.int64)
-        if f.op == "ge":
+        if k == "ge":
             return acc >= 0
         return acc % f.mod == 0
     if k == "bvar":

@@ -8,11 +8,12 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from arrayabs.backend import AffineEqs, Octagon, Product, analyze_loopfree_exact
+from arrayabs.backend import AbstractState, AffineEqs, Octagon, Product, analyze_loopfree_exact
+from arrayabs.backend.abstract import PARTITION_CAP
 from arrayabs.lang import parse_program
 from arrayabs.lia import Lin, eq, eq0, is_sat, land, le, subst
 
-from helpers import truth_table
+from helpers import box_points, truth_table
 
 NAMES = ("x", "y", "z")
 LO, HI = -3, 3
@@ -80,6 +81,32 @@ class TestOctagon:
         assert (points(as_formula(cs)) <= j).all()
         assert (points(as_formula(ds)) <= j).all()
         assert a.leq(a.join(b)) and b.leq(a.join(b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(oct_constraint, max_size=6), oct_constraint)
+    def test_implied_constraint_keeps_the_closed_form(self, cs, extra):
+        c = octagon(cs).close()
+        coeffs, _ = extra
+        # the closed form's own bound on coeffs, or a looser one
+        bound = max((k for co, k in c.constraints() if co == coeffs), default=None)
+        if c.empty or bound is None:
+            return
+        assert c.add(coeffs, bound) is c
+        assert c.add(coeffs, bound + 1) is c
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(oct_constraint, max_size=6),
+        st.sampled_from([y * 2 + 1, x + y, x * -2 + z - 1, x * 3]),
+    )
+    def test_non_octagonal_assign_keeps_every_image(self, cs, rhs):
+        """x := rhs with rhs outside octagon form goes through interval
+        evaluation; every image of a pre-state point is in the post-state."""
+        pre = as_formula(cs)
+        post = octagon(cs).assign("x", rhs).to_formula()
+        for p in box_points(NAMES, LO, HI):
+            if pre.evaluate(p):
+                assert post.evaluate({**p, "x": rhs.evaluate(p)}), p
 
 
 # ------------------------------------------------------------------- affine
@@ -168,6 +195,16 @@ class TestProduct:
         p = Product.top(("x", "y"))
         p = Product(p.oct.add({"x": 1}, 3).add({"x": -1}, -3), p.aff).reduce()
         assert p.aff == AffineEqs.top(("x", "y")).add_eq(x - 3)
+
+
+class TestPartitions:
+    def test_collapse_merges_every_bucket(self):
+        flags = ("f0", "f1", "f2", "f3")
+        valuations = list(itertools.product((0, 1), repeat=len(flags)))[: PARTITION_CAP + 1]
+        parts = {v: Product.top(("x",)).assume(eq(x, Lin.of(n))) for n, v in enumerate(valuations)}
+        (key, merged), = AbstractState(flags, parts).collapse().parts.items()
+        assert key == (None,) * len(flags)
+        assert all(p.leq(merged) for p in parts.values())
 
 
 # -------------------------------------------------------------------- exact

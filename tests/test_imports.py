@@ -1,8 +1,10 @@
-"""Every module under src/arrayabs uses each name it imports.
+"""Every module under src/arrayabs uses each name it imports, and each
+private helper it defines.
 
 No linter is part of the toolchain, so this scans the syntax tree of
 each module (package `__init__` files excluded: they import to
-re-export) and compares the names its imports bind with the names the
+re-export) and compares the names its imports bind, and the `_private`
+functions and classes it defines at module level, with the names the
 rest of the module reads, string annotations included.
 """
 
@@ -53,3 +55,18 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_dead_private_helpers(path):
+    tree = ast.parse(path.read_text())
+    used = _used(tree)
+    dead = sorted(
+        f"{node.name} (line {node.lineno})"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    )
+    assert not dead, f"{path.name} defines private helpers it never uses: {', '.join(dead)}"

@@ -22,7 +22,6 @@ from arrayabs.lia import (
     bvar,
     dnf_to_formula,
     dvd,
-    eliminate_exists,
     eliminate_quantifiers,
     entails,
     eq,
@@ -181,7 +180,7 @@ class TestParser:
 
     def test_divisibility(self):
         f = parse_formula("2 | x + y")
-        assert f.op == "dvd" and f.mod == 2
+        assert f.kind == "dvd" and f.mod == 2
 
     def test_quantifiers_and_implication(self):
         f = parse_formula("forall i: 0 <= i ==> exists j: j == i + 1")
@@ -192,10 +191,6 @@ class TestParser:
         f = parse_formula("x >= 0 ==> x >= 1 ==> x >= 2")
         g = implies(ge0(x), implies(ge0(x - 1), ge0(x - 2)))
         assert f == g
-
-    def test_named_constants(self):
-        f = parse_formula("c == BLUE", consts={"BLUE": 0})
-        assert f == eq0(Lin.var("c"))
 
     def test_errors(self):
         for bad in ["x >", "x * y >= 0", "(x >= 1", "3 & 4", "x | y >= 0"]:
@@ -340,7 +335,7 @@ class TestQE:
 
     def test_eliminate_exists_list(self):
         f = land(ge0(x - 1), ge0(y - x - 1), ge0(z - y - 1))
-        g = eliminate_exists(["x", "y"], f)
+        g = eliminate_quantifiers(exists(["x", "y"], f))
         assert equivalent(g, ge0(z - 3))
 
     def test_project(self):
