@@ -10,8 +10,12 @@ Canonical form is the tight integer closure, reached in one pass
 (Bagnara, Hill and Zaffanella, VMCAI 2008): shortest paths, then the
 strengthening step m[a][b] <= floor(m[a][a^1]/2) + floor(m[b^1][b]/2),
 which at b = a^1 also floors each unary bound to an even value.
-Emptiness shows up as a negative diagonal. Joins and widenings work entrywise; widening results are
-deliberately left unclosed so the ascending iteration terminates.
+Emptiness shows up as a negative diagonal. `add` on a closed element
+closes incrementally in O(n^2) (Chawdhary, Robbins and King, FMSD
+2019), so the full O(n^3) pass runs only on unclosed elements: widening
+results, which are deliberately left unclosed so the ascending
+iteration terminates, and matrices built by hand. Joins and widenings
+work entrywise. Equalities are read straight off the closed matrix.
 """
 
 from __future__ import annotations
@@ -32,6 +36,14 @@ def _add(a: int | None, b: int | None) -> int | None:
     if a is None or b is None:
         return INF
     return a + b
+
+
+def _min(a: int | None, b: int | None) -> int | None:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
 
 
 def _le(a: int | None, b: int | None) -> bool:
@@ -98,12 +110,47 @@ class Octagon:
                     s = dik + dkj
                     if row_i[j] is None or s < row_i[j]:
                         row_i[j] = s
+        return self._tighten(d)
+
+    def _close_with(self, a: int, b: int, k: int) -> "Octagon":
+        """Tight closure of this closed element plus the edge a -> b of
+        weight k and its mirror b^1 -> a^1, in O(n^2) (Chawdhary, Robbins
+        and King, FMSD 2019). A shortest path uses each new edge at most
+        once, so from node i it is enough to know the cheapest ways to
+        reach b and a^1 through new edges; every sum reads the old matrix."""
+        m = self.m
+        row_b, row_na = m[b], m[a ^ 1]
+        b_na = _add(row_b[b ^ 1], k)  # b -> b^1 -> a^1
+        na_b = _add(row_na[a], k)  # a^1 -> a -> b
+        d = []
+        for row in m:
+            via_a = _add(row[a], k)  # i -> a -> b
+            via_nb = _add(row[b ^ 1], k)  # i -> b^1 -> a^1
+            new = list(row)
+            for t, far in (
+                (_min(via_a, _add(via_nb, na_b)), row_b),
+                (_min(via_nb, _add(via_a, b_na)), row_na),
+            ):
+                if t is None:
+                    continue
+                for j, x in enumerate(far):
+                    if x is not None:
+                        x += t
+                        if new[j] is None or x < new[j]:
+                            new[j] = x
+            d.append(new)
+        return self._tighten(d)
+
+    def _tighten(self, d: list[list[int | None]]) -> "Octagon":
+        """Finish a shortest-path closed matrix d, changed in place:
+        emptiness on the diagonal, then strengthening with floored halves;
+        at j = i^1 that floors the unary bound to an even value, which is
+        the integer tightening."""
+        n = len(d)
         for i in range(n):
             if d[i][i] is not None and d[i][i] < 0:
                 return Octagon.bottom(self.vars)
             d[i][i] = 0
-        # strengthening with floored halves; at j = i^1 it floors the
-        # unary bound to an even value, which is the integer tightening
         for i in range(n):
             bi = d[i][i ^ 1]
             if bi is None:
@@ -181,7 +228,8 @@ class Octagon:
 
     def add(self, coeffs: dict[str, int], k: int) -> "Octagon":
         """Meet with sum(coeffs)*vars <= k: one or two variables, unit
-        coefficients."""
+        coefficients. A closed element gives its tight closure at once;
+        an unclosed one only gets the entry, for the next close()."""
         if self.empty:
             return self
         if not _octagonal(coeffs):
@@ -193,6 +241,8 @@ class Octagon:
             a, b = nodes[0], nodes[1] ^ 1
         if _le(self.m[a][b], k):
             return self  # implied: keeps a closed form closed
+        if self.closed:
+            return self._close_with(a, b, k)
         rows = self._rows()
         rows[a][b] = rows[b ^ 1][a ^ 1] = k
         return self._with(rows)
@@ -305,6 +355,24 @@ class Octagon:
                     yield {v: s}, c // 2
                 else:
                     yield {v: s, w: -t}, c
+
+    def equalities(self) -> Iterator[tuple[dict[str, int], int]]:
+        """Yield (coeffs, k) meaning sum(coeffs) == k, once per equality of
+        the closed form: +v - (signed w) bounded both ways by one value."""
+        a = self.close()
+        if a.empty:
+            return
+        m = a.m
+        for i in range(0, len(m), 2):
+            v = a.vars[i // 2]
+            for j in range(i + 1, len(m)):
+                c, back = m[i][j], m[j][i]
+                if c is None or back is None or c + back != 0:
+                    continue
+                if j == i + 1:  # +v - (-v) == c
+                    yield {v: 1}, c // 2
+                else:  # j even: +v - (+w); j odd: +v - (-w)
+                    yield {v: 1, a.vars[j // 2]: 1 if j % 2 else -1}, c
 
     def to_formula(self) -> Formula:
         if self.is_empty():

@@ -2,11 +2,11 @@
 
 Both components track the same variable tuple. Reduction exchanges
 facts in both directions: affine rows the octagon can hold (unit
-coefficients on one or two variables) become octagon bounds, and
-octagon constraints that pin an exact equality (matching <= and >=
-pairs) become affine rows. The exchange repeats until neither side
-changes, which terminates because octagon entries only tighten and
-affine rank only grows.
+coefficients on one or two variables) become octagon bounds, and the
+equalities of the closed octagon, read off its matrix, become affine
+rows. The exchange repeats until neither side changes, which
+terminates because octagon entries only tighten and affine rank only
+grows.
 
 Reduction must not run on widening results: re-tightening a widened
 bound can oscillate and break termination, so widen() is purely
@@ -56,22 +56,16 @@ class Product:
             # sides; the octagon ignores rows it cannot hold)
             for coeffs, b in a.equalities():
                 lin = Lin.make(coeffs, -b)
-                o2 = o.assume(lin).assume(-lin).close()
+                o2 = o.assume(lin).assume(-lin)
                 if o2 != o:  # closed forms are canonical
                     o, changed = o2, True
             if o.is_empty():
                 return self._as_bottom()
-            # octagon equality pairs -> affine rows
-            seen: dict[tuple[tuple[str, int], ...], int] = {}
-            for coeffs, k in o.constraints():
-                key = tuple(sorted(coeffs.items()))
-                nkey = tuple(sorted((v, -c) for v, c in coeffs.items()))
-                if nkey in seen and seen[nkey] == -k:
-                    a2 = a.add_eq(Lin.make(coeffs, -k))
-                    if a2 != a:
-                        a, changed = a2, True
-                if key not in seen or seen[key] > k:
-                    seen[key] = k
+            # equalities of the closed octagon -> affine rows
+            for coeffs, k in o.equalities():
+                a2 = a.add_eq(Lin.make(coeffs, -k))
+                if a2 != a:
+                    a, changed = a2, True
             if not changed:
                 break
         if o.is_empty() or a.is_empty():

@@ -2,6 +2,8 @@
 
 Properties compare an element's formula with the constraints it was
 built from, point by point over a small integer box (helpers.truth_table).
+Incremental closure and the `closed` mark are checked against the full
+closure of the same matrix.
 """
 
 import itertools
@@ -16,6 +18,7 @@ from arrayabs.lia import Lin, eq, eq0, is_sat, land, le, subst
 from helpers import box_points, truth_table
 
 NAMES = ("x", "y", "z")
+NAMES4 = (*NAMES, "w")  # for properties that compare matrices, not points
 LO, HI = -3, 3
 x, y, z = (Lin.var(v) for v in NAMES)
 
@@ -26,24 +29,96 @@ def points(f, names=NAMES):
 
 # ------------------------------------------------------------------ octagon
 
-# (coeffs, k) meaning sum(coeffs) <= k, one or two variables, unit coefficients
-oct_constraint = st.builds(
-    lambda vs, signs, k: ({v: s for v, s in zip(vs, signs)}, k),
-    st.sampled_from([vs for n in (1, 2) for vs in itertools.combinations(NAMES, n)]),
-    st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
-    st.integers(-4, 4),
-)
+def constraint(names):
+    """(coeffs, k) meaning sum(coeffs) <= k, one or two variables, unit coefficients."""
+    return st.builds(
+        lambda vs, signs, k: ({v: s for v, s in zip(vs, signs)}, k),
+        st.sampled_from([vs for n in (1, 2) for vs in itertools.combinations(names, n)]),
+        st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+        st.integers(-4, 4),
+    )
 
 
-def octagon(constraints):
-    o = Octagon.top(NAMES)
+oct_constraint = constraint(NAMES)
+
+
+# right sides of v := rhs(v, w, k): shift, ±w + k, constant, interval fallback
+ASSIGN_RHS = ("shift", "copy", "negate", "const", "fallback")
+
+
+def assign_rhs(kind, v, w, k):
+    return {
+        "shift": Lin.var(v) + k,
+        "copy": Lin.var(w) + k,
+        "negate": Lin.of(k) - Lin.var(w),
+        "const": Lin.of(k),
+        "fallback": Lin.var(w) * 2 + k,
+    }[kind]
+
+
+def oct_ops(names, max_size=6):
+    """Transfer and lattice operations, interpreted by `build`."""
+    c, v = constraint(names), st.sampled_from(names)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), c),
+            st.tuples(st.just("eq"), c),  # both sides: pins an equality
+            st.tuples(st.just("join"), st.lists(c, max_size=3)),
+            st.tuples(st.just("forget"), v),
+            st.tuples(st.just("assign"), v, v, st.sampled_from(ASSIGN_RHS), st.integers(-2, 2)),
+        ),
+        max_size=max_size,
+    )
+
+
+def build(ops, names=NAMES):
+    o = Octagon.top(names)
+    for op, *args in ops:
+        if op == "add":
+            o = o.add(*args[0])
+        elif op == "eq":
+            coeffs, k = args[0]
+            o = o.add(coeffs, k).add({u: -c for u, c in coeffs.items()}, -k)
+        elif op == "join":
+            o = o.join(octagon(args[0], names))
+        elif op == "forget":
+            o = o.forget(args[0])
+        else:
+            v, w, kind, k = args
+            o = o.assign(v, assign_rhs(kind, v, w, k))
+    return o
+
+
+def meet(o, constraints):
     for coeffs, k in constraints:
         o = o.add(coeffs, k)
     return o
 
 
+def octagon(constraints, names=NAMES):
+    return meet(Octagon.top(names), constraints)
+
+
 def as_formula(constraints):
     return land(*(le(Lin.make(coeffs), Lin.of(k)) for coeffs, k in constraints))
+
+
+def paired_constraints(o):
+    """Reference for Octagon.equalities: a constraint of the closed form
+    whose negation came earlier with the opposite bound."""
+    seen = {}
+    for coeffs, k in o.constraints():
+        key = tuple(sorted(coeffs.items()))
+        nkey = tuple(sorted((v, -c) for v, c in coeffs.items()))
+        if nkey in seen and seen[nkey] == -k:
+            yield coeffs, k
+        if key not in seen or seen[key] > k:
+            seen[key] = k
+
+
+def up_to_sign(coeffs, k):
+    lin = Lin.make(coeffs, -k)
+    return frozenset((lin, -lin))
 
 
 class TestOctagon:
@@ -93,6 +168,77 @@ class TestOctagon:
             return
         assert c.add(coeffs, bound) is c
         assert c.add(coeffs, bound + 1) is c
+
+    @settings(max_examples=100, deadline=None)
+    @given(oct_ops(NAMES4), st.lists(constraint(NAMES4), min_size=1, max_size=4))
+    def test_add_to_closed_is_the_full_closure(self, ops, cs):
+        """Constraints added one by one to a closed element are closed
+        incrementally; the full pass over the same matrix with the entry
+        set agrees at every step."""
+        c = build(ops, NAMES4).close()
+        for coeffs, k in cs:
+            if c.empty:
+                break
+            got = c.add(coeffs, k)
+            assert got.closed
+            assert got == Octagon(c.vars, c.m).add(coeffs, k).close()
+            c = got
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        oct_ops(NAMES4),
+        st.lists(constraint(NAMES4), min_size=1, max_size=3),
+        st.sampled_from(NAMES4),
+        st.sampled_from(NAMES4),
+        st.integers(-2, 2),
+    )
+    def test_closed_flag_is_honest(self, ops, cs, v, w, k):
+        """Whatever an operation on a closed element marks closed, a full
+        pass leaves unchanged: `add` trusts the mark."""
+        c = build(ops, NAMES4).close()
+        results = {
+            "top": Octagon.top(NAMES4),
+            "join": c.join(octagon(cs, NAMES4)),
+            "forget": c.forget(v),
+            "add": meet(c, cs),
+            "narrow": c.narrow(octagon(cs, NAMES4)),
+            **{kind: c.assign(v, assign_rhs(kind, v, w, k)) for kind in ASSIGN_RHS},
+        }
+        for op, r in results.items():
+            assert r.closed, op
+            assert r.empty or Octagon(r.vars, r.m).close().m == r.m, op
+
+    @settings(max_examples=60, deadline=None)
+    @given(oct_ops(NAMES))
+    def test_equalities(self, ops):
+        """Each equality of the closed form once, the same set the pairing
+        of constraints() finds, and each holds on every point."""
+        c = build(ops).close()
+        got = [up_to_sign(*e) for e in c.equalities()]
+        assert len(set(got)) == len(got)
+        assert set(got) == {up_to_sign(*e) for e in paired_constraints(c)}
+        inside = points(c.to_formula())
+        for coeffs, k in c.equalities():
+            assert points(eq(Lin.make(coeffs), Lin.of(k)))[inside].all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(oct_ops(NAMES), oct_ops(NAMES))
+    def test_widening_contains_both_sides(self, p, q):
+        a, b = build(p), build(q)
+        w = points(a.widen(b).to_formula())
+        assert (points(a.to_formula()) <= w).all()
+        assert (points(b.to_formula()) <= w).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(oct_ops(NAMES), oct_ops(NAMES), st.lists(oct_constraint, max_size=3))
+    def test_narrowing_lies_between(self, p, q, cs):
+        """b <= a narrow b <= a for b below a, with a a widening result,
+        which stays unclosed, so b is closed by the full pass."""
+        a = build(p).widen(build(q))
+        b = meet(a, cs)
+        n = points(a.narrow(b).to_formula())
+        assert (points(b.to_formula()) <= n).all()
+        assert (n <= points(a.to_formula())).all()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -195,6 +341,36 @@ class TestProduct:
         p = Product.top(("x", "y"))
         p = Product(p.oct.add({"x": 1}, 3).add({"x": -1}, -3), p.aff).reduce()
         assert p.aff == AffineEqs.top(("x", "y")).add_eq(x - 3)
+
+
+def product(ops, lins):
+    return Product(build(ops), affine(lins))
+
+
+class TestProductLaws:
+    @settings(max_examples=25, deadline=None)
+    @given(oct_ops(NAMES, 4), st.lists(aff_lin, max_size=2), oct_ops(NAMES, 4), st.lists(aff_lin, max_size=2))
+    def test_widening_contains_both_sides(self, p, e, q, f):
+        a, b = product(p, e), product(q, f)
+        w = points(a.widen(b).to_formula())
+        assert (points(a.to_formula()) <= w).all()
+        assert (points(b.to_formula()) <= w).all()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        oct_ops(NAMES, 4),
+        st.lists(aff_lin, max_size=2),
+        oct_ops(NAMES, 4),
+        st.lists(aff_lin, max_size=2),
+        st.lists(oct_constraint, max_size=3),
+        st.lists(aff_lin, max_size=1),
+    )
+    def test_narrowing_lies_between(self, p, e, q, f, cs, g):
+        a = product(p, e).widen(product(q, f))
+        b = Product(meet(a.oct, cs), affine(g).meet(a.aff))
+        n = points(a.narrow(b).to_formula())
+        assert (points(b.to_formula()) <= n).all()
+        assert (n <= points(a.to_formula())).all()
 
 
 class TestPartitions:
