@@ -7,7 +7,6 @@ from .abstract import (
     AnalysisError,
     AnalysisResult,
     AssertVerdict,
-    analyze_program,
     analyze_scalar,
 )
 from .affine import AffineEqs
@@ -31,7 +30,6 @@ __all__ = [
     "Octagon",
     "Product",
     "analyze_loopfree_exact",
-    "analyze_program",
     "analyze_scalar",
     "primed",
 ]

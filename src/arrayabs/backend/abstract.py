@@ -10,9 +10,9 @@ is a single bucket and the analysis is a plain product-domain
 interpretation.
 
 Loops run an ascending pass (join for WIDENING_DELAY steps, then
-widening) followed by bounded narrowing. Assertion checks and loop
-invariant snapshots happen in one final pass over the stable state, so
-verdicts never depend on intermediate iterates.
+widening) followed by bounded narrowing. Assertion checks happen in one
+final pass over the stable state, so verdicts never depend on
+intermediate iterates.
 
 Widened elements are stored unreduced; guard assumes reduce their own
 copies. Reducing the stored head element could re-tighten what the
@@ -32,7 +32,6 @@ from ..lang.ast import (
     Havoc,
     If,
     Num,
-    Program,
     Stmt,
     While,
 )
@@ -158,12 +157,8 @@ class AssertVerdict:
 
 @dataclass
 class AnalysisResult:
-    program: Program
-    flags: tuple[str, ...]
-    entry: AbstractState
     exit: AbstractState
     asserts: tuple[AssertVerdict, ...]
-    loop_invariants: tuple[tuple[int, AbstractState], ...]
 
     def all_asserts_hold(self) -> bool:
         return all(a.proven for a in self.asserts)
@@ -174,7 +169,6 @@ class _Interp:
     numeric: tuple[str, ...]
     flags: tuple[str, ...]
     asserts: list[AssertVerdict] = field(default_factory=list)
-    heads: list[tuple[int, AbstractState]] = field(default_factory=list)
 
     def _lin(self, expr) -> Lin:
         try:
@@ -255,44 +249,24 @@ class _Interp:
         body_out = self.block(s.body, inv.assume(f), False)
         inv = inv.narrow(st.join(body_out))
         if check:
-            self.heads.append((s.line, inv))
             self.block(s.body, inv.assume(f), True)
         return inv.assume(lnot(f))
 
 
-def analyze_program(
-    program: Program,
-    *,
-    flags: tuple[str, ...] = (),
-) -> AnalysisResult:
-    """Abstractly interpret an array-free program.
+def analyze_scalar(sp) -> AnalysisResult:
+    """Abstractly interpret a transformed program, partitioning on its
+    observer flags and tracking everything else numerically.
 
-    `flags` names locals to partition on; everything else is tracked
-    numerically. Entry follows the evaluation rules: parameters are
-    unconstrained, locals (flags included) start at zero.
+    Entry follows the evaluation rules: parameters are unconstrained,
+    locals (flags included) start at zero.
     """
-    for fl in flags:
-        if fl not in program.locals:
-            raise AnalysisError(f"flag {fl} is not a local variable")
+    program, flags = sp.program, sp.flags
     numeric = tuple(v for v in program.params + program.locals if v not in flags)
     el = Product.top(numeric)
     for v in program.locals:
         if v not in flags:
             el = el.assign(v, Lin.of(0))
-    entry = AbstractState(tuple(flags), {(0,) * len(flags): el})
-    interp = _Interp(numeric, tuple(flags))
+    entry = AbstractState(flags, {(0,) * len(flags): el})
+    interp = _Interp(numeric, flags)
     exit_state = interp.block(program.body, entry, True)
-    return AnalysisResult(
-        program=program,
-        flags=tuple(flags),
-        entry=entry,
-        exit=exit_state,
-        asserts=tuple(interp.asserts),
-        loop_invariants=tuple(interp.heads),
-    )
-
-
-def analyze_scalar(sp) -> AnalysisResult:
-    """analyze_program over a transformed program, partitioning on its
-    observer flags."""
-    return analyze_program(sp.program, flags=sp.flags)
+    return AnalysisResult(exit=exit_state, asserts=tuple(interp.asserts))

@@ -164,11 +164,7 @@ def _block(paths: list[_Path], stmts: tuple[Stmt, ...], ctx: _Ctx) -> list[_Path
 class ExactResult:
     relation: Formula  # over inputs (bare) and outputs (primed)
     summaries: tuple[Formula, ...]  # one per surviving path; lor = relation
-    inputs: tuple[str, ...]
     asserts: tuple[tuple[int, bool], ...]  # (line, proven on every path), program order
-
-    def all_asserts_hold(self) -> bool:
-        return all(ok for _, ok in self.asserts)
 
 
 def analyze_loopfree_exact(p, budget: Budget | None = None) -> ExactResult:
@@ -202,6 +198,5 @@ def analyze_loopfree_exact(p, budget: Budget | None = None) -> ExactResult:
     return ExactResult(
         relation=lor(*outs) if outs else lor(),
         summaries=tuple(outs),
-        inputs=tuple(scalars),
         asserts=tuple((line, ok) for (_, line), ok in sorted(ctx.asserts.items())),
     )

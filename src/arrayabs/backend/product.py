@@ -135,7 +135,7 @@ class Product:
             for p in parts[1:]:
                 out = out.join(p)
             return out
-        return self  # divisibility, bvar or residual negation: no information taken
+        return self  # divisibility or its negation: no information taken
 
     # -- output
 

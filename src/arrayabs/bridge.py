@@ -88,9 +88,9 @@ def formula_to_cond(f: Formula) -> Cond:
     """Quantifier-free formula as a source condition: the formula
     printer's text, parsed as a condition.
 
-    Divisibility atoms, boolean variables and quantifiers have no source
-    syntax, so they fail to parse and raise BridgeError; callers fall
-    back to the native formula printer.
+    Divisibility atoms and quantifiers have no source syntax, so they
+    fail to parse and raise BridgeError; callers fall back to the native
+    formula printer.
     """
     text = to_str(f)
     try:

@@ -10,8 +10,8 @@ Everything else is sugar: t <= u becomes u - t >= 0, t == u becomes the
 conjunction u - t >= 0 && t - u >= 0, t < u becomes u - t - 1 >= 0.
 Inequality atoms are gcd-reduced with the constant floored, so syntactic
 equality of atoms is a sound (in)equality test. Formulas are immutable
-trees over atoms and boolean variables with and/or/not and quantifier
-nodes; bound variables are integer-sorted only.
+trees over atoms with and/or/not and quantifier nodes; every variable,
+free or bound, is an integer.
 """
 
 from __future__ import annotations
@@ -113,12 +113,6 @@ class Lin:
     def is_const(self) -> bool:
         return not self.coeffs
 
-    def single_var(self) -> str | None:
-        """The variable name when this is exactly one variable, else None."""
-        if self.const == 0 and len(self.coeffs) == 1 and self.coeffs[0][1] == 1:
-            return self.coeffs[0][0]
-        return None
-
     def content(self) -> int:
         """gcd of the variable coefficients (0 when constant)."""
         return reduce(math.gcd, (abs(c) for _, c in self.coeffs), 0)
@@ -150,7 +144,7 @@ class Lin:
 # ---------------------------------------------------------------------------
 # Formulas
 
-# Node kinds: "true" "false" "ge" "dvd" "bvar" "not" "and" "or" "exists" "forall"
+# Node kinds: "true" "false" "ge" "dvd" "not" "and" "or" "exists" "forall"
 
 
 @dataclass(frozen=True)
@@ -159,7 +153,6 @@ class Formula:
     # atom payload
     lin: Lin | None = None
     mod: int = 0
-    name: str = ""  # bvar name
     args: tuple["Formula", ...] = ()
     bound: tuple[str, ...] = ()  # quantified variables
     _hash: int = field(default=0, compare=False, repr=False)
@@ -168,7 +161,7 @@ class Formula:
         object.__setattr__(
             self,
             "_hash",
-            hash((self.kind, self.lin, self.mod, self.name, self.args, self.bound)),
+            hash((self.kind, self.lin, self.mod, self.args, self.bound)),
         )
 
     def __hash__(self) -> int:
@@ -177,9 +170,9 @@ class Formula:
     # -- inspectors
 
     def is_literal(self) -> bool:
-        if self.kind in ("ge", "dvd", "bvar"):
+        if self.kind in ("ge", "dvd"):
             return True
-        return self.kind == "not" and self.args[0].kind in ("ge", "dvd", "bvar")
+        return self.kind == "not" and self.args[0].kind in ("ge", "dvd")
 
     def has_quantifier(self) -> bool:
         if self.kind in ("exists", "forall"):
@@ -197,10 +190,6 @@ class Formula:
                     if v not in bound and v not in seen:
                         seen.add(v)
                         out.append(v)
-            elif f.kind == "bvar":
-                if f.name not in bound and f.name not in seen:
-                    seen.add(f.name)
-                    out.append(f.name)
             elif f.kind in ("exists", "forall"):
                 walk(f.args[0], bound | set(f.bound))
             else:
@@ -243,8 +232,6 @@ class Formula:
             return self.lin.evaluate(model) >= 0
         if k == "dvd":
             return self.lin.evaluate(model) % self.mod == 0
-        if k == "bvar":
-            return bool(model[self.name])
         if k == "not":
             return not self.args[0].evaluate(model)
         if k == "and":
@@ -296,10 +283,6 @@ def dvd(m: int, lin: Lin) -> Formula:
 
 def eq0(lin: Lin) -> Formula:
     return land(ge0(lin), ge0(-lin))
-
-
-def bvar(name: str) -> Formula:
-    return Formula("bvar", name=name)
 
 
 def lnot(f: Formula) -> Formula:
@@ -417,7 +400,7 @@ def ne(a: Lin, b: Lin) -> Formula:
 
 
 def nnf(f: Formula, neg: bool = False) -> Formula:
-    """Negation normal form; `not` survives only on dvd atoms and bvars."""
+    """Negation normal form; `not` survives only on dvd atoms."""
     k = f.kind
     if k == "true":
         return FALSE if neg else TRUE
@@ -425,7 +408,7 @@ def nnf(f: Formula, neg: bool = False) -> Formula:
         return TRUE if neg else FALSE
     if k == "ge":
         return ge0(-f.lin - 1) if neg else f
-    if k in ("dvd", "bvar"):
+    if k == "dvd":
         return Formula("not", args=(f,)) if neg else f
     if k == "not":
         return nnf(f.args[0], not neg)
@@ -449,7 +432,7 @@ def subst(f: Formula, env: Mapping[str, Lin]) -> Formula:
     if not env:
         return f
     k = f.kind
-    if k in ("true", "false", "bvar"):
+    if k in ("true", "false"):
         return f
     if k == "ge":
         return ge0(f.lin.subst(env))
@@ -510,7 +493,7 @@ def simplify(f: Formula) -> Formula:
     interval. Dually for disjunctions. Sound and linear-ish, not complete.
     """
     k = f.kind
-    if k in ("true", "false", "ge", "dvd", "bvar"):
+    if k in ("true", "false", "ge", "dvd"):
         return f
     if k == "not":
         return lnot(simplify(f.args[0]))

@@ -6,22 +6,23 @@ Grammar (quantifiers bind to the end of the enclosing scope):
     imp     := disj ('==>' formula)?
     disj    := conj ('||' conj)*
     conj    := unary ('&&' unary)*
-    unary   := '!' unary | '(' formula ')' | compare
-    compare := sum (('=='|'!='|'<='|'<'|'>='|'>') sum)? | INT '|' sum
+    unary   := '!' unary | 'true' | 'false' | '(' formula ')' | compare
+    compare := sum ('=='|'!='|'<='|'<'|'>='|'>') sum | INT '|' sum
     sum     := prod (('+'|'-') prod)*
     prod    := INT '*' atom | atom ('*' INT)? | '-' prod
     atom    := INT | IDENT | '(' sum ')'
 
 Only linear products (constant times variable) are accepted. `m | t`
-is divisibility. Identifiers may contain `$`, `'`, `@` after the first
-character so generated names round trip.
+is divisibility. Every variable is an integer, so a bare identifier in
+formula position is an error. Identifiers may contain `$`, `'`, `@`
+after the first character so generated names round trip.
 """
 
 from __future__ import annotations
 
 import re
 
-from .formula import Formula, Lin, bvar, dvd, eq, exists, forall, ge0, land, lnot, lor, ne
+from .formula import Formula, Lin, dvd, eq, exists, forall, ge0, land, lnot, lor, ne
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<id>[A-Za-z_][A-Za-z0-9_$'@]*)"
@@ -185,9 +186,6 @@ def _compare(t: _Tokens) -> Formula:
         if op == ">=":
             return ge0(left - right)
         return ge0(left - right - 1)
-    single = left.single_var()
-    if single is not None:
-        return bvar(single)  # bare variable in formula position is a boolean
     raise ParseError(f"expected comparison, got {p!r}")
 
 

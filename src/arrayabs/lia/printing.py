@@ -48,8 +48,6 @@ def to_str(f: Formula, prec: int = 0) -> str:
         return "false"
     if k in ("ge", "dvd"):
         return atom_str(f)
-    if k == "bvar":
-        return f.name
     if k == "not":
         return "!" + to_str(f.args[0], 3)
     if k == "and":

@@ -61,7 +61,7 @@ def eliminate_quantifiers(f: Formula, budget: Budget | None = None) -> Formula:
 
 def _elim(f: Formula, budget: Budget) -> Formula:
     k = f.kind
-    if k in ("true", "false", "ge", "dvd", "bvar", "not"):
+    if k in ("true", "false", "ge", "dvd", "not"):
         return f
     if k == "and":
         return land(*(_elim(a, budget) for a in f.args))

@@ -37,7 +37,7 @@ def is_sat(f: Formula, budget: Budget | None = None) -> Model | None:
     """A satisfying model, or None when unsatisfiable.
 
     f must be quantifier-free. Returned models assign every free
-    variable (booleans as 0/1 under their own names).
+    variable.
     """
     if f.has_quantifier():
         raise LiaError("is_sat expects a quantifier-free formula")
@@ -114,8 +114,8 @@ def _sat(f: Formula, budget: Budget) -> Model | None:
         lits = [a for a in f.args if a.is_literal()]
         complex_ = [a for a in f.args if not a.is_literal()]
         if not complex_:
-            return _sat_literals(lits, budget)
-        if lits and _sat_literals(lits, budget) is None:
+            return _sat_int_conj(land(*lits), budget)
+        if lits and _sat_int_conj(land(*lits), budget) is None:
             return None
         split = complex_[0]
         rest = [a for a in f.args if a is not split]
@@ -125,32 +125,7 @@ def _sat(f: Formula, budget: Budget) -> Model | None:
             if m is not None:
                 return m
         return None
-    return _sat_literals([f], budget)
-
-
-def _sat_literals(lits: list[Formula], budget: Budget) -> Model | None:
-    bools: dict[str, int] = {}
-    ints: list[Formula] = []
-    for lit in lits:
-        neg = lit.kind == "not"
-        core = lit.args[0] if neg else lit
-        if core.kind == "bvar":
-            want = 0 if neg else 1
-            if bools.setdefault(core.name, want) != want:
-                return None
-        elif core.kind == "true":
-            if neg:
-                return None
-        elif core.kind == "false":
-            if not neg:
-                return None
-        else:
-            ints.append(lit)
-    model = _sat_int_conj(land(*ints), budget)
-    if model is None:
-        return None
-    model.update(bools)
-    return model
+    return _sat_int_conj(f, budget)
 
 
 def _sat_int_conj(f: Formula, budget: Budget) -> Model | None:

@@ -7,11 +7,12 @@ a universally quantified statement about the array contents:
 
     forall positions in U:  phi(positions, values, scalars)
 
-where U collects the range constraints, the ordering of the position
-parameters, and the focus precondition. This module builds that
-quantified form, decides entailment of `ensures` clauses, and
-implements the left-neighbour strengthening for ordered two-cell
-layouts.
+where U, the position universe, collects the range constraints, the
+ordering of the position parameters, and the focus precondition. The
+transform decides U once, as `ScalarProgram.universe`; this module
+reads it back. It builds that quantified form, decides entailment of
+`ensures` clauses, and implements the left-neighbour strengthening for
+ordered two-cell layouts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
-from .bridge import BridgeError, cond_to_formula, expr_to_lin, formula_to_cond
+from .bridge import BridgeError, cond_to_formula, formula_to_cond
 from .lang.ast import ArrRead, Target
 from .lang.printer import cond_str
 from .lia import (
@@ -35,9 +36,7 @@ from .lia import (
     implies,
     is_sat,
     land,
-    le,
     lnot,
-    lt,
     rename,
     simplify,
     subst,
@@ -71,9 +70,6 @@ class QuantifiedInvariant:
     # flags): each instantiation of the invariant gets its own copy
     per_position: tuple[str, ...] = ()
 
-    def to_formula(self) -> Formula:
-        return forall(self.indices, implies(self.universe, self.matrix))
-
     def render(self) -> str:
         """Condition syntax of the source language where possible."""
         body = implies(self.universe, self.matrix)
@@ -83,34 +79,6 @@ class QuantifiedInvariant:
             text = to_str(body)
         quant = f"forall {', '.join(self.indices)}: " if self.indices else ""
         return quant + text
-
-
-def _range_formulas(sp: ScalarProgram) -> list[Formula]:
-    out = []
-    for name, cs in sp.cells.items():
-        dims = [expr_to_lin(d) for d in sp.source.array(name).dims]
-        for c in cs:
-            for xv, dim in zip(c.index, dims):
-                x = Lin.var(xv)
-                out.append(land(le(Lin.of(0), x), lt(x, dim)))
-    return out
-
-
-def _ordering_formulas(sp: ScalarProgram) -> list[Formula]:
-    out = []
-    for name, cs in sp.cells.items():
-        if sp.cfg.arrays[name].ordered:
-            for a, b in zip(cs, cs[1:]):
-                out.append(lt(Lin.var(a.index[0]), Lin.var(b.index[0])))
-    return out
-
-
-def universe_of(sp: ScalarProgram) -> Formula:
-    """Admissible positions: ranges, ordering, focus."""
-    parts = _range_formulas(sp) + _ordering_formulas(sp)
-    if sp.cfg.focus is not None:
-        parts.append(sp.cfg.focus)
-    return land(*parts)
 
 
 def quantify(phi: Formula, sp: ScalarProgram) -> QuantifiedInvariant:
@@ -126,7 +94,7 @@ def quantify(phi: Formula, sp: ScalarProgram) -> QuantifiedInvariant:
     loose = sorted(set(phi.free_vars()) - allowed)
     if loose:
         raise LiftError(f"invariant mentions unknown variables: {', '.join(loose)}")
-    return QuantifiedInvariant(indices, universe_of(sp), phi, dict(sp.cells), sp.flags)
+    return QuantifiedInvariant(indices, sp.universe, phi, dict(sp.cells), sp.flags)
 
 
 # --------------------------------------------------------- check_target
@@ -280,9 +248,10 @@ def reduce_dual(phi: Formula, sp: ScalarProgram, *, budget: Budget | None = None
 
     A tuple (a, va, a', va') can only describe a real array if every
     position left of a' can also be filled: values must exist for
-    them compatible with phi. Conjoining
+    them compatible with phi. With U the position universe (which holds
+    a < a'), conjoining
 
-        QE( forall a. exists va. (U and a < a') -> phi )
+        QE( forall a. exists va. U -> phi )
 
     removes the tuples that fail this, which is exactly the
     information a convex or disjunctive scalar domain loses about
@@ -292,14 +261,6 @@ def reduce_dual(phi: Formula, sp: ScalarProgram, *, budget: Budget | None = None
     """
     name = _dual_array(sp)
     left, right = sp.cells[name]
-    dim = expr_to_lin(sp.source.array(name).dims[0])
-
-    def in_range(xv: str) -> Formula:
-        x = Lin.var(xv)
-        return land(le(Lin.of(0), x), lt(x, dim))
-
-    ordered = lt(Lin.var(left.index[0]), Lin.var(right.index[0]))
-    uni = [in_range(left.index[0]), in_range(right.index[0]), ordered]
     if sp.cfg.focus is not None:
         allowed = set(sp.source.params) | {left.index[0], right.index[0]}
         if not set(sp.cfg.focus.free_vars()) <= allowed:
@@ -308,10 +269,9 @@ def reduce_dual(phi: Formula, sp: ScalarProgram, *, budget: Budget | None = None
                 stacklevel=2,
             )
             return phi
-        uni.append(sp.cfg.focus)
 
     vals = [left.value] + ([left.init] if left.init else [])
-    q = forall((left.index[0],), exists(vals, implies(land(*uni), phi)))
+    q = forall((left.index[0],), exists(vals, implies(sp.universe, phi)))
     try:
         return simplify(land(phi, eliminate_quantifiers(q, budget or Budget())))
     except BudgetError:

@@ -14,7 +14,6 @@ from .domains import (
     alpha2lt,
     gamma1,
     gamma2lt,
-    reduce_opt,
 )
 from .laws import (
     LawCheck,
@@ -41,5 +40,4 @@ __all__ = [
     "gamma1",
     "gamma2lt",
     "random_loopfree_program",
-    "reduce_opt",
 ]

@@ -197,26 +197,25 @@ def check_completeness(
 # ------------------------------------------------------ random programs
 
 
-def random_loopfree_program(
-    rng: random.Random,
-    *,
-    max_arrays: int = 2,
-    max_accesses: int = 4,
-    max_len: int = 3,
-    n_scalars: int = 3,
-) -> tuple[Program, IndexConfig]:
+MAX_ARRAYS = 2  # arrays per generated program
+MAX_ACCESSES = 4  # array accesses per generated program
+MAX_LEN = 3  # length of each generated array
+N_SCALARS = 3  # scalar variables besides the access indices
+
+
+def random_loopfree_program(rng: random.Random) -> tuple[Program, IndexConfig]:
     """A small loop-free program plus the cell budget the theorem asks
     for (one cell per access). Every access index is havocked into
     range first, so runs stay in bounds."""
-    n_arrays = rng.randint(1, max_arrays)
+    n_arrays = rng.randint(1, MAX_ARRAYS)
     arrays = []
     for i in range(n_arrays):
-        arrays.append(ArrayDecl(f"f{i}", (Num(rng.randint(1, max_len)),)))
-    scalars = [f"s{i}" for i in range(n_scalars)]
+        arrays.append(ArrayDecl(f"f{i}", (Num(rng.randint(1, MAX_LEN)),)))
+    scalars = [f"s{i}" for i in range(N_SCALARS)]
     idxs: list[str] = []
     body: list[Stmt] = []
     accesses = {a.name: 0 for a in arrays}
-    budget = rng.randint(1, max_accesses)
+    budget = rng.randint(1, MAX_ACCESSES)
 
     def lin_expr():
         v = rng.choice(scalars)

@@ -52,9 +52,6 @@ class FiniteDomain:
         """Every concrete (scalar state, array content) pair."""
         return [(s, f) for s in self.S for f in self.functions()]
 
-    def at(self, f: Func, a) -> int:
-        return f[self.A.index(a)]
-
     def size_str(self) -> str:
         return f"|A|={len(self.A)} |B|={len(self.B)} |S|={len(self.S)}"
 
@@ -86,10 +83,6 @@ class AbstractSet2:
         for t in self.tuples:
             if not t[1] < t[3]:
                 raise OracleError(f"positions must be strictly ordered: {t}")
-
-    @staticmethod
-    def of(items: Iterable[tuple]) -> "AbstractSet2":
-        return AbstractSet2(frozenset(items))
 
     def __le__(self, other: "AbstractSet2") -> bool:
         return self.tuples <= other.tuples
@@ -152,14 +145,3 @@ def gamma2lt(x: AbstractSet2, dom: FiniteDomain) -> frozenset:
             keep.append((s, f))
     return frozenset(keep)
 
-
-# ----------------------------------------------------------- reduction
-
-
-def reduce_opt(x, dom: FiniteDomain):
-    """The strongest reduction: abstract the concretization."""
-    if isinstance(x, AbstractSet1):
-        return alpha1(gamma1(x, dom), dom)
-    if isinstance(x, AbstractSet2):
-        return alpha2lt(gamma2lt(x, dom), dom)
-    raise OracleError(f"not an abstract set: {x!r}")

@@ -6,7 +6,9 @@ f$j$v. A read r=f[i] becomes a havoc of r followed by one guarded
 assume per cell; a write f[i]=r updates every cell whose index
 matches. The prologue havocs the cell values and pins the index
 parameters inside the array bounds, adds the ordering chain and focus
-precondition when configured, asserts nothing and reads nothing.
+precondition when configured, asserts nothing and reads nothing. Those
+ranges, the ordering and the focus, as one formula, are the position
+universe that lifting quantifies over.
 
 Observer flags latch, at one access site each, whether their
 predicate holds when the access executes; they start at 0 and nothing
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from ..bridge import BridgeError, formula_to_cond
+from ..bridge import BridgeError, cond_to_formula, formula_to_cond
 from ..lang.ast import (
     ArrRead,
     ArrWrite,
@@ -48,6 +50,7 @@ from ..lang.ast import (
     expr_reads,
 )
 from ..lang.checks import check_program
+from ..lia import TRUE, Formula, land
 from .config import ArrayCells, IndexConfig, ObsFlag, TransformError
 
 
@@ -91,6 +94,7 @@ class ScalarProgram:
     source: Program  # the decomposed original
     cfg: IndexConfig
     cells: Mapping[str, tuple[Cell, ...]]
+    universe: Formula  # admissible positions: ranges, ordering, focus
     flags: tuple[str, ...] = ()
     target: Target | None = None
     prologue_len: int = 0
@@ -246,19 +250,24 @@ def transform_program(p: Program, cfg: IndexConfig) -> ScalarProgram:
         if loose:
             raise TransformError(f"focus mentions non-index, non-parameter variables: {', '.join(loose)}")
 
-    pro: list[Stmt] = []
-    for cs in cells.values():
-        for c in cs:
-            pro.append(Havoc(c.value))
+    # the position universe: every index in range, ordered cells in order
+    positions: list[Cond] = []
     for name, cs in cells.items():
         dims = declared_arrays[name].dims
         for c in cs:
             for xv, dim in zip(c.index, dims):
-                pro.append(Assume(CondAnd((Cmp("<=", Num(0), Var(xv)), Cmp("<", Var(xv), dim)))))
+                positions.append(CondAnd((Cmp("<=", Num(0), Var(xv)), Cmp("<", Var(xv), dim))))
     for name, cs in cells.items():
         if cfg.arrays[name].ordered:
             for a, b in zip(cs, cs[1:]):
-                pro.append(Assume(Cmp("<", Var(a.index[0]), Var(b.index[0]))))
+                positions.append(Cmp("<", Var(a.index[0]), Var(b.index[0])))
+    universe = land(*(cond_to_formula(c) for c in positions), cfg.focus or TRUE)
+
+    pro: list[Stmt] = []
+    for cs in cells.values():
+        for c in cs:
+            pro.append(Havoc(c.value))
+    pro.extend(Assume(c) for c in positions)
     # at entry every cell of an array describes the same contents:
     # matching indices force matching values
     for name, cs in cells.items():
@@ -311,4 +320,4 @@ def transform_program(p: Program, cfg: IndexConfig) -> ScalarProgram:
         tuple(body),
     )
     check_program(prog)
-    return ScalarProgram(prog, p, cfg, cells, names, target=p.target, prologue_len=len(pro))
+    return ScalarProgram(prog, p, cfg, cells, universe, names, target=p.target, prologue_len=len(pro))

@@ -45,8 +45,6 @@ def grid_eval(f: Formula, grids: Mapping[str, np.ndarray]) -> np.ndarray:
         if k == "ge":
             return acc >= 0
         return acc % f.mod == 0
-    if k == "bvar":
-        return grids[f.name] != 0
     if k == "not":
         return ~grid_eval(f.args[0], grids)
     if k == "and":

@@ -1,0 +1,149 @@
+"""The partitioned abstract interpretation of transformed programs.
+
+Assert verdicts on a chain of array loops with bounds checks, and
+soundness against the enumerating interpreter: every concrete final
+state of a transformed program satisfies the exit formula.
+"""
+
+import pytest
+
+from arrayabs.backend import analyze_scalar
+from arrayabs.lang import Bounds, decompose_accesses, enumerate_executions, parse_condition, parse_program
+from arrayabs.lang.interp import OK
+from arrayabs.lia import parse_formula
+from arrayabs.transform import ArrayCells, IndexConfig, ObserverSpec, ObsFlag, transform_program
+
+# three loops: fill a0, copy a0 into a1, fill a2; the last loop's
+# comparison is `<` in the valid program and `<=` in its off-by-one twin
+CHAIN = """
+proc chain(n: int) {
+  array a0[n]: int;
+  array a1[n]: int;
+  array a2[n]: int;
+  var i: int;
+  var r: int;
+  i = 0;
+  while (i < n) {
+    a0[i] = 2;
+    i = i + 1;
+  }
+  i = 0;
+  while (i < n) {
+    r = a0[i];
+    a1[i] = r;
+    i = i + 1;
+  }
+  i = 0;
+  while (i %s n) {
+    a2[i] = -1;
+    i = i + 1;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("cmp, last_proven", [("<", True), ("<=", False)])
+def test_bounds_asserts_of_a_loop_chain(cmp, last_proven):
+    # one assert per access: the a0 write, the a0 read, the a1 write
+    # and, inside the last loop, the a2 write
+    p = decompose_accesses(parse_program(CHAIN % cmp))
+    cfg = IndexConfig(arrays={f"a{j}": ArrayCells(1) for j in range(3)}, bounds_checks=True)
+    asserts = [(a.line, a.proven) for a in analyze_scalar(transform_program(p, cfg)).asserts]
+    assert asserts == [(10, True), (15, True), (16, True), (21, last_proven)]
+
+
+# ------------------------------------------------- differential soundness
+
+
+def flag_pair(site: int, cell: str, index: str, names=("lt", "at")) -> tuple[ObsFlag, ...]:
+    lt, at = names
+    return (ObsFlag(site, lt, parse_condition(f"{cell} < {index}")), ObsFlag(site, at, parse_condition(f"{cell} == {index}")))
+
+
+INIT = """
+proc init(n: int) {
+  array t[n]: int;
+  var i: int;
+  i = 0;
+  while (i < n) {
+    t[i] = 0;
+    i = i + 1;
+  }
+}
+"""
+
+INDEX = """
+proc index(n: int) {
+  array t[n]: int;
+  var i: int;
+  i = 0;
+  while (i < n) {
+    t[i] = i;
+    i = i + 1;
+  }
+}
+"""
+
+MAX = """
+proc maxsearch(n: int) {
+  array t[n]: int;
+  var i: int;
+  var m: int;
+  var r: int;
+  assume(n >= 1);
+  m = t[0];
+  i = 1;
+  while (i < n) {
+    r = t[i];
+    if (r > m) {
+      m = r;
+    }
+    i = i + 1;
+  }
+}
+"""
+
+COPY = """
+proc copy(n: int) {
+  array a[n]: int;
+  array b[n]: int;
+  var i: int;
+  var r: int;
+  i = 0;
+  while (i < n) {
+    r = a[i];
+    b[i] = r;
+    i = i + 1;
+  }
+}
+"""
+
+ONE_T = {"t": ArrayCells(1)}
+
+PROGRAMS = {
+    "init": (INIT, IndexConfig(arrays=ONE_T, observers=ObserverSpec(flag_pair(0, "t$0$x0", "i")))),
+    "index": (INDEX, IndexConfig(arrays=ONE_T, observers=ObserverSpec(flag_pair(0, "t$0$x0", "i")))),
+    "max": (MAX, IndexConfig(arrays=ONE_T, observers=ObserverSpec(flag_pair(1, "t$0$x0", "i")))),
+    "copy": (
+        COPY,
+        IndexConfig(
+            arrays={"a": ArrayCells(1), "b": ArrayCells(1)},
+            focus=parse_formula("a$0$x0 == b$0$x0"),
+            observers=ObserverSpec(
+                flag_pair(0, "a$0$x0", "i", ("rlt", "rat")) + flag_pair(1, "b$0$x0", "i", ("wlt", "wat"))
+            ),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_every_final_state_satisfies_the_exit_formula(name):
+    src, cfg = PROGRAMS[name]
+    sp = transform_program(decompose_accesses(parse_program(src)), cfg)
+    exit_formula = analyze_scalar(sp).exit.to_formula()
+    params = {v: range(4) if v == "n" else range(3) for v in sp.program.params}
+    finals = [s for s in enumerate_executions(sp.program, Bounds(params, (0, 1, 2))) if s.status == OK]
+    assert finals
+    for s in finals:
+        assert exit_formula.evaluate(s.scalar_dict()), s

@@ -281,6 +281,19 @@ def project(lins, v):
     return land(*(eq0(lin.subst({v: sol})) for lin in lins[1:]))
 
 
+def hull(pts):
+    """Affine hull of box points: the join of one element per point."""
+    out = affine([v - c for v, c in zip((x, y, z), pts[0])])
+    for pt in pts[1:]:
+        out = out.join(affine([v - c for v, c in zip((x, y, z), pt)]))
+    return out
+
+
+box_point = st.tuples(*[st.integers(LO, HI)] * len(NAMES))
+# random equalities are often empty on the box; hulls of box points never are
+aff_elem = st.one_of(st.lists(aff_lin, max_size=3).map(affine), st.lists(box_point, min_size=1, max_size=3).map(hull))
+
+
 class TestAffine:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(aff_lin, max_size=4))
@@ -308,6 +321,13 @@ class TestAffine:
         got = affine(lins).assign("x", y * 2 + 1)
         expected = land(eq(x, y * 2 + 1), project(lins, "x"))
         assert (points(got.to_formula()) == points(expected)).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(aff_elem, aff_elem)
+    def test_widening_contains_both_sides(self, a, b):
+        w = points(a.widen(b).to_formula())
+        assert (points(a.to_formula()) <= w).all()
+        assert (points(b.to_formula()) <= w).all()
 
     def test_join_is_the_affine_hull(self):
         origin = affine([x, y], ("x", "y"))
@@ -348,6 +368,20 @@ def product(ops, lins):
 
 
 class TestProductLaws:
+    @settings(max_examples=25, deadline=None)
+    @given(oct_ops(NAMES, 4), st.lists(aff_lin, max_size=2), oct_ops(NAMES, 4), st.lists(aff_lin, max_size=2))
+    def test_join_contains_both_sides(self, p, e, q, f):
+        a, b = product(p, e), product(q, f)
+        j = points(a.join(b).to_formula())
+        assert (points(a.to_formula()) <= j).all()
+        assert (points(b.to_formula()) <= j).all()
+
+    @settings(max_examples=25, deadline=None)
+    @given(oct_ops(NAMES, 4), st.lists(aff_lin, max_size=2))
+    def test_order_is_reflexive(self, p, e):
+        a = product(p, e)
+        assert a.leq(a)
+
     @settings(max_examples=25, deadline=None)
     @given(oct_ops(NAMES, 4), st.lists(aff_lin, max_size=2), oct_ops(NAMES, 4), st.lists(aff_lin, max_size=2))
     def test_widening_contains_both_sides(self, p, e, q, f):

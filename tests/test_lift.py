@@ -84,3 +84,25 @@ def test_unsupported_target_expression_raises_lift_error():
     inv, _ = lift(fill("0", "true"))
     with pytest.raises(LiftError):
         check_target(inv, Target(("k",), Cmp("==", Expr(), Num(0))))
+
+
+def test_render_of_the_init_invariant():
+    # the universe's negation, then one disjunct per observer outcome
+    # of the exit state: the cell was written last (at == 1) or earlier
+    # (lt == 1); either way its value is 0
+    inv, _ = lift(fill("0", "t[k] == 0"))
+    assert inv.render() == " || ".join(
+        [
+            "forall t$0$x0: !(n >= t$0$x0 + 1 && t$0$x0 >= 0)",
+            "1 == at && n >= i && t$0$x0 + 1 >= i && i >= 1 && i >= n && i + n >= 2"
+            " && i >= t$0$v + 1 && i + t$0$v >= 1 && i >= t$0$x0 + 1 && i + t$0$x0 >= 1"
+            " && 0 == lt && t$0$x0 + 1 >= n && n >= 1 && n >= t$0$v + 1 && n + t$0$v >= 1"
+            " && n >= t$0$x0 + 1 && n + t$0$x0 >= 1 && 0 >= t$0$v && t$0$x0 >= t$0$v"
+            " && t$0$v >= 0 && t$0$v + t$0$x0 >= 0 && t$0$x0 >= 0",
+            "0 == at && n >= i && i >= 2 && i >= n && i + n >= 4"
+            " && i >= t$0$v + 2 && i + t$0$v >= 2 && i >= t$0$x0 + 2 && i + t$0$x0 >= 2"
+            " && 1 == lt && n >= 2 && n >= t$0$v + 2 && n + t$0$v >= 2"
+            " && n >= t$0$x0 + 2 && n + t$0$x0 >= 2 && 0 >= t$0$v && t$0$x0 >= t$0$v"
+            " && t$0$v >= 0 && t$0$v + t$0$x0 >= 0 && t$0$x0 >= 0",
+        ]
+    )
