@@ -185,8 +185,13 @@ class TestParser:
         assert f == g
 
     def test_errors(self):
+        for bad in ["x >", "x * y >= 0", "(x >= 1", "3 & 4", "x | y >= 0"]:
+            with pytest.raises(ValueError):
+                parse_formula(bad)
+
+    def test_bare_identifier_is_rejected(self):
         # every variable is an integer: a bare identifier is no formula
-        for bad in ["x >", "x * y >= 0", "(x >= 1", "3 & 4", "x | y >= 0", "hit && x >= 0"]:
+        for bad in ["hit && x >= 0", "hit", "x >= 0 || hit"]:
             with pytest.raises(ValueError):
                 parse_formula(bad)
 
