@@ -104,8 +104,9 @@ class AbstractState:
         return self._norm(out)
 
     def collapse(self) -> "AbstractState":
-        """Merge every bucket; flag values become unknown."""
-        if len(self.parts) <= 1:
+        """Merge every bucket into the all-unknown key; flag values
+        become unknown."""
+        if not self.parts:
             return self
         el = None
         for v in self.parts.values():
@@ -234,20 +235,28 @@ class _Interp:
 
     def loop(self, s: While, st: AbstractState, check: bool) -> AbstractState:
         f = self._cond(s.cond)
+        # A head that collapsed once stays collapsed: later iterates are
+        # merged into its one key too. Otherwise they bring back keys
+        # that the widening passes through unwidened, and the sequence
+        # need not stabilise.
+        collapsed = False
+
+        def step(head: AbstractState) -> AbstractState:
+            nxt = st.join(self.block(s.body, head.assume(f), False))
+            return nxt.collapse() if collapsed else nxt
+
         inv = st
         rounds = 0
         while True:
-            body_out = self.block(s.body, inv.assume(f), False)
-            nxt = st.join(body_out)
+            nxt = step(inv)
             if nxt.leq(inv):
                 break
             rounds += 1
             inv = inv.join(nxt) if rounds <= WIDENING_DELAY else inv.widen(nxt)
             if len(inv.parts) > PARTITION_CAP:
-                inv = inv.collapse()
+                inv, collapsed = inv.collapse(), True
         # one descending step to recover bounds the widening threw away
-        body_out = self.block(s.body, inv.assume(f), False)
-        inv = inv.narrow(st.join(body_out))
+        inv = inv.narrow(step(inv))
         if check:
             self.block(s.body, inv.assume(f), True)
         return inv.assume(lnot(f))

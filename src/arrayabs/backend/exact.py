@@ -20,7 +20,6 @@ from ..lang.ast import (
     Assume,
     Havoc,
     If,
-    Program,
     Stmt,
     While,
     walk_stmts,
@@ -167,15 +166,15 @@ class ExactResult:
     asserts: tuple[tuple[int, bool], ...]  # (line, proven on every path), program order
 
 
-def analyze_loopfree_exact(p, budget: Budget | None = None) -> ExactResult:
-    """Exact input/output relation of a loop-free program.
+def analyze_loopfree_exact(sp, budget: Budget | None = None) -> ExactResult:
+    """Exact input/output relation of a transformed loop-free program.
 
     Scalars appear under their own names for input values and primed
     (trailing apostrophe) for output values. Raises ExactError when a
     loop survives or the path cap is exceeded, BudgetError past the
     work cap.
     """
-    prog: Program = p if isinstance(p, Program) else p.program
+    prog = sp.program
     budget = budget or Budget()
     scalars = prog.scalars()
     order = {id(s): i for i, s in enumerate(walk_stmts(prog.body))}

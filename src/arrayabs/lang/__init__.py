@@ -1,4 +1,4 @@
-"""Mini imperative language: AST, parser, printers, checks, and a
+"""Mini imperative language: AST, parser, printer, checks, and a
 concrete enumerating interpreter used as the ground-truth oracle."""
 
 from .ast import (
@@ -36,7 +36,7 @@ from .ast import (
     walk_stmts,
 )
 from .parser import ParseError, parse_condition, parse_program
-from .printer import to_clike, to_source
+from .printer import to_source
 from .checks import CheckError, check_program
 from .decompose import decompose_accesses
 from .interp import (

@@ -20,6 +20,13 @@
 
 BLUE, WHITE, RED are builtin constants 0, 1, 2. The ensures clause
 follows the closing brace so it can mention the declared arrays.
+
+`cond` is also the one grammar for arithmetic formulas:
+`lia.parse_formula` is `parse_condition` followed by
+`bridge.cond_to_formula`. So formula text has no divisibility `m | t`,
+no `forall`/`exists` prefix and no array reads, rejects chained
+constant factors such as `2*3*x`, reads BLUE/WHITE/RED as 0/1/2, and
+cannot use the keywords above as variable names.
 """
 
 from __future__ import annotations

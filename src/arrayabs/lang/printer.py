@@ -1,9 +1,7 @@
-"""Render programs back to source, and export a C-like dialect.
+"""Render programs back to source.
 
 `to_source` is the exact inverse of the parser up to layout: parsing
-its output yields a structurally equal AST. `to_clike` produces plain
-text for feeding external analyzers (havoc becomes a nondet call,
-assume a verifier intrinsic); it is export-only, never parsed back.
+its output yields a structurally equal AST.
 """
 
 from __future__ import annotations
@@ -81,38 +79,32 @@ def cond_str(c: Cond, prec: int = 0) -> str:
     raise TypeError(f"not a condition: {c!r}")
 
 
-# how each dialect spells havoc and assume, the two statements they
-# write differently: (havoc, assume) format strings
-_SOURCE = ("havoc {};", "assume({});")
-_CLIKE = ("{} = __VERIFIER_nondet_int();", "__VERIFIER_assume({});")
-
-
-def _stmt_lines(s: Stmt, ind: str, spell: tuple[str, str] = _SOURCE) -> list[str]:
+def _stmt_lines(s: Stmt, ind: str) -> list[str]:
     if isinstance(s, Assign):
         return [f"{ind}{s.var} = {expr_str(s.expr)};"]
     if isinstance(s, Havoc):
-        return [ind + spell[0].format(s.var)]
+        return [f"{ind}havoc {s.var};"]
     if isinstance(s, ArrWrite):
         idx = "".join(f"[{expr_str(i)}]" for i in s.index)
         return [f"{ind}{s.array}{idx} = {expr_str(s.value)};"]
     if isinstance(s, Assume):
-        return [ind + spell[1].format(cond_str(s.cond))]
+        return [f"{ind}assume({cond_str(s.cond)});"]
     if isinstance(s, Assert):
         return [f"{ind}assert({cond_str(s.cond)});"]
     if isinstance(s, If):
         out = [f"{ind}if ({cond_str(s.cond)}) {{"]
         for t in s.then:
-            out.extend(_stmt_lines(t, ind + "  ", spell))
+            out.extend(_stmt_lines(t, ind + "  "))
         if s.els:
             out.append(f"{ind}}} else {{")
             for t in s.els:
-                out.extend(_stmt_lines(t, ind + "  ", spell))
+                out.extend(_stmt_lines(t, ind + "  "))
         out.append(f"{ind}}}")
         return out
     if isinstance(s, While):
         out = [f"{ind}while ({cond_str(s.cond)}) {{"]
         for t in s.body:
-            out.extend(_stmt_lines(t, ind + "  ", spell))
+            out.extend(_stmt_lines(t, ind + "  "))
         out.append(f"{ind}}}")
         return out
     raise TypeError(f"not a statement: {s!r}")
@@ -132,21 +124,4 @@ def to_source(p: Program) -> str:
     if p.target is not None:
         quant = f"forall {', '.join(p.target.indices)}: " if p.target.indices else ""
         lines.append(f"ensures {quant}{cond_str(p.target.cond)};")
-    return "\n".join(lines) + "\n"
-
-
-def to_clike(p: Program) -> str:
-    params = ", ".join(f"int {n}" for n in p.params)
-    lines = [f"void {p.name}({params}) {{"]
-    for v in p.locals:
-        lines.append(f"  int {v};")
-    for a in p.arrays:
-        dims = "".join(f"[{expr_str(d)}]" for d in a.dims)
-        lines.append(f"  int {a.name}{dims};")
-    for s in p.body:
-        lines.extend(_stmt_lines(s, "  ", _CLIKE))
-    lines.append("}")
-    if p.target is not None:
-        quant = f"forall {', '.join(p.target.indices)}: " if p.target.indices else ""
-        lines.append(f"// ensures {quant}{cond_str(p.target.cond)}")
     return "\n".join(lines) + "\n"

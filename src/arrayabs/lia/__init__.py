@@ -1,4 +1,9 @@
-"""Exact linear integer arithmetic: formulas, solving, QE."""
+"""Exact linear integer arithmetic: formulas, solving, QE.
+
+Formulas are built with the constructors below, or read from text by
+`parse_formula`, which uses the one grammar of the mini-language's
+conditions (see `parse`); `to_str` prints them.
+"""
 
 from .formula import (
     FALSE,
@@ -25,7 +30,7 @@ from .formula import (
     simplify,
     subst,
 )
-from .parse import ParseError, parse_formula
+from .parse import parse_formula
 from .printing import to_str
 from .qe import Budget, eliminate_quantifiers, project
 from .solver import Model, entails, equivalent, is_sat
@@ -39,7 +44,6 @@ __all__ = [
     "LiaError",
     "Lin",
     "Model",
-    "ParseError",
     "dvd",
     "eliminate_quantifiers",
     "entails",

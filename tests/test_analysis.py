@@ -5,6 +5,8 @@ soundness against the enumerating interpreter: every concrete final
 state of a transformed program satisfies the exit formula.
 """
 
+import signal
+
 import pytest
 
 from arrayabs.backend import analyze_scalar
@@ -50,6 +52,60 @@ def test_bounds_asserts_of_a_loop_chain(cmp, last_proven):
     cfg = IndexConfig(arrays={f"a{j}": ArrayCells(1) for j in range(3)}, bounds_checks=True)
     asserts = [(a.line, a.proven) for a in analyze_scalar(transform_program(p, cfg)).asserts]
     assert asserts == [(10, True), (15, True), (16, True), (21, last_proven)]
+
+
+# ------------------------------------------------------------ termination
+
+DUTCH = """
+proc dutch(n: int) {
+  array t[n]: color;
+  var b, w, r, x, y: int;
+  b = 0;
+  w = 0;
+  r = n;
+  while (w < r) {
+    x = t[w];
+    if (x == BLUE) {
+      y = t[b];
+      t[b] = x;
+      t[w] = y;
+      b = b + 1;
+      w = w + 1;
+    } else {
+      if (x == WHITE) {
+        w = w + 1;
+      } else {
+        r = r - 1;
+        y = t[r];
+        t[r] = x;
+        t[w] = y;
+      }
+    }
+  }
+}
+"""
+
+
+def _give_up(signum, frame):
+    raise TimeoutError("the analysis did not stabilise")
+
+
+def test_a_collapsed_loop_head_stabilises():
+    # one `x < e` flag per access site of the Dutch flag loop drives its
+    # head past PARTITION_CAP; the iterates after the collapse must be
+    # widened in the collapsed key, or the ascending sequence never ends
+    sites = ("w", "b", "b", "w", "r", "r", "w")
+    flags = tuple(ObsFlag(k, f"lt{k}", parse_condition(f"t$0$x0 < {e}")) for k, e in enumerate(sites))
+    cfg = IndexConfig(arrays={"t": ArrayCells(1)}, observers=ObserverSpec(flags))
+    sp = transform_program(decompose_accesses(parse_program(DUTCH)), cfg)
+    previous = signal.signal(signal.SIGALRM, _give_up)
+    signal.setitimer(signal.ITIMER_REAL, 20.0)
+    try:
+        res = analyze_scalar(sp)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_sound(sp, res.exit.to_formula())
 
 
 # ------------------------------------------------- differential soundness
@@ -141,7 +197,10 @@ PROGRAMS = {
 def test_every_final_state_satisfies_the_exit_formula(name):
     src, cfg = PROGRAMS[name]
     sp = transform_program(decompose_accesses(parse_program(src)), cfg)
-    exit_formula = analyze_scalar(sp).exit.to_formula()
+    assert_sound(sp, analyze_scalar(sp).exit.to_formula())
+
+
+def assert_sound(sp, exit_formula):
     params = {v: range(4) if v == "n" else range(3) for v in sp.program.params}
     finals = [s for s in enumerate_executions(sp.program, Bounds(params, (0, 1, 2))) if s.status == OK]
     assert finals

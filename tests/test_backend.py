@@ -14,6 +14,7 @@ from arrayabs.backend import AbstractState, AffineEqs, Octagon, Product, analyze
 from arrayabs.backend.abstract import PARTITION_CAP
 from arrayabs.lang import parse_program
 from arrayabs.lia import Lin, eq, eq0, is_sat, land, le, subst
+from arrayabs.transform import IndexConfig, transform_program
 
 from helpers import box_points, truth_table
 
@@ -424,6 +425,6 @@ class TestExactAsserts:
     def test_asserts_on_one_line_in_program_order(self):
         src = "proc p(x: int) {\n  var y: int;\n  assert(%s); assert(%s);\n}\n"
         for first, second, verdicts in (("x == 0", "y == 0", [False, True]), ("y == 0", "x == 0", [True, False])):
-            res = analyze_loopfree_exact(parse_program(src % (first, second)))
+            res = analyze_loopfree_exact(transform_program(parse_program(src % (first, second)), IndexConfig()))
             assert [ok for _, ok in res.asserts] == verdicts
             assert len({line for line, _ in res.asserts}) == 1

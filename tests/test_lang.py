@@ -33,7 +33,6 @@ from arrayabs.lang import (
     is_elementary_write,
     parse_program,
     run_program,
-    to_clike,
     to_source,
     walk_stmts,
 )
@@ -259,16 +258,6 @@ class TestPrint:
         assert parse_program(out) == p
         # printing is a fixpoint on its own output
         assert to_source(parse_program(out)) == out
-
-    def test_clike_rendering(self):
-        c = to_clike(parse_program(SENTINEL))
-        assert "__VERIFIER_assume" in c
-        assert "int t[n];" in c
-        assert "while (t[i] != 0)" in c
-
-    def test_havoc_renders_as_nondet(self):
-        c = to_clike(parse_program("proc m(n: int) { var x: int; havoc x; }"))
-        assert "__VERIFIER_nondet_int()" in c
 
 
 def _assert_elementary(p):
