@@ -28,11 +28,7 @@ from .ast import (
     While,
     COLOR_VALUES,
     cond_reads,
-    cond_vars,
     expr_reads,
-    expr_vars,
-    is_elementary_read,
-    is_elementary_write,
     walk_stmts,
 )
 from .parser import ParseError, parse_condition, parse_program

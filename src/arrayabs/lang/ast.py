@@ -229,45 +229,3 @@ def cond_reads(c: Cond) -> Iterator[ArrRead]:
             yield from cond_reads(p)
     elif isinstance(c, CondNot):
         yield from cond_reads(c.arg)
-
-
-def expr_vars(e: Expr) -> Iterator[str]:
-    if isinstance(e, Var):
-        yield e.name
-    elif isinstance(e, (Add, Sub)):
-        yield from expr_vars(e.left)
-        yield from expr_vars(e.right)
-    elif isinstance(e, Mul):
-        yield from expr_vars(e.arg)
-    elif isinstance(e, ArrRead):
-        for idx in e.index:
-            yield from expr_vars(idx)
-
-
-def cond_vars(c: Cond) -> Iterator[str]:
-    if isinstance(c, Cmp):
-        yield from expr_vars(c.left)
-        yield from expr_vars(c.right)
-    elif isinstance(c, (CondAnd, CondOr)):
-        for p in c.parts:
-            yield from cond_vars(p)
-    elif isinstance(c, CondNot):
-        yield from cond_vars(c.arg)
-
-
-def is_elementary_read(s: Stmt) -> bool:
-    """`r = f[i, ...]` with plain variable indices."""
-    return (
-        isinstance(s, Assign)
-        and isinstance(s.expr, ArrRead)
-        and all(isinstance(i, Var) for i in s.expr.index)
-    )
-
-
-def is_elementary_write(s: Stmt) -> bool:
-    """`f[i, ...] = r` with plain variable indices and var/literal value."""
-    return (
-        isinstance(s, ArrWrite)
-        and all(isinstance(i, Var) for i in s.index)
-        and isinstance(s.value, (Var, Num))
-    )

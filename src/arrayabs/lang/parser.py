@@ -16,7 +16,8 @@
     cond    := disj ('==>' cond)? ; disj/conj over '||'/'&&' ; '!' ; '(' cond ')'
              | expr ('=='|'!='|'<='|'<'|'>='|'>') expr | 'true' | 'false'
     expr    := linear arithmetic; products must have a literal factor;
-               array reads `t[e]` and, inside ensures only, `old(t[e])`.
+               array reads `t[e]` and `old(t[e])`; `check_program`
+               allows `old()` only inside ensures.
 
 BLUE, WHITE, RED are builtin constants 0, 1, 2. The ensures clause
 follows the closing brace so it can mention the declared arrays.
@@ -181,7 +182,7 @@ def parse_program(text: str) -> Program:
             aname = t.ident()
             dims: list[Expr] = []
             while t.accept("["):
-                dims.append(_expr(t, False))
+                dims.append(_expr(t))
                 t.expect("]")
             if not dims:
                 raise ParseError(f"{t.pos()}: array needs at least one dimension")
@@ -201,7 +202,7 @@ def parse_program(text: str) -> Program:
             while t.accept(","):
                 indices.append(t.ident())
             t.expect(":")
-        cond = _cond(t, True)
+        cond = _cond(t)
         t.expect(";")
         target = Target(tuple(indices), cond)
     if t.peek() is not None:
@@ -227,19 +228,19 @@ def _stmt(t: _Tokens) -> Stmt:
         return Havoc(v, line=line)
     if t.accept_word("assume"):
         t.expect("(")
-        c = _cond(t, False)
+        c = _cond(t)
         t.expect(")")
         t.expect(";")
         return Assume(c, line=line)
     if t.accept_word("assert"):
         t.expect("(")
-        c = _cond(t, False)
+        c = _cond(t)
         t.expect(")")
         t.expect(";")
         return Assert(c, line=line)
     if t.accept_word("if"):
         t.expect("(")
-        c = _cond(t, False)
+        c = _cond(t)
         t.expect(")")
         then = _block(t)
         els: tuple[Stmt, ...] = ()
@@ -248,29 +249,34 @@ def _stmt(t: _Tokens) -> Stmt:
         return If(c, then, els, line=line)
     if t.accept_word("while"):
         t.expect("(")
-        c = _cond(t, False)
+        c = _cond(t)
         t.expect(")")
         return While(c, _block(t), line=line)
     name = t.ident()
     if t.peek() == ("op", "["):
         idx: list[Expr] = []
         while t.accept("["):
-            idx.append(_expr(t, False))
+            idx.append(_expr(t))
             t.expect("]")
         t.expect("=")
-        val = _expr(t, False)
+        val = _expr(t)
         t.expect(";")
         return ArrWrite(name, tuple(idx), val, line=line)
     t.expect("=")
-    e = _expr(t, False)
+    e = _expr(t)
     t.expect(";")
     return Assign(name, e, line=line)
 
 
 def parse_condition(text: str) -> Cond:
-    """Parse a standalone condition (no old(), no static checks)."""
+    """Parse a standalone condition, without static checks.
+
+    It may read arrays, through old() too; `check_program` is what
+    confines old() to the ensures clause. `lia.parse_formula` rejects
+    every array read with `BridgeError`.
+    """
     t = _Tokens(text)
-    c = _cond(t, False)
+    c = _cond(t)
     if t.peek() is not None:
         raise ParseError(f"{t.pos()}: trailing input after condition")
     return c
@@ -279,31 +285,31 @@ def parse_condition(text: str) -> Cond:
 # --------------------------------------------------------------- conditions
 
 
-def _cond(t: _Tokens, in_ensures: bool) -> Cond:
-    left = _disj(t, in_ensures)
+def _cond(t: _Tokens) -> Cond:
+    left = _disj(t)
     if t.accept("==>"):
-        right = _cond(t, in_ensures)
+        right = _cond(t)
         return CondOr((CondNot(left), right))
     return left
 
 
-def _disj(t: _Tokens, in_ensures: bool) -> Cond:
-    parts = [_conj(t, in_ensures)]
+def _disj(t: _Tokens) -> Cond:
+    parts = [_conj(t)]
     while t.accept("||"):
-        parts.append(_conj(t, in_ensures))
+        parts.append(_conj(t))
     return parts[0] if len(parts) == 1 else CondOr(tuple(parts))
 
 
-def _conj(t: _Tokens, in_ensures: bool) -> Cond:
-    parts = [_cunary(t, in_ensures)]
+def _conj(t: _Tokens) -> Cond:
+    parts = [_cunary(t)]
     while t.accept("&&"):
-        parts.append(_cunary(t, in_ensures))
+        parts.append(_cunary(t))
     return parts[0] if len(parts) == 1 else CondAnd(tuple(parts))
 
 
-def _cunary(t: _Tokens, in_ensures: bool) -> Cond:
+def _cunary(t: _Tokens) -> Cond:
     if t.accept("!"):
-        return CondNot(_cunary(t, in_ensures))
+        return CondNot(_cunary(t))
     if t.accept_word("true"):
         return BoolConst(True)
     if t.accept_word("false"):
@@ -312,25 +318,25 @@ def _cunary(t: _Tokens, in_ensures: bool) -> Cond:
         save = t.i
         t.next()
         try:
-            inner = _cond(t, in_ensures)
+            inner = _cond(t)
             t.expect(")")
         except ParseError:
             t.i = save
-            return _cmp(t, in_ensures)
+            return _cmp(t)
         nxt = t.peek()
         if nxt and nxt[0] == "op" and nxt[1] in ("==", "!=", "<=", "<", ">=", ">", "+", "-", "*"):
             t.i = save  # it was a parenthesized arithmetic operand
-            return _cmp(t, in_ensures)
+            return _cmp(t)
         return inner
-    return _cmp(t, in_ensures)
+    return _cmp(t)
 
 
-def _cmp(t: _Tokens, in_ensures: bool) -> Cond:
-    left = _expr(t, in_ensures)
+def _cmp(t: _Tokens) -> Cond:
+    left = _expr(t)
     p = t.peek()
     if p and p[0] == "op" and p[1] in ("==", "!=", "<=", "<", ">=", ">"):
         _, op = t.next()
-        right = _expr(t, in_ensures)
+        right = _expr(t)
         return Cmp(op, left, right)
     raise ParseError(f"{t.pos()}: expected comparison, got {p!r}")
 
@@ -338,26 +344,26 @@ def _cmp(t: _Tokens, in_ensures: bool) -> Cond:
 # -------------------------------------------------------------- expressions
 
 
-def _expr(t: _Tokens, in_ensures: bool) -> Expr:
-    acc = _term(t, in_ensures)
+def _expr(t: _Tokens) -> Expr:
+    acc = _term(t)
     while True:
         if t.accept("+"):
-            acc = Add(acc, _term(t, in_ensures))
+            acc = Add(acc, _term(t))
         elif t.accept("-"):
-            acc = Sub(acc, _term(t, in_ensures))
+            acc = Sub(acc, _term(t))
         else:
             return acc
 
 
-def _term(t: _Tokens, in_ensures: bool) -> Expr:
+def _term(t: _Tokens) -> Expr:
     if t.accept("-"):
-        inner = _term(t, in_ensures)
+        inner = _term(t)
         if isinstance(inner, Num):
             return Num(-inner.value)
         return Mul(-1, inner)
-    base = _prim(t, in_ensures)
+    base = _prim(t)
     if t.accept("*"):
-        other = _prim(t, in_ensures)
+        other = _prim(t)
         if isinstance(base, Num):
             return _scale(base.value, other)
         if isinstance(other, Num):
@@ -372,21 +378,19 @@ def _scale(k: int, e: Expr) -> Expr:
     return Mul(k, e)
 
 
-def _prim(t: _Tokens, in_ensures: bool) -> Expr:
+def _prim(t: _Tokens) -> Expr:
     kind, val = t.next()
     if kind == "int":
         return Num(int(val))
     if kind == "op" and val == "(":
-        e = _expr(t, in_ensures)
+        e = _expr(t)
         t.expect(")")
         return e
     if kind == "id":
         if val == "old":
-            if not in_ensures:
-                raise ParseError(f"{t.pos()}: old() is only allowed in ensures")
             t.expect("(")
             arr = t.ident()
-            idx = _indices(t, in_ensures)
+            idx = _indices(t)
             t.expect(")")
             return ArrRead(arr, idx, initial=True)
         if val in COLOR_VALUES:
@@ -394,15 +398,15 @@ def _prim(t: _Tokens, in_ensures: bool) -> Expr:
         if val in KEYWORDS:
             raise ParseError(f"{t.pos()}: unexpected keyword {val!r} in expression")
         if t.peek() == ("op", "["):
-            return ArrRead(val, _indices(t, in_ensures))
+            return ArrRead(val, _indices(t))
         return Var(val)
     raise ParseError(f"{t.pos()}: unexpected token {val!r}")
 
 
-def _indices(t: _Tokens, in_ensures: bool) -> tuple[Expr, ...]:
+def _indices(t: _Tokens) -> tuple[Expr, ...]:
     idx: list[Expr] = []
     while t.accept("["):
-        idx.append(_expr(t, in_ensures))
+        idx.append(_expr(t))
         t.expect("]")
     if not idx:
         raise ParseError(f"{t.pos()}: expected array index")

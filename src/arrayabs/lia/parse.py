@@ -6,7 +6,7 @@ quantifiers parses back to an equal formula. That grammar does not read:
 
 - divisibility `m | t` or `forall`/`exists` prefixes, which the printer
   still writes; build them with `dvd`, `forall` and `exists`;
-- array reads such as `t[0] >= 1` (BridgeError);
+- array reads such as `t[0] >= 1` or `old(t[0]) >= 1` (BridgeError);
 - chained constant factors such as `2*3*x`;
 - the language keywords (`int`, `old`, `var`, ...) as variable names.
 

@@ -34,9 +34,8 @@ from ..lang.ast import (
     While,
     walk_stmts,
 )
-from ..lang.decompose import decompose_accesses
 from ..lang.interp import Bounds, enumerate_executions
-from ..transform.core import ArrayCells, IndexConfig, transform_program
+from ..transform import ArrayCells, IndexConfig, transform_program
 from .domains import OracleError
 
 Outcome = tuple  # (status, scalar value tuple)
@@ -71,13 +70,10 @@ def check_completeness(
     Both sides run under the bounded enumerator: the concrete side
     over every initial array content, the transformed side over every
     admissible position tuple. Every configured array must be nonempty
-    under every parameter valuation, and cells must be plain (no
-    snapshots).
+    under every parameter valuation.
     """
     if not _loopfree(p):
         raise OracleError("completeness check needs a loop-free program")
-    if any(spec.snapshot for spec in cfg.arrays.values()):
-        raise OracleError("plain cells only")
     params = params or {}
     for n in p.params:
         if n not in params:
@@ -90,7 +86,7 @@ def check_completeness(
         for st in enumerate_executions(p, bounds)
     }
 
-    sp = transform_program(decompose_accesses(p), cfg)
+    sp = transform_program(p, cfg)
     boxes: dict[str, list[tuple[int, ...]]] = {}
     index_bounds = dict(params)
     for name, spec in cfg.arrays.items():

@@ -1,18 +1,7 @@
 """Array-to-scalar program translation."""
 
 from .config import ArrayCells, IndexConfig, ObsFlag, ObserverSpec, TransformError
-from .core import (
-    Cell,
-    ScalarProgram,
-    cells_for,
-    imp,
-    index_var,
-    init_var,
-    transform_program,
-    transform_read,
-    transform_write,
-    value_var,
-)
+from .core import Cell, ScalarProgram, transform_program
 
 __all__ = [
     "ArrayCells",
@@ -22,12 +11,5 @@ __all__ = [
     "ObserverSpec",
     "ScalarProgram",
     "TransformError",
-    "cells_for",
-    "imp",
-    "index_var",
-    "init_var",
     "transform_program",
-    "transform_read",
-    "transform_write",
-    "value_var",
 ]

@@ -1,7 +1,9 @@
 """Configuration types for the scalar translation.
 
-Every cell follows the writes to its position; the array contents at
-entry are reached through `snapshot` variables.
+Every cell follows the writes to its position. The array contents at
+entry are reached through snapshot variables, which the translation
+adds for exactly the arrays that the ensures clause reads through
+old(); the configuration has no say in that.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ class TransformError(ValueError):
 class ArrayCells:
     """How one array is abstracted.
 
-    count symbolic cells track the array. With `snapshot`, every cell
-    additionally records its entry value in a one-shot variable.
+    `count` symbolic cells track the array; `ordered` keeps their
+    positions strictly increasing (one-dimensional arrays only).
     """
 
     count: int
     ordered: bool = False
-    snapshot: bool = False
 
     def __post_init__(self):
         if self.count < 1:
@@ -38,7 +39,8 @@ class ArrayCells:
 class ObsFlag:
     """One write-only boolean: at access site `site`, record whether
     `pred` holds. Predicates range over program scalars and cell
-    index variables."""
+    variables; `check_program` on the translation rejects any other
+    name."""
 
     site: int
     name: str

@@ -1,21 +1,27 @@
 """Rewrite an array program into a purely scalar one.
 
-Each abstracted array f gets k symbolic cells: per cell j a tuple of
-index parameters f$j$x0.. (one per dimension) and a value variable
-f$j$v. A read r=f[i] becomes a havoc of r followed by one guarded
-assume per cell; a write f[i]=r updates every cell whose index
-matches. The prologue havocs the cell values and pins the index
-parameters inside the array bounds, adds the ordering chain and focus
-precondition when configured, asserts nothing and reads nothing. Those
-ranges, the ordering and the focus, as one formula, are the position
-universe that lifting quantifies over.
+`transform_program` first decomposes the program's accesses, so every
+access site is `r = f[i...]` or `f[i...] = r`. Each abstracted array f
+gets k symbolic cells: per cell j a tuple of index parameters
+f$j$x0.. (one per dimension) and a value variable f$j$v. A read
+r=f[i] becomes a havoc of r followed by one guarded assume per cell; a
+write f[i]=r updates every cell whose index matches. The prologue
+havocs the cell values and pins the index parameters inside the array
+bounds, adds the ordering chain and focus precondition when
+configured, asserts nothing and reads nothing. Those ranges, the
+ordering and the focus, as one formula, are the position universe that
+lifting quantifies over. When the ensures clause reads an array
+through old(), the prologue ends by copying each of its cells' values
+into a snapshot variable f$j$init, which the program never writes
+again.
 
 Observer flags latch, at one access site each, whether their
 predicate holds when the access executes; they start at 0 and nothing
 in the program reads them, so the analysis can partition on their
 values. The result is a plain Program (so the whole lang toolbox
-applies) wrapped with the cell layout that lifting invariants and
-checking targets need.
+applies), checked by `check_program`, which is where a clash of
+generated, flag and program names shows. It comes wrapped with the
+cell layout that lifting invariants and checking targets need.
 """
 
 from __future__ import annotations
@@ -46,46 +52,19 @@ from ..lang.ast import (
     Var,
     While,
     cond_reads,
-    cond_vars,
-    expr_reads,
 )
 from ..lang.checks import check_program
+from ..lang.decompose import decompose_accesses
 from ..lia import TRUE, Formula, land
-from .config import ArrayCells, IndexConfig, ObsFlag, TransformError
-
-
-def index_var(array: str, cell: int, dim: int) -> str:
-    return f"{array}${cell}$x{dim}"
-
-
-def value_var(array: str, cell: int) -> str:
-    return f"{array}${cell}$v"
-
-
-def init_var(array: str, cell: int) -> str:
-    return f"{array}${cell}$init"
+from .config import IndexConfig, ObsFlag, TransformError
 
 
 @dataclass(frozen=True)
 class Cell:
     array: str
-    pos: int
     index: tuple[str, ...]
     value: str
-    init: str | None = None
-
-
-def cells_for(array: str, dims: int, spec: ArrayCells) -> tuple[Cell, ...]:
-    return tuple(
-        Cell(
-            array,
-            j,
-            tuple(index_var(array, j, d) for d in range(dims)),
-            value_var(array, j),
-            init_var(array, j) if spec.snapshot else None,
-        )
-        for j in range(spec.count)
-    )
+    init: str | None = None  # snapshot of the entry value
 
 
 @dataclass(frozen=True)
@@ -104,62 +83,9 @@ class ScalarProgram:
             yield from cs
 
 
-def imp(a: Cond, b: Cond) -> Cond:
-    """a ==> b in the form the parser produces."""
-    return CondOr((CondNot(a), b))
-
-
 def _index_guard(cell: Cell, index: tuple[Expr, ...]) -> Cond:
     eqs = tuple(Cmp("==", ie, Var(xv)) for ie, xv in zip(index, cell.index))
     return eqs[0] if len(eqs) == 1 else CondAnd(eqs)
-
-
-def _cells(cfg: IndexConfig, array: str, dims: int) -> tuple[Cell, ...]:
-    spec = cfg.arrays.get(array)
-    if spec is None:
-        return ()
-    return cells_for(array, dims, spec)
-
-
-def transform_read(stmt: Assign, cfg: IndexConfig) -> list[Stmt]:
-    """r = f[i...]  ->  havoc r; one guarded assume per cell."""
-    read = stmt.expr
-    if not isinstance(read, ArrRead):
-        raise TransformError("transform_read expects an elementary array read")
-    out: list[Stmt] = [Havoc(stmt.var, line=stmt.line)]
-    for cell in _cells(cfg, read.array, len(read.index)):
-        guard = _index_guard(cell, read.index)
-        body = (Assume(Cmp("==", Var(stmt.var), Var(cell.value)), line=stmt.line),)
-        out.append(If(guard, body, line=stmt.line))
-    return out
-
-
-def transform_write(stmt: ArrWrite, cfg: IndexConfig) -> list[Stmt]:
-    """f[i...] = r  ->  one guarded cell update per cell."""
-    out: list[Stmt] = []
-    for cell in _cells(cfg, stmt.array, len(stmt.index)):
-        guard = _index_guard(cell, stmt.index)
-        body = (Assign(cell.value, stmt.value, line=stmt.line),)
-        out.append(If(guard, body, line=stmt.line))
-    return out
-
-
-def _check_decomposed(p: Program) -> None:
-    from ..lang.ast import is_elementary_read, is_elementary_write, walk_stmts
-
-    for s in walk_stmts(p.body):
-        if isinstance(s, Assign):
-            if isinstance(s.expr, ArrRead):
-                if not is_elementary_read(s):
-                    raise TransformError(f"line {s.line}: array read is not elementary")
-            elif list(expr_reads(s.expr)):
-                raise TransformError(f"line {s.line}: array read buried in expression")
-        elif isinstance(s, ArrWrite):
-            if not is_elementary_write(s):
-                raise TransformError(f"line {s.line}: array write is not elementary")
-        elif isinstance(s, (If, While, Assume, Assert)):
-            if list(cond_reads(s.cond)):
-                raise TransformError(f"line {s.line}: array read inside a condition")
 
 
 def _latch(flag: ObsFlag) -> Stmt:
@@ -177,30 +103,50 @@ class _Walker:
     guarded cell updates keeps each partition's branch decisions
     sharp."""
 
-    def __init__(self, p: Program, cfg: IndexConfig, latches: Mapping[int, list[Stmt]]):
-        self.cfg = cfg
+    def __init__(
+        self,
+        p: Program,
+        cfg: IndexConfig,
+        cells: Mapping[str, tuple[Cell, ...]],
+        latches: Mapping[int, list[Stmt]],
+    ):
+        self.bounds_checks = cfg.bounds_checks
         self.dims = {a.name: a.dims for a in p.arrays}
+        self.cells = cells
         self.latches = latches
         self.sites = 0
 
     def _site(self, array: str, index: tuple[Expr, ...], line: int, out: list[Stmt]) -> None:
         out.extend(self.latches.get(self.sites, ()))
         self.sites += 1
-        if self.cfg.bounds_checks:
+        if self.bounds_checks:
             parts = []
             for ie, dim in zip(index, self.dims[array]):
                 parts.append(Cmp("<=", Num(0), ie))
                 parts.append(Cmp("<", ie, dim))
             out.append(Assert(parts[0] if len(parts) == 1 else CondAnd(tuple(parts)), line=line))
 
+    def _read(self, s: Assign, out: list[Stmt]) -> None:
+        """r = f[i...]  ->  havoc r; one guarded assume per cell."""
+        out.append(Havoc(s.var, line=s.line))
+        for cell in self.cells.get(s.expr.array, ()):
+            body = (Assume(Cmp("==", Var(s.var), Var(cell.value)), line=s.line),)
+            out.append(If(_index_guard(cell, s.expr.index), body, line=s.line))
+
+    def _write(self, s: ArrWrite, out: list[Stmt]) -> None:
+        """f[i...] = r  ->  one guarded cell update per cell."""
+        for cell in self.cells.get(s.array, ()):
+            body = (Assign(cell.value, s.value, line=s.line),)
+            out.append(If(_index_guard(cell, s.index), body, line=s.line))
+
     def block(self, stmts: tuple[Stmt, ...], out: list[Stmt]) -> None:
         for s in stmts:
             if isinstance(s, Assign) and isinstance(s.expr, ArrRead):
                 self._site(s.expr.array, s.expr.index, s.line, out)
-                out.extend(transform_read(s, self.cfg))
+                self._read(s, out)
             elif isinstance(s, ArrWrite):
                 self._site(s.array, s.index, s.line, out)
-                out.extend(transform_write(s, self.cfg))
+                self._write(s, out)
             elif isinstance(s, If):
                 then: list[Stmt] = []
                 self.block(s.then, then)
@@ -216,12 +162,25 @@ class _Walker:
 
 
 def transform_program(p: Program, cfg: IndexConfig) -> ScalarProgram:
-    _check_decomposed(p)
+    """The scalar program of `p` under the cell layout `cfg`.
+
+    `p` is any program that passes `check_program`. Its accesses are
+    decomposed here (a decomposed program comes back unchanged), and
+    the sites that observer flags name number the accesses of the
+    decomposed program in emission order. Exactly the arrays that the
+    ensures clause reads through old() get snapshot variables. Names
+    are checked once, by `check_program` on the result: a flag or
+    generated name that clashes with another name, or a flag predicate
+    over an undeclared name, raises `CheckError`. The layout's own
+    faults raise `TransformError`.
+    """
+    p = decompose_accesses(p)
     declared_arrays = {a.name: a for a in p.arrays}
     unknown = sorted(set(cfg.arrays) - set(declared_arrays))
     if unknown:
         raise TransformError(f"config names unknown arrays: {', '.join(unknown)}")
 
+    entry = {r.array for r in cond_reads(p.target.cond) if r.initial} if p.target else set()
     cells: dict[str, tuple[Cell, ...]] = {}
     for a in p.arrays:
         spec = cfg.arrays.get(a.name)
@@ -229,19 +188,15 @@ def transform_program(p: Program, cfg: IndexConfig) -> ScalarProgram:
             continue
         if spec.ordered and len(a.dims) != 1:
             raise TransformError(f"ordered cells need a 1-dimensional array, {a.name} has {len(a.dims)}")
-        cells[a.name] = cells_for(a.name, len(a.dims), spec)
-
-    generated: list[str] = []
-    for cs in cells.values():
-        for c in cs:
-            generated.extend(c.index)
-            generated.append(c.value)
-            if c.init:
-                generated.append(c.init)
-    declared = set(p.params) | set(p.locals) | set(declared_arrays)
-    clash = sorted(set(generated) & declared)
-    if clash:
-        raise TransformError(f"generated names collide with program names: {', '.join(clash)}")
+        cells[a.name] = tuple(
+            Cell(
+                a.name,
+                tuple(f"{a.name}${j}$x{d}" for d in range(len(a.dims))),
+                f"{a.name}${j}$v",
+                f"{a.name}${j}$init" if a.name in entry else None,
+            )
+            for j in range(spec.count)
+        )
 
     index_params = [n for cs in cells.values() for c in cs for n in c.index]
     if cfg.focus is not None:
@@ -269,43 +224,31 @@ def transform_program(p: Program, cfg: IndexConfig) -> ScalarProgram:
             pro.append(Havoc(c.value))
     pro.extend(Assume(c) for c in positions)
     # at entry every cell of an array describes the same contents:
-    # matching indices force matching values
+    # matching indices force matching values (guard ==> equal, in the
+    # form the parser gives an implication)
     for name, cs in cells.items():
         if cfg.arrays[name].ordered:
             continue
         for i, a in enumerate(cs):
             for b in cs[i + 1:]:
                 guard = _index_guard(b, tuple(Var(n) for n in a.index))
-                pro.append(Assume(imp(guard, Cmp("==", Var(a.value), Var(b.value)))))
+                pro.append(Assume(CondOr((CondNot(guard), Cmp("==", Var(a.value), Var(b.value))))))
     if cfg.focus is not None:
         try:
             pro.append(Assume(formula_to_cond(cfg.focus)))
         except BridgeError as e:
             raise TransformError(f"focus has no source form: {e}") from e
-    for cs in cells.values():
-        for c in cs:
-            if c.init:
-                pro.append(Assign(c.init, Var(c.value)))
+    snapshots = [c for cs in cells.values() for c in cs if c.init]
+    pro.extend(Assign(c.init, Var(c.value)) for c in snapshots)
 
-    value_locals = [c.value for cs in cells.values() for c in cs]
-    init_locals = [c.init for cs in cells.values() for c in cs if c.init]
-    scalars = set(p.params) | set(index_params) | set(p.locals) | set(value_locals) | set(init_locals)
     flags = cfg.observers.flags if cfg.observers is not None else ()
     names = tuple(f.name for f in flags)
-    if len(set(names)) != len(names):
-        raise TransformError("duplicate observer flag names")
-    clash = sorted(set(names) & scalars)
-    if clash:
-        raise TransformError(f"observer flags collide with program names: {', '.join(clash)}")
     latches: dict[int, list[Stmt]] = {}
     for f in flags:
-        loose = sorted(set(cond_vars(f.pred)) - scalars)
-        if loose:
-            raise TransformError(f"observer predicate mentions unknown names: {', '.join(loose)}")
         latches.setdefault(f.site, []).append(_latch(f))
     pro.extend(Assign(n, Num(0)) for n in names)
 
-    walker = _Walker(p, cfg, latches)
+    walker = _Walker(p, cfg, cells, latches)
     body: list[Stmt] = list(pro)
     walker.block(p.body, body)
     unknown = sorted(site for site in latches if not 0 <= site < walker.sites)
@@ -316,7 +259,7 @@ def transform_program(p: Program, cfg: IndexConfig) -> ScalarProgram:
         p.name,
         p.params + tuple(index_params),
         (),
-        p.locals + tuple(value_locals) + tuple(init_locals) + names,
+        p.locals + tuple(c.value for cs in cells.values() for c in cs) + tuple(c.init for c in snapshots) + names,
         tuple(body),
     )
     check_program(prog)

@@ -29,8 +29,6 @@ from arrayabs.lang import (
     decompose_accesses,
     enumerate_executions,
     expr_reads,
-    is_elementary_read,
-    is_elementary_write,
     parse_program,
     run_program,
     to_source,
@@ -142,7 +140,7 @@ class TestParse:
             } ensures forall k: old(t[k]) == t[k] || k == 0;
             """
         )
-        with pytest.raises(ParseError):
+        with pytest.raises(CheckError, match="only allowed in ensures"):
             parse_program(
                 """
                 proc m(n: int) {
@@ -249,6 +247,14 @@ class TestPrint:
           a[i][i + 1] = a[0][0] + 3;
         } ensures forall p, q: a[p][q] >= 0;
         """,
+        # negative literal factors print in parentheses
+        """
+        proc neg(n: int) {
+          var i: int;
+          i = n - (-2)*n;
+          i = (-3)*n;
+        }
+        """,
     ]
 
     @pytest.mark.parametrize("src", PROGRAMS)
@@ -264,11 +270,12 @@ def _assert_elementary(p):
     for s in walk_stmts(p.body):
         if isinstance(s, Assign):
             if isinstance(s.expr, ArrRead):
-                assert is_elementary_read(s), s
+                assert all(isinstance(i, Var) for i in s.expr.index), s
             else:
                 assert not list(expr_reads(s.expr)), s
         elif isinstance(s, ArrWrite):
-            assert is_elementary_write(s), s
+            assert all(isinstance(i, Var) for i in s.index), s
+            assert isinstance(s.value, (Var, Num)), s
         elif isinstance(s, (If, While, Assume, Assert)):
             assert not list(cond_reads(s.cond)), s
 

@@ -64,7 +64,16 @@ def test_fill(value, clause, expected):
 
 @pytest.mark.parametrize("clause, expected", [("t[k] == old(t[k])", True), ("t[k] == old(t[k]) + 1", False)])
 def test_old_reads_entry_symbol(clause, expected):
-    assert proved(KEEP % clause, cells=ArrayCells(1, snapshot=True), observers=None) is expected
+    # the old() read gives t its snapshot variable; plain cells suffice
+    assert proved(KEEP % clause, observers=None) is expected
+
+
+def test_snapshots_only_for_arrays_read_through_old():
+    cfg = IndexConfig(arrays={"t": ArrayCells(1)})
+    keep = transform_program(parse_program(KEEP % "t[k] == old(t[k])"), cfg)
+    assert "t$0$init" in keep.program.locals
+    init = transform_program(parse_program(fill("0", "t[k] == 0")), cfg)
+    assert not any(n.endswith("$init") for n in init.program.locals)
 
 
 @pytest.mark.parametrize("clause, expected", [("t[at] == at", True), ("t[at] <= 1", False)])

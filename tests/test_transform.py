@@ -2,7 +2,8 @@
 
 import pytest
 
-from arrayabs.lang import decompose_accesses, parse_condition, parse_program, to_source
+from arrayabs.backend import AnalysisError, analyze_scalar
+from arrayabs.lang import CheckError, decompose_accesses, parse_condition, parse_program, to_source
 from arrayabs.transform import ArrayCells, IndexConfig, ObserverSpec, ObsFlag, TransformError, transform_program
 
 INIT = """
@@ -116,19 +117,32 @@ def test_sites_number_then_branch_before_else():
     )
 
 
+# each fault case, by its label, and the error it raises: name faults
+# show when check_program checks the translation
+OBSERVER_ERRORS = {
+    "duplicate observer flag names": (CheckError, "duplicate declaration of f"),
+    "collide with program names: i": (CheckError, "duplicate declaration of i"),
+    "collide with program names: t$0$v": (CheckError, r"duplicate declaration of t\$0\$v"),
+    "unknown access 1": (TransformError, "unknown access 1"),
+    "unknown names: z": (CheckError, "undeclared identifier z used as a scalar"),
+    "unknown names: t": (CheckError, "undeclared identifier t used as a scalar"),
+}
+
+
 @pytest.mark.parametrize(
-    "flags, message",
+    "flags, case",
     [
         ((ObsFlag(0, "f", parse_condition("i < n")), ObsFlag(0, "f", parse_condition("i > 0"))), "duplicate observer flag names"),
         ((ObsFlag(0, "i", parse_condition("i < n")),), "collide with program names: i"),
-        ((ObsFlag(0, "t$0$v", parse_condition("i < n")),), r"collide with program names: t\$0\$v"),
+        ((ObsFlag(0, "t$0$v", parse_condition("i < n")),), "collide with program names: t$0$v"),
         ((ObsFlag(1, "f", parse_condition("i < n")),), "unknown access 1"),
         ((ObsFlag(0, "f", parse_condition("z < i")),), "unknown names: z"),
         ((ObsFlag(0, "f", parse_condition("t < i")),), "unknown names: t"),
     ],
 )
-def test_observer_errors(flags, message):
-    with pytest.raises(TransformError, match=message):
+def test_observer_errors(flags, case):
+    error, message = OBSERVER_ERRORS[case]
+    with pytest.raises(error, match=message):
         transform(INIT, flags)
 
 
@@ -143,3 +157,37 @@ def test_flags_on_program_without_array_access():
     with pytest.raises(TransformError, match="unknown access 0"):
         transform(src, [ObsFlag(0, "f", parse_condition("i < n"))])
     assert transform(src).flags == ()
+
+
+SEARCH = """
+proc search(n: int) {
+  array t[n]: int;
+  var i, x: int;
+  i = 0;
+  while (i < n && t[i] != 0) {
+    i = i + 1;
+  }
+  x = t[t[i]];
+}
+"""
+
+
+def test_raw_and_decomposed_input_translate_alike():
+    # reads in a loop condition and in an index: the transform
+    # decomposes them itself, and flag sites count the decomposed accesses
+    flags = [ObsFlag(0, "a", parse_condition("t$0$x0 == i")), ObsFlag(3, "b", parse_condition("t$0$x0 < i"))]
+    cfg = IndexConfig(arrays={"t": ArrayCells(2)}, observers=ObserverSpec(tuple(flags)))
+    p = parse_program(SEARCH)
+    raw = transform_program(p, cfg)
+    pre = transform_program(decompose_accesses(p), cfg)
+    assert to_source(raw.program) == to_source(pre.program)
+    assert to_source(raw.source) == to_source(decompose_accesses(p))
+    assert raw.flags == pre.flags == ("a", "b")
+
+
+def test_predicate_reading_another_flag_fails_the_analysis():
+    # the translation accepts it (lt is declared); the partitioned
+    # analysis needs write-only flags
+    sp = transform(INIT, PAIR + (ObsFlag(0, "both", parse_condition("lt == 1")),))
+    with pytest.raises(AnalysisError, match="observer flag lt read by the program"):
+        analyze_scalar(sp)
