@@ -53,7 +53,8 @@ def expr_str(e: Expr, prec: int = 0) -> str:
         if e.factor == -1:
             s = f"-{expr_str(e.arg, 2)}"
             return f"({s})" if prec >= 1 else s
-        return f"{expr_str(Num(e.factor), 1)}*{expr_str(e.arg, 2)}"
+        s = f"{expr_str(Num(e.factor), 1)}*{expr_str(e.arg, 2)}"
+        return f"({s})" if prec >= 2 else s
     raise TypeError(f"not an expression: {e!r}")
 
 

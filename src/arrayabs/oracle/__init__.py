@@ -6,14 +6,13 @@ from .completeness import (
     random_loopfree_program,
 )
 from .domains import (
-    AbstractSet1,
-    AbstractSet2,
     FiniteDomain,
     OracleError,
-    alpha1,
-    alpha2lt,
-    gamma1,
-    gamma2lt,
+    alpha,
+    covers,
+    gamma,
+    instantiations,
+    universe,
 )
 from .laws import (
     LawCheck,
@@ -24,20 +23,19 @@ from .laws import (
 )
 
 __all__ = [
-    "AbstractSet1",
-    "AbstractSet2",
     "CompletenessResult",
     "FiniteDomain",
     "LawCheck",
     "OracleError",
     "OracleReport",
-    "alpha1",
-    "alpha2lt",
+    "alpha",
     "check_completeness",
     "check_galois",
     "check_precision_loss_example",
     "check_statement_soundness",
-    "gamma1",
-    "gamma2lt",
+    "covers",
+    "gamma",
+    "instantiations",
     "random_loopfree_program",
+    "universe",
 ]

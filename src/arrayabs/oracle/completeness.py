@@ -4,9 +4,13 @@ With at least one cell per syntactic access, the transformed program's
 final states, concretized over every index instantiation, project to
 exactly the same scalar outcomes as the original program. This module
 checks that equality by enumerating both sides on bounded domains, and
-provides the random program generator the suite drives it with. When
-the cell budget is below the access count the inclusion can go strict;
-the checker reports which side has surplus states.
+provides the random program generator the suite drives it with. The
+abstract side is a set of (outcome, positions, values), a position
+being (array, index point); each array's k-cell layout gives its
+instantiations, and gamma reads candidate contents at them with the
+`covers` test of `domains`. When the cell budget is below the access
+count the inclusion can go strict; the checker reports which side has
+surplus states.
 """
 
 from __future__ import annotations
@@ -36,9 +40,7 @@ from ..lang.ast import (
 )
 from ..lang.interp import Bounds, enumerate_executions
 from ..transform import ArrayCells, IndexConfig, transform_program
-from .domains import OracleError
-
-Outcome = tuple  # (status, scalar value tuple)
+from .domains import OracleError, covers, instantiations
 
 
 @dataclass(frozen=True)
@@ -107,77 +109,43 @@ def check_completeness(
                 index_bounds[xv] = tuple(range(l))
 
     abounds = Bounds(params=index_bounds, values=values, max_steps=max_steps)
-    finals = enumerate_executions(sp.program, abounds)
 
-    # (status, scalars, positions) -> set of cell-value tuples
-    cells = [c for name in cfg.arrays for c in sp.cells[name]]
-    seen: dict[tuple, set[tuple]] = {}
-    for st in finals:
+    # the abstract element: (outcome, positions, values), one position
+    # (array, index point) and one value per cell
+    cells = [(name, c) for name in cfg.arrays for c in sp.cells[name]]
+    x = set()
+    for st in enumerate_executions(sp.program, abounds):
         sc = st.scalar_dict()
-        key = (
-            st.status,
-            tuple(sc[n] for n in names),
-            tuple(sc[xv] for c in cells for xv in c.index),
+        x.add(
+            (
+                (st.status, tuple(sc[n] for n in names)),
+                tuple((name, tuple(sc[xv] for xv in c.index)) for name, c in cells),
+                tuple(sc[c.value] for _name, c in cells),
+            )
         )
-        seen.setdefault(key, set()).add(tuple(sc[c.value] for c in cells))
 
-    # gamma: a scalar outcome survives if some array contents pass
-    # the membership test at every position instantiation
-    per_array_instantiations = []
-    for name, spec in cfg.arrays.items():
-        k = spec.count
-        box = boxes[name]
-        if spec.ordered:
-            combos = [t for t in itertools.product(box, repeat=k) if all(x < y for x, y in zip(t, t[1:]))]
-        else:
-            combos = list(itertools.product(box, repeat=k))
-        per_array_instantiations.append(combos)
+    # gamma: an outcome survives if some array contents are covered at
+    # every instantiation, one per array, each read at its own box
+    points = {name: [(name, b) for b in box] for name, box in boxes.items()}
+    insts = [
+        tuple(itertools.chain(*combo))
+        for combo in itertools.product(*(instantiations(points[name], spec) for name, spec in cfg.arrays.items()))
+    ]
 
-    # candidate contents per box: every value some cell was observed to
-    # hold while tracking that box (writes can leave the initial value
+    # candidate contents per position: every value some cell was
+    # observed to hold there (writes can leave the initial value
     # universe, so enumerating `values` alone would miss witnesses)
-    offsets = []
-    pos = 0
-    for c in cells:
-        offsets.append(pos)
-        pos += len(c.index)
-    cell_array = [name for name in cfg.arrays for _c in sp.cells[name]]
     observed: dict[tuple, set] = {}
-    for (_status, _s, xs), vss in seen.items():
-        for vs in vss:
-            for i, c in enumerate(cells):
-                b = xs[offsets[i]:offsets[i] + len(c.index)]
-                observed.setdefault((cell_array[i], b), set()).add(vs[i])
+    for _o, ps, vs in x:
+        for a, v in zip(ps, vs):
+            observed.setdefault(a, set()).add(v)
+    every = [a for ps in points.values() for a in ps]
+    contents_space = [
+        dict(zip(every, vs)) for vs in itertools.product(*(sorted(observed.get(a, ())) for a in every))
+    ]
 
-    contents_space = []
-    for name in cfg.arrays:
-        box = boxes[name]
-        per_box = [sorted(observed.get((name, b), ())) for b in box]
-        contents_space.append(
-            [dict(zip(box, vs)) for vs in itertools.product(*per_box)]
-        )
-
-    abstract = set()
-    candidates = {(status, s) for (status, s, _x) in seen}
-    for status, s in candidates:
-        found = False
-        for contents in itertools.product(*contents_space):
-            ok = True
-            for inst in itertools.product(*per_array_instantiations):
-                xs = tuple(x for combo in inst for a in combo for x in a)
-                vs = tuple(
-                    arr[a]
-                    for arr, combo in zip(contents, inst)
-                    for a in combo
-                )
-                if vs not in seen.get((status, s, xs), ()):
-                    ok = False
-                    break
-            if ok:
-                found = True
-                break
-        if found:
-            abstract.add((status, s))
+    outcomes = {o for o, _ps, _vs in x}
+    abstract = {o for o in outcomes if any(covers(x, o, contents, insts) for contents in contents_space)}
 
     concrete_only = tuple(sorted(concrete - abstract))
     abstract_only = tuple(sorted(abstract - concrete))

@@ -4,13 +4,23 @@ Everything here is brute force on purpose: arrays are tuples over an
 explicit index set, abstraction and concretization enumerate, and the
 laws the rest of the package relies on can be checked by exhaustion.
 Scalar state rides along as an opaque hashable `s` component.
+
+The abstraction is a k-cell layout, `transform.ArrayCells(count,
+ordered)`, the same type the translation reads. An instantiation is a
+k-tuple of positions (strictly increasing for an ordered layout); an
+abstract element is a plain frozenset of `(s, positions, values)`
+triples, one value per position. alpha reads every pair's array at
+every instantiation; gamma keeps the pairs whose every instantiation
+is covered.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
+
+from ..transform import ArrayCells
 
 Func = Tuple[int, ...]  # array content, aligned with FiniteDomain.A
 Pair = Tuple[object, Func]  # (scalar state, array content)
@@ -24,13 +34,12 @@ class OracleError(ValueError):
 class FiniteDomain:
     """Explicit index, value, and scalar-state sets.
 
-    A holds index points (ints, or tuples for several dimensions); B
-    holds values; S holds whatever the scalar part of the state is,
-    one hashable entry per state. Sizes multiply into the enumeration
-    budget, so keep them tiny.
+    A holds the index points 0..n-1; B holds values; S holds whatever
+    the scalar part of the state is, one hashable entry per state.
+    Sizes multiply into the enumeration budget, so keep them tiny.
     """
 
-    A: tuple
+    A: tuple[int, ...]
     B: tuple[int, ...]
     S: tuple = ((),)
     budget: int = 1 << 16
@@ -38,9 +47,11 @@ class FiniteDomain:
     def __post_init__(self):
         if not (self.A and self.B and self.S):
             raise OracleError("A, B, and S must be nonempty")
+        if self.A != tuple(range(len(self.A))):
+            raise OracleError("index points must be 0..len-1")
         if len(self.A) * len(self.B) * len(self.S) > self.budget:
             raise OracleError("domain exceeds the enumeration budget")
-        for xs in (self.A, self.B, self.S):
+        for xs in (self.B, self.S):
             if len(set(xs)) != len(xs):
                 raise OracleError("domain sets must not repeat elements")
 
@@ -56,92 +67,42 @@ class FiniteDomain:
         return f"|A|={len(self.A)} |B|={len(self.B)} |S|={len(self.S)}"
 
 
-@dataclass(frozen=True)
-class AbstractSet1:
-    """Set of (s, a, b): scalar state, one position, its value."""
-
-    tuples: FrozenSet[tuple]
-
-    @staticmethod
-    def of(items: Iterable[tuple]) -> "AbstractSet1":
-        return AbstractSet1(frozenset(items))
-
-    def __le__(self, other: "AbstractSet1") -> bool:
-        return self.tuples <= other.tuples
-
-    def __or__(self, other: "AbstractSet1") -> "AbstractSet1":
-        return AbstractSet1(self.tuples | other.tuples)
+def instantiations(points: Sequence, cells: ArrayCells) -> list[tuple]:
+    """Every k-tuple of points, strictly increasing when the layout is
+    ordered. With fewer points than ordered cells there is none, so
+    every abstract element concretizes to everything."""
+    insts = itertools.product(points, repeat=cells.count)
+    if cells.ordered:
+        return [t for t in insts if all(x < y for x, y in zip(t, t[1:]))]
+    return list(insts)
 
 
-@dataclass(frozen=True)
-class AbstractSet2:
-    """Set of (s, a, b, a2, b2) with a < a2: two ordered positions."""
-
-    tuples: FrozenSet[tuple]
-
-    def __post_init__(self):
-        for t in self.tuples:
-            if not t[1] < t[3]:
-                raise OracleError(f"positions must be strictly ordered: {t}")
-
-    def __le__(self, other: "AbstractSet2") -> bool:
-        return self.tuples <= other.tuples
-
-    def __or__(self, other: "AbstractSet2") -> "AbstractSet2":
-        return AbstractSet2(self.tuples | other.tuples)
+def universe(dom: FiniteDomain, cells: ArrayCells) -> list[tuple]:
+    """Every (s, positions, values) whose values agree wherever two
+    positions coincide (for one cell or an ordered layout nothing is
+    dropped)."""
+    return [
+        (s, ps, vs)
+        for s in dom.S
+        for ps in instantiations(dom.A, cells)
+        for vs in itertools.product(dom.B, repeat=cells.count)
+        if len(set(zip(ps, vs))) == len(set(ps))
+    ]
 
 
-# ------------------------------------------------------------ single index
+def covers(x: frozenset, s, f: Sequence | Mapping, insts: Iterable[tuple]) -> bool:
+    """Whether x holds the values of content f at every instantiation
+    (f maps each position to its value)."""
+    return all((s, ps, tuple(f[a] for a in ps)) in x for ps in insts)
 
 
-def alpha1(concrete: Iterable[Pair], dom: FiniteDomain) -> AbstractSet1:
-    """Graph abstraction: one tuple per position of each pair."""
-    out = set()
-    for s, f in concrete:
-        for i, a in enumerate(dom.A):
-            out.add((s, a, f[i]))
-    return AbstractSet1(frozenset(out))
+def alpha(concrete: Iterable[Pair], dom: FiniteDomain, cells: ArrayCells) -> frozenset:
+    """One triple per instantiation of each pair."""
+    insts = instantiations(dom.A, cells)
+    return frozenset((s, ps, tuple(f[a] for a in ps)) for s, f in concrete for ps in insts)
 
 
-def gamma1(x: AbstractSet1, dom: FiniteDomain) -> frozenset:
-    """Pairs whose every column is present in x."""
-    keep = []
-    for s, f in dom.pairs():
-        if all((s, a, f[i]) in x.tuples for i, a in enumerate(dom.A)):
-            keep.append((s, f))
-    return frozenset(keep)
-
-
-# ------------------------------------------------- ordered double index
-
-
-def alpha2lt(concrete: Iterable[Pair], dom: FiniteDomain) -> AbstractSet2:
-    out = set()
-    for s, f in concrete:
-        for i, a in enumerate(dom.A):
-            for j, a2 in enumerate(dom.A):
-                if a < a2:
-                    out.add((s, a, f[i], a2, f[j]))
-    return AbstractSet2(frozenset(out))
-
-
-def gamma2lt(x: AbstractSet2, dom: FiniteDomain) -> frozenset:
-    """Pairs all of whose ordered position pairs are present in x.
-
-    With a single index point there are no ordered pairs, so the empty
-    abstract set concretizes to everything.
-    """
-    keep = []
-    for s, f in dom.pairs():
-        ok = True
-        for i, a in enumerate(dom.A):
-            for j, a2 in enumerate(dom.A):
-                if a < a2 and (s, a, f[i], a2, f[j]) not in x.tuples:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            keep.append((s, f))
-    return frozenset(keep)
-
+def gamma(x: frozenset, dom: FiniteDomain, cells: ArrayCells) -> frozenset:
+    """Pairs whose every instantiation is present in x."""
+    insts = instantiations(dom.A, cells)
+    return frozenset((s, f) for s, f in dom.pairs() if covers(x, s, f, insts))

@@ -61,7 +61,6 @@ from .config import IndexConfig, ObsFlag, TransformError
 
 @dataclass(frozen=True)
 class Cell:
-    array: str
     index: tuple[str, ...]
     value: str
     init: str | None = None  # snapshot of the entry value
@@ -190,7 +189,6 @@ def transform_program(p: Program, cfg: IndexConfig) -> ScalarProgram:
             raise TransformError(f"ordered cells need a 1-dimensional array, {a.name} has {len(a.dims)}")
         cells[a.name] = tuple(
             Cell(
-                a.name,
                 tuple(f"{a.name}${j}$x{d}" for d in range(len(a.dims))),
                 f"{a.name}${j}$v",
                 f"{a.name}${j}$init" if a.name in entry else None,

@@ -255,6 +255,14 @@ class TestPrint:
           i = (-3)*n;
         }
         """,
+        # a product in factor position prints in parentheses
+        """
+        proc nested(n: int) {
+          var i: int;
+          i = 2*(3*n);
+          i = (2*n)*3;
+        }
+        """,
     ]
 
     @pytest.mark.parametrize("src", PROGRAMS)
