@@ -10,8 +10,13 @@ is a single bucket and the analysis is a plain product-domain
 interpretation.
 
 Loops run an ascending pass (join for WIDENING_DELAY steps, then
-widening) followed by bounded narrowing. Assertion checks happen in one
-final pass over the stable state, so verdicts never depend on
+widening) until one more round, nxt = F#(inv), lies below inv. The
+loop head is that last ascending iterate nxt; there is no narrowing
+operator. It is sound because inv is then a post-fixpoint: nxt
+over-approximates F(gamma(inv)), which contains the least fixpoint, and
+nxt <= inv makes it one finite decreasing step (Cousot and Cousot,
+"Abstract interpretation frameworks", JLC 1992). Assertion checks
+happen in one final pass over the head, so verdicts never depend on
 intermediate iterates.
 
 Widened elements are stored unreduced; guard assumes reduce their own
@@ -77,13 +82,6 @@ class AbstractState:
         for k, v in self.parts.items():
             out[k] = v.widen(other.parts[k]) if k in other.parts else v
         return AbstractState(self.flags, out)
-
-    def narrow(self, other: "AbstractState") -> "AbstractState":
-        out = dict(other.parts)
-        for k, v in self.parts.items():
-            if k in other.parts:
-                out[k] = v.narrow(other.parts[k])
-        return self._norm(out)
 
     def leq(self, other: "AbstractState") -> bool:
         return all(
@@ -250,13 +248,15 @@ class _Interp:
         while True:
             nxt = step(inv)
             if nxt.leq(inv):
+                # inv is a post-fixpoint, so nxt = F#(inv) still covers
+                # every reachable head state: the head is nxt, which
+                # recovers bounds the widening threw away
+                inv = nxt
                 break
             rounds += 1
             inv = inv.join(nxt) if rounds <= WIDENING_DELAY else inv.widen(nxt)
             if len(inv.parts) > PARTITION_CAP:
                 inv, collapsed = inv.collapse(), True
-        # one descending step to recover bounds the widening threw away
-        inv = inv.narrow(step(inv))
         if check:
             self.block(s.body, inv.assume(f), True)
         return inv.assume(lnot(f))

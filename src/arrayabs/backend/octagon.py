@@ -12,10 +12,12 @@ strengthening step m[a][b] <= floor(m[a][a^1]/2) + floor(m[b^1][b]/2),
 which at b = a^1 also floors each unary bound to an even value.
 Emptiness shows up as a negative diagonal. `add` on a closed element
 closes incrementally in O(n^2) (Chawdhary, Robbins and King, FMSD
-2019), so the full O(n^3) pass runs only on unclosed elements: widening
-results, which are deliberately left unclosed so the ascending
-iteration terminates, and matrices built by hand. Joins and widenings
-work entrywise. Equalities are read straight off the closed matrix.
+2019), so the full O(n^3) pass runs only on unclosed elements. Those
+come only from widening, whose results are deliberately left unclosed
+so the ascending iteration terminates, from matrices built by hand, and
+from `add` on either, which leaves the closure to the next close().
+Joins and widenings work entrywise. Equalities are read straight off
+the closed matrix.
 """
 
 from __future__ import annotations
@@ -212,17 +214,6 @@ class Octagon:
         for i in range(len(rows)):
             rows[i][i] = 0
         return self._with(rows, closed=False)
-
-    def narrow(self, other: "Octagon") -> "Octagon":
-        """Refine only infinite bounds by the other side's."""
-        if self.empty or other.is_empty():
-            return self if self.empty else other.close()
-        b = other.close()
-        rows = [
-            [y if x is None else x for x, y in zip(ra, rb)]
-            for ra, rb in zip(self.m, b.m)
-        ]
-        return self._with(rows).close()
 
     # -- constraints
 

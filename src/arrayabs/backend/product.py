@@ -92,11 +92,6 @@ class Product:
             return other
         return Product(self.oct.widen(other.oct), self.aff.widen(other.aff))
 
-    def narrow(self, other: "Product") -> "Product":
-        if self.is_empty() or other.is_empty():
-            return self._as_bottom() if other.is_empty() else self
-        return Product(self.oct.narrow(other.oct), self.aff.meet(other.aff))
-
     # -- transfer
 
     def assign(self, v: str, lin: Lin) -> "Product":

@@ -170,8 +170,10 @@ def _cell_bindings(inv: QuantifiedInvariant, accesses: Accesses) -> list[dict[st
     return out
 
 
-def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | None = None) -> bool:
-    """Does the lifted invariant entail the ensures clause?
+def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | None = None) -> bool | None:
+    """Does the lifted invariant entail the ensures clause? True when it
+    does, False when the query has a model, None when the solver ran out
+    of budget before deciding.
 
     The clause's indices become fresh constants, its array reads
     become value symbols, and the invariant is instantiated at every
@@ -221,11 +223,9 @@ def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | N
 
     query = land(*premises, lnot(goal))
     try:
-        model = is_sat(query, budget or Budget())
+        return is_sat(query, budget or Budget()) is None
     except BudgetError:
-        warnings.warn("target check ran out of budget; reporting not proven", stacklevel=2)
-        return False
-    return model is None
+        return None
 
 
 # ---------------------------------------------------------- reduce_dual

@@ -36,7 +36,6 @@ from ..lang.ast import (
     Assert,
     Assign,
     Assume,
-    BoolConst,
     Cmp,
     Cond,
     CondAnd,
@@ -88,10 +87,6 @@ def _index_guard(cell: Cell, index: tuple[Expr, ...]) -> Cond:
 
 
 def _latch(flag: ObsFlag) -> Stmt:
-    if flag.pred == BoolConst(True):
-        return Assign(flag.name, Num(1))
-    if flag.pred == BoolConst(False):
-        return Assign(flag.name, Num(0))
     return If(flag.pred, (Assign(flag.name, Num(1)),), (Assign(flag.name, Num(0)),))
 
 

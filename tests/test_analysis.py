@@ -1,8 +1,9 @@
 """The partitioned abstract interpretation of transformed programs.
 
-Assert verdicts on a chain of array loops with bounds checks, and
-soundness against the enumerating interpreter: every concrete final
-state of a transformed program satisfies the exit formula.
+Assert verdicts on a chain of array loops with bounds checks and on a
+loop whose head needs the round after widening, and soundness against
+the enumerating interpreter: every concrete final state of a
+transformed program satisfies the exit formula.
 """
 
 import signal
@@ -52,6 +53,25 @@ def test_bounds_asserts_of_a_loop_chain(cmp, last_proven):
     cfg = IndexConfig(arrays={f"a{j}": ArrayCells(1) for j in range(3)}, bounds_checks=True)
     asserts = [(a.line, a.proven) for a in analyze_scalar(transform_program(p, cfg)).asserts]
     assert asserts == [(10, True), (15, True), (16, True), (21, last_proven)]
+
+
+COUNT = """
+proc count(n: int) {
+  var i: int;
+  i = 0;
+  while (i < 10) {
+    i = i + 1;
+  }
+  assert(i == 10);
+}
+"""
+
+
+def test_loop_head_recovers_the_bound_the_widening_dropped():
+    # widening drops i <= 10 from the head; the round after the widened
+    # post-fixpoint has it back, and that round is the head
+    asserts = analyze_scalar(transform_program(parse_program(COUNT), IndexConfig())).asserts
+    assert [(a.line, a.proven) for a in asserts] == [(8, True)]
 
 
 # ------------------------------------------------------------ termination

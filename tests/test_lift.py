@@ -4,6 +4,7 @@ import pytest
 
 from arrayabs.backend import analyze_scalar
 from arrayabs.lang import Cmp, Expr, Num, Target, decompose_accesses, parse_condition, parse_program
+from arrayabs.lia import Budget
 from arrayabs.lift import LiftError, check_target, quantify
 from arrayabs.transform import ArrayCells, IndexConfig, ObserverSpec, ObsFlag, transform_program
 
@@ -27,7 +28,29 @@ proc keep(n: int) {
 } ensures forall k: 0 <= k && k < n ==> %s;
 """
 
+# the index loop of FILL with a clause over two positions of t
+INDEX = """
+proc index(n: int) {
+  array t[n]: int;
+  var i: int;
+  i = 0;
+  while (i < n) {
+    t[i] = i;
+    i = i + 1;
+  }
+} ensures %s;
+"""
+
 PAIR = ObserverSpec((ObsFlag(0, "lt", parse_condition("t$0$x0 < i")), ObsFlag(0, "at", parse_condition("t$0$x0 == i"))))
+
+# the flag pair of each cell of an ordered two-cell layout, on the write
+ORDERED_PAIRS = ObserverSpec(
+    tuple(
+        ObsFlag(0, f"{name}{c}", parse_condition(f"t${c}$x0 {op} i"))
+        for c in (0, 1)
+        for name, op in (("lt", "<"), ("at", "=="))
+    )
+)
 
 
 def fill(value: str, clause: str, k: str = "k") -> str:
@@ -62,6 +85,20 @@ def test_fill(value, clause, expected):
     assert proved(fill(value, clause)) is expected
 
 
+@pytest.mark.parametrize(
+    "ensures, expected",
+    [
+        ("forall k, l: 0 <= k && k < l && l < n ==> t[k] < t[l]", True),
+        ("forall k, l: 0 <= k && k < l && l < n ==> t[k] > t[l]", False),
+        ("forall k: 0 <= k && k + 1 < n ==> t[k] < t[k + 1]", True),
+        ("forall k: 0 <= k && k + 1 < n ==> t[k] > t[k + 1]", False),
+    ],
+    ids=["sorted", "sorted-neg", "adjacent", "adjacent-neg"],
+)
+def test_ordered_pair_of_cells(ensures, expected):
+    assert proved(INDEX % ensures, cells=ArrayCells(2, ordered=True), observers=ORDERED_PAIRS) is expected
+
+
 @pytest.mark.parametrize("clause, expected", [("t[k] == old(t[k])", True), ("t[k] == old(t[k]) + 1", False)])
 def test_old_reads_entry_symbol(clause, expected):
     # the old() read gives t its snapshot variable; plain cells suffice
@@ -87,6 +124,13 @@ def test_target_index_named_like_an_observer_flag(clause, expected):
 def test_target_index_named_like_a_program_scalar(clause, expected):
     target = Target(("i",), parse_condition(f"0 <= i && i < n ==> {clause}"))
     assert proved(fill("0", "true"), target) is expected
+
+
+def test_target_check_out_of_budget_is_undecided():
+    # None means "gave up"; False is kept for a query with a model
+    inv, target = lift(fill("0", "t[k] == 0"))
+    assert check_target(inv, target, budget=Budget(0)) is None
+    assert check_target(inv, target) is True
 
 
 def test_unsupported_target_expression_raises_lift_error():
