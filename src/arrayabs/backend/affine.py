@@ -140,10 +140,13 @@ class AffineEqs:
         return [*(coeffs.get(v, 0) for v in self.vars), -lin.const]
 
     def add_eq(self, lin: Lin) -> "AffineEqs":
-        """Meet with lin = 0."""
+        """Meet with lin = 0; an implied row leaves the element as it is."""
         if self.empty:
             return self
-        return self._canon([*self.rows, self._row_of(lin)])
+        row = self._row_of(lin)
+        if self.implies_row(row):
+            return self
+        return self._canon([*self.rows, row])
 
     def meet(self, other: "AffineEqs") -> "AffineEqs":
         if self.empty:
@@ -206,7 +209,7 @@ class AffineEqs:
     def join(self, other: "AffineEqs") -> "AffineEqs":
         if self.empty:
             return other
-        if other.empty:
+        if other.empty or other == self:
             return self
         w = len(self.vars) + 1
         block = [[*r, *r] for r in self.rows] + [[*r, *[0] * w] for r in other.rows]

@@ -18,6 +18,17 @@ so the ascending iteration terminates, from matrices built by hand, and
 from `add` on either, which leaves the closure to the next close().
 Joins and widenings work entrywise. Equalities are read straight off
 the closed matrix.
+
+Rows are copy-on-write. A matrix is a tuple of row tuples, and elements
+derived from one another share every row that an operation leaves
+unchanged: `add`, `forget`, `assign`, `join` and `widen` build a new
+tuple only for a row in which some entry moves, and hand on the very
+same row object otherwise. The incremental closure keeps a row as it is
+when the row has no finite entry towards either new edge, and
+strengthens only the pairs that a moved unary bound can lower (see
+`_tighten`). So `ra is rb` holds for most row pairs of two elements of
+one analysis, and `join`, `widen`, `leq` and `==` skip those pairs at
+the cost of one identity test.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from typing import Iterator, Sequence
 from ..lia import FALSE, Formula, Lin, TRUE, ge0, land
 
 INF = None  # +infinity marker inside the matrix
+Row = tuple[int | None, ...]  # a stored row, shared between elements
 
 
 def _octagonal(coeffs: dict[str, int]) -> bool:
@@ -60,7 +72,7 @@ def _le(a: int | None, b: int | None) -> bool:
 @dataclass(frozen=True)
 class Octagon:
     vars: tuple[str, ...]
-    m: tuple[tuple[int | None, ...], ...] = ()
+    m: tuple[Row, ...] = ()
     empty: bool = False
     closed: bool = field(default=False, compare=False)
 
@@ -84,11 +96,10 @@ class Octagon:
         """Node of the signed variable sign*v: 2i for +v_i, 2i+1 for -v_i."""
         return self._pos(v) + (sign < 0)
 
-    def _rows(self) -> list[list[int | None]]:
-        return [list(r) for r in self.m]
-
-    def _with(self, rows: list[list[int | None]], closed: bool = False) -> "Octagon":
-        return Octagon(self.vars, tuple(tuple(r) for r in rows), False, closed)
+    def _with(self, rows: list[Row | list[int | None]], closed: bool = False) -> "Octagon":
+        """Element with these rows, list rows frozen. tuple() returns a
+        tuple argument unchanged, so a shared row stays the same object."""
+        return Octagon(self.vars, tuple(map(tuple, rows)), False, closed)
 
     # -- canonical form
 
@@ -97,7 +108,7 @@ class Octagon:
         if self.empty or self.closed:
             return self
         n = len(self.m)
-        d = self._rows()
+        d = [list(r) for r in self.m]
         for k in range(n):
             row_k = d[k]
             for i in range(n):
@@ -112,62 +123,96 @@ class Octagon:
                     s = dik + dkj
                     if row_i[j] is None or s < row_i[j]:
                         row_i[j] = s
-        return self._tighten(d)
+        for i in range(n):
+            if d[i][i] is not None and d[i][i] < 0:
+                return Octagon.bottom(self.vars)
+            d[i][i] = 0
+        return self._tighten(d, range(n))
 
     def _close_with(self, a: int, b: int, k: int) -> "Octagon":
         """Tight closure of this closed element plus the edge a -> b of
         weight k and its mirror b^1 -> a^1, in O(n^2) (Chawdhary, Robbins
         and King, FMSD 2019). A shortest path uses each new edge at most
         once, so from node i it is enough to know the cheapest ways to
-        reach b and a^1 through new edges; every sum reads the old matrix."""
+        reach b and a^1 through new edges; every sum reads the old matrix.
+        A row with no finite entry at a or at b^1 reaches neither new
+        edge, and a row that the new paths do not shorten keeps its
+        entries: both stay the same row object. `_tighten` then needs
+        only the nodes whose unary bound moved."""
         m = self.m
         row_b, row_na = m[b], m[a ^ 1]
         b_na = _add(row_b[b ^ 1], k)  # b -> b^1 -> a^1
         na_b = _add(row_na[a], k)  # a^1 -> a -> b
-        d = []
-        for row in m:
+        fin_b = [(j, x) for j, x in enumerate(row_b) if x is not None]
+        fin_na = [(j, x) for j, x in enumerate(row_na) if x is not None]
+        d: list[Row | list[int | None]] = []
+        moved = []
+        for i, row in enumerate(m):
+            if row[a] is None and row[b ^ 1] is None:
+                d.append(row)
+                continue
             via_a = _add(row[a], k)  # i -> a -> b
             via_nb = _add(row[b ^ 1], k)  # i -> b^1 -> a^1
             new = list(row)
+            changed = False
             for t, far in (
-                (_min(via_a, _add(via_nb, na_b)), row_b),
-                (_min(via_nb, _add(via_a, b_na)), row_na),
+                (_min(via_a, _add(via_nb, na_b)), fin_b),
+                (_min(via_nb, _add(via_a, b_na)), fin_na),
             ):
                 if t is None:
                     continue
-                for j, x in enumerate(far):
-                    if x is not None:
-                        x += t
-                        if new[j] is None or x < new[j]:
-                            new[j] = x
-            d.append(new)
-        return self._tighten(d)
-
-    def _tighten(self, d: list[list[int | None]]) -> "Octagon":
-        """Finish a shortest-path closed matrix d, changed in place:
-        emptiness on the diagonal, then strengthening with floored halves;
-        at j = i^1 that floors the unary bound to an even value, which is
-        the integer tightening."""
-        n = len(d)
-        for i in range(n):
-            if d[i][i] is not None and d[i][i] < 0:
-                return Octagon.bottom(self.vars)
-            d[i][i] = 0
-        for i in range(n):
-            bi = d[i][i ^ 1]
-            if bi is None:
+                for j, x in far:
+                    x += t
+                    if new[j] is None or x < new[j]:
+                        new[j] = x
+                        changed = True
+            if not changed:
+                d.append(row)
                 continue
-            row_i = d[i]
-            for j in range(n):
-                bj = d[j ^ 1][j]
-                if bj is None:
-                    continue
-                s = bi // 2 + bj // 2
-                if row_i[j] is None or s < row_i[j]:
-                    row_i[j] = s
-        for i in range(n):
-            if d[i][i] is not None and d[i][i] < 0:
+            if new[i] < 0:  # a negative cycle through the new edge
                 return Octagon.bottom(self.vars)
+            d.append(new)
+            if new[i ^ 1] != row[i ^ 1]:
+                moved.append(i)
+        return self._tighten(d, moved)
+
+    def _tighten(self, d: list[Row | list[int | None]], moved: Sequence[int]) -> "Octagon":
+        """Finish a shortest-path closed matrix d with a zero diagonal:
+        strengthening with floored halves,
+        d[i][j] <= floor(d[i][i^1]/2) + floor(d[j^1][j]/2), where j = i^1
+        floors the unary bound to an even value, which is the integer
+        tightening; then emptiness on the diagonal.
+
+        Each row of d is either a list, changed in place, or a tuple
+        shared with a tightly closed matrix, copied only when one of its
+        entries drops. That matrix's unary bounds are those of d except
+        at the nodes in `moved`; they are even, so a half
+        floor(d[i][i^1]/2) moves exactly when its bound does. Visiting
+        only the pairs (i, j) with a moved half is exact: for the other
+        pairs the old matrix already held its entry below the same sum,
+        since it was tightly closed, and d[i][j] is no larger than the
+        old entry. So a row i in `moved` is strengthened in every column,
+        every other row only in the columns u^1 of the nodes u in
+        `moved`. close() passes every node."""
+        n = len(d)
+        half = [None if d[j ^ 1][j] is None else d[j ^ 1][j] // 2 for j in range(n)]
+        every, cols, full = range(n), [u ^ 1 for u in moved], set(moved)
+        for i in range(n):
+            hi = half[i ^ 1]
+            if hi is None:
+                continue
+            row = d[i]
+            for j in every if i in full else cols:
+                hj = half[j]
+                if hj is None:
+                    continue
+                s = hi + hj
+                if row[j] is None or s < row[j]:
+                    if isinstance(row, tuple):
+                        row = d[i] = list(row)
+                    row[j] = s
+        if any(d[i][i] < 0 for i in range(n)):
+            return Octagon.bottom(self.vars)
         return self._with(d, closed=True)
 
     # -- lattice
@@ -182,7 +227,10 @@ class Octagon:
             return True
         if b.empty:
             return False
-        return all(_le(x, y) for ra, rb in zip(a.m, b.m) for x, y in zip(ra, rb))
+        return all(
+            ra is rb or ra == rb or all(_le(x, y) for x, y in zip(ra, rb))
+            for ra, rb in zip(a.m, b.m)
+        )
 
     def join(self, other: "Octagon") -> "Octagon":
         a = self.close()
@@ -192,12 +240,11 @@ class Octagon:
         if b.empty:
             return a
         rows = [
-            [INF if (x is None or y is None) else max(x, y) for x, y in zip(ra, rb)]
+            ra if ra is rb or ra == rb
+            else [INF if (x is None or y is None) else max(x, y) for x, y in zip(ra, rb)]
             for ra, rb in zip(a.m, b.m)
         ]
-        for i in range(len(rows)):
-            rows[i][i] = 0
-        return a._with(rows, closed=True)  # entrywise max of closed is closed
+        return a._with(rows, closed=True)  # entrywise max of closed is closed, diagonal 0 included
 
     def widen(self, other: "Octagon") -> "Octagon":
         """Keep stable bounds, drop the rest. Left side is used as
@@ -207,12 +254,14 @@ class Octagon:
         b = other.close()
         if b.empty:
             return self
-        rows = [
-            [x if _le(y, x) else INF for x, y in zip(ra, rb)]
-            for ra, rb in zip(self.m, b.m)
-        ]
-        for i in range(len(rows)):
-            rows[i][i] = 0
+        rows: list[Row | list[int | None]] = []
+        for i, (ra, rb) in enumerate(zip(self.m, b.m)):
+            if ra is rb or ra == rb:
+                rows.append(ra)
+                continue
+            r = [x if _le(y, x) else INF for x, y in zip(ra, rb)]
+            r[i] = 0
+            rows.append(r)
         return self._with(rows, closed=False)
 
     # -- constraints
@@ -234,8 +283,11 @@ class Octagon:
             return self  # implied: keeps a closed form closed
         if self.closed:
             return self._close_with(a, b, k)
-        rows = self._rows()
-        rows[a][b] = rows[b ^ 1][a ^ 1] = k
+        rows: list[Row | list[int | None]] = list(self.m)
+        for i, j in ((a, b), (b ^ 1, a ^ 1)):  # one entry when b == a^1
+            r = list(rows[i])
+            r[j] = k
+            rows[i] = r
         return self._with(rows)
 
     def assume(self, lin: Lin) -> "Octagon":
@@ -257,13 +309,18 @@ class Octagon:
         if a.empty:
             return a
         p = a._pos(v)
-        rows = a._rows()
-        n = len(rows)
-        for i in (p, p ^ 1):
-            for j in range(n):
-                if i != j:
-                    rows[i][j] = INF
-                    rows[j][i] = INF
+        q = p ^ 1
+        n = len(a.m)
+        rows: list[Row | list[int | None]] = []
+        for i, row in enumerate(a.m):
+            if i in (p, q):
+                rows.append([0 if j == i else INF for j in range(n)])
+            elif row[p] is None and row[q] is None:
+                rows.append(row)
+            else:
+                r = list(row)
+                r[p] = r[q] = INF
+                rows.append(r)
         return a._with(rows, closed=True)
 
     def assign(self, v: str, lin: Lin) -> "Octagon":
@@ -297,16 +354,20 @@ class Octagon:
         if a.empty:
             return a
         p = a._pos(v)
-        rows = a._rows()
-        n = len(rows)
-        for j in range(n):
-            if j not in (p, p ^ 1):
-                rows[p][j] = _add(rows[p][j], k)
-                rows[j][p] = _add(rows[j][p], -k)
-                rows[p ^ 1][j] = _add(rows[p ^ 1][j], -k)
-                rows[j][p ^ 1] = _add(rows[j][p ^ 1], k)
-        rows[p][p ^ 1] = _add(rows[p][p ^ 1], 2 * k)
-        rows[p ^ 1][p] = _add(rows[p ^ 1][p], -2 * k)
+        q = p ^ 1
+        rows: list[Row | list[int | None]] = []
+        for i, row in enumerate(a.m):
+            if i in (p, q):  # +v - w moves by k, -v - w by -k
+                s = k if i == p else -k
+                r = [x if j == i or x is None else x + s for j, x in enumerate(row)]
+                r[i ^ 1] = _add(row[i ^ 1], 2 * s)
+                rows.append(r)
+            elif row[p] is None and row[q] is None:
+                rows.append(row)
+            else:  # w - v moves by -k, w + v by k
+                r = list(row)
+                r[p], r[q] = _add(row[p], -k), _add(row[q], k)
+                rows.append(r)
         return a._with(rows, closed=True)
 
     # -- queries

@@ -55,6 +55,32 @@ def test_bounds_asserts_of_a_loop_chain(cmp, last_proven):
     assert asserts == [(10, True), (15, True), (16, True), (21, last_proven)]
 
 
+def wide_chain(k, cmp_last):
+    """k loops over arrays a0..a<k-1>: even loops fill their array with
+    a constant, odd loops copy the array before theirs; the last loop
+    compares with cmp_last. 2k cells plus n, i and r are 3 + 2k scalar
+    variables."""
+    lines = ["proc chain(n: int) {", *(f"  array a{j}[n]: int;" for j in range(k)), "  var i: int;", "  var r: int;"]
+    for j in range(k):
+        lines += ["  i = 0;", f"  while (i {cmp_last if j == k - 1 else '<'} n) {{"]
+        lines += [f"    a{j}[i] = {j % 3 - 1};"] if j % 2 == 0 else [f"    r = a{j - 1}[i];", f"    a{j}[i] = r;"]
+        lines += ["    i = i + 1;", "  }"]
+    return "\n".join([*lines, "}", ""])
+
+
+@pytest.mark.parametrize("cmp", ["<", "<="])
+def test_bounds_asserts_of_a_nine_array_chain(cmp):
+    # 21 scalar variables, octagon matrices of 42 x 42. One assert per
+    # fill and two per copy; with `<=` the one of the last loop, a fill
+    # whose access at i == n is out of bounds, stays unproven
+    p = decompose_accesses(parse_program(wide_chain(9, cmp)))
+    cfg = IndexConfig(arrays={f"a{j}": ArrayCells(1) for j in range(9)}, bounds_checks=True)
+    res = analyze_scalar(transform_program(p, cfg))
+    assert [a.proven for a in res.asserts] == [True] * 12 + [cmp == "<"]
+    if cmp == "<":
+        assert {len(el.vars) for el in res.exit.parts.values()} == {21}
+
+
 COUNT = """
 proc count(n: int) {
   var i: int;

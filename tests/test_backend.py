@@ -3,15 +3,18 @@
 Properties compare an element's formula with the constraints it was
 built from, point by point over a small integer box (helpers.truth_table).
 Incremental closure and the `closed` mark are checked against the full
-closure of the same matrix.
+closure of the same matrix, the rows an octagon operation shares with
+its input by object identity, the lattice operations against entrywise
+references, and the affine shortcuts against the full reduction.
 """
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from arrayabs.backend import AbstractState, AffineEqs, Octagon, Product, analyze_loopfree_exact
 from arrayabs.backend.abstract import PARTITION_CAP
+from arrayabs.backend.affine import _rref
 from arrayabs.lang import parse_program
 from arrayabs.lia import Lin, eq, eq0, is_sat, land, le, subst
 from arrayabs.transform import IndexConfig, transform_program
@@ -72,8 +75,8 @@ def oct_ops(names, max_size=6):
     )
 
 
-def build(ops, names=NAMES):
-    o = Octagon.top(names)
+def build(ops, names=NAMES, start=None):
+    o = Octagon.top(names) if start is None else start
     for op, *args in ops:
         if op == "add":
             o = o.add(*args[0])
@@ -115,6 +118,23 @@ def paired_constraints(o):
             yield coeffs, k
         if key not in seen or seen[key] > k:
             seen[key] = k
+
+
+def edge(o, coeffs):
+    """Nodes (a, b) of the matrix entry that o.add(coeffs, k) sets to k,
+    its mirror being (b^1, a^1)."""
+    nodes = [o._node(v, s) for v, s in coeffs.items()]
+    return (nodes[0], nodes[0] ^ 1) if len(nodes) == 1 else (nodes[0], nodes[1] ^ 1)
+
+
+def entrywise(a, b, f):
+    """Reference for the lattice operations: f over every pair of
+    entries, diagonal and None (+infinity) entries included."""
+    return tuple(tuple(f(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.m, b.m))
+
+
+def at_most(x, y):
+    return y is None or (x is not None and x <= y)
 
 
 def up_to_sign(coeffs, k):
@@ -184,6 +204,66 @@ class TestOctagon:
             assert got.closed
             assert got == Octagon(c.vars, c.m).add(coeffs, k).close()
             c = got
+
+    @settings(max_examples=100, deadline=None)
+    @given(oct_ops(NAMES4), st.lists(constraint(NAMES4), min_size=1, max_size=3))
+    def test_add_to_closed_shares_the_rows_it_leaves(self, ops, cs):
+        """Copy-on-write rows: `add` on a closed element copies no row
+        that comes out unchanged, and a row with no finite entry towards
+        the new edge a -> b or its mirror (at a and b^1) changes only in
+        the columns j whose unary bound m[j^1][j] moved."""
+        c = build(ops, NAMES4).close()
+        for coeffs, k in cs:
+            got = c.add(coeffs, k)
+            if got.empty:
+                break
+            a, b = edge(c, coeffs)
+            moved = {u for u in range(len(c.m)) if got.m[u][u ^ 1] != c.m[u][u ^ 1]}
+            for old, new in zip(c.m, got.m):
+                assert new is old or new != old
+                if old[a] is None and old[b ^ 1] is None:
+                    assert all(x == y for j, (x, y) in enumerate(zip(old, new)) if j ^ 1 not in moved)
+            c = got
+
+    def test_odd_unary_bound_is_strengthened_in_untouched_rows(self):
+        """x - y <= 0, then x + y <= 3, gives 2x <= 3: the unary bound is
+        floored to x <= 1, and row +z, which reaches neither new edge,
+        still gets z + x <= 5 + 1 through the moved column -x."""
+        vs = ("x", "y", "z")
+        c = octagon([({"z": 1}, 5), ({"x": 1, "y": -1}, 0)], vs)
+        got = c.add({"x": 1, "y": 1}, 3)
+        pz, nx = c._node("z", 1), c._node("x", -1)
+        a, b = edge(c, {"x": 1, "y": 1})
+        raw = [list(r) for r in c.m]
+        raw[a][b] = raw[b ^ 1][a ^ 1] = 3
+        assert got == Octagon(vs, tuple(map(tuple, raw)), False, False).close()
+        assert got.bounds("x") == (None, 1)
+        assert c.m[pz][a] is None and c.m[pz][b ^ 1] is None
+        assert c.m[pz][nx] is None and got.m[pz][nx] == 6
+        assert got.m[c._node("z", -1)] is c.m[c._node("z", -1)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(oct_ops(NAMES4), oct_ops(NAMES4, 4), oct_ops(NAMES4, 4))
+    def test_lattice_operations_are_entrywise(self, base, p, q):
+        """join, widen and leq of two elements grown from one ancestor,
+        so that most of their rows are shared, against entrywise
+        references; a row both sides share comes out of join as is."""
+        ancestor = build(base, NAMES4)
+        a, b = build(p, NAMES4, ancestor), build(q, NAMES4, ancestor)
+        assume(not a.is_empty() and not b.is_empty())
+        a, b = a.close(), b.close()
+        j = a.join(b)
+        assert j.m == entrywise(a, b, lambda x, y: None if x is None or y is None else max(x, y))
+        assert all(rj is ra for ra, rb, rj in zip(a.m, b.m, j.m) if ra is rb)
+        assert a.leq(b) == all(at_most(x, y) for ra, rb in zip(a.m, b.m) for x, y in zip(ra, rb))
+        assert a.leq(j) and b.leq(j)
+        w = a.widen(b)
+        keep = entrywise(a, b, lambda x, y: x if at_most(y, x) else None)
+        assert w.m == tuple(r[:i] + (0,) + r[i + 1:] for i, r in enumerate(keep))
+        # the left side of a widening is used as stored, unclosed
+        ww = w.widen(j)
+        keep = entrywise(w, j, lambda x, y: x if at_most(y, x) else None)
+        assert ww.m == tuple(r[:i] + (0,) + r[i + 1:] for i, r in enumerate(keep))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -287,6 +367,14 @@ def hull(pts):
     return out
 
 
+def full_join(a, b):
+    """Reference for AffineEqs.join with no shortcut: the Zassenhaus
+    block of both sides through _rref, then _canon."""
+    w = len(a.vars) + 1
+    block = [[*r, *r] for r in a.rows] + [[*r, *[0] * w] for r in b.rows]
+    return a._canon([row[w:] for row in _rref(block, 2 * w) if not any(row[:w])])
+
+
 box_point = st.tuples(*[st.integers(LO, HI)] * len(NAMES))
 # random equalities are often empty on the box; hulls of box points never are
 aff_elem = st.one_of(st.lists(aff_lin, max_size=3).map(affine), st.lists(box_point, min_size=1, max_size=3).map(hull))
@@ -344,6 +432,22 @@ class TestAffine:
         e = affine([x * 2 + y * 4 - 2])
         assert e.rows == ((1, 2, 0, 1),)
         assert list(e.equalities()) == [({"x": 1, "y": 2}, 1)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(aff_elem, aff_elem, st.lists(st.integers(-2, 2), min_size=3, max_size=3), aff_lin)
+    def test_shortcuts_agree_with_the_reduction(self, a, b, mults, lin):
+        """add_eq of an implied row, and join with an equal element,
+        return the element itself, which is what the full reduction
+        returns."""
+        implied = sum((Lin.make(c, -k) * m for (c, k), m in zip(a.equalities(), mults)), Lin.of(0))
+        assert a.add_eq(implied) is a
+        for row in (implied, lin):
+            assert a.add_eq(row) == (a if a.empty else a._canon([*a.rows, a._row_of(row)]))
+        if a.empty:
+            return
+        same = AffineEqs(a.vars, a.rows)
+        assert a.join(same) is a and a == full_join(a, same)
+        assert b.empty or a.join(b) == full_join(a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(aff_lin, max_size=4).flatmap(lambda ls: st.tuples(st.just(ls), st.permutations(ls))))
