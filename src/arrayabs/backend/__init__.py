@@ -1,6 +1,14 @@
 """Scalar invariant inference: abstract interpretation over an
 octagon x affine-equality product partitioned on boolean flags, and an
-exact path-based analysis for loop-free programs."""
+exact path-based analysis for loop-free programs.
+
+Both run one statement walker, `abstract.Interpreter`, over a state with
+`is_empty`, `assign`, `forget`, `assume`, `entails`, `join` and
+`bounded`. `AbstractState` alone has loops and flags; its `bounded`
+collapses the partitions past `PARTITION_CAP` (after each If, and at
+loop heads). The exact path set raises `ExactError` past `PATH_CAP`
+paths after an If, and on any loop before the walk.
+"""
 
 from .abstract import (
     AbstractState,

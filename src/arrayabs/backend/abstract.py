@@ -1,12 +1,23 @@
-"""Partitioned abstract interpretation of scalar programs.
+"""Partitioned abstract interpretation of scalar programs, and the one
+walker over scalar statements.
 
-The state is a map from flag valuations to product-domain elements.
-Flags are write-only booleans assigned constants by instrumented
-branches; they carry no numeric content and are excluded from the
-numeric universe. Assigning a flag moves partitions between buckets
-(joining on collision), so each bucket's element describes exactly the
-runs that reached it with those flag values. With no flags the state
-is a single bucket and the analysis is a plain product-domain
+`Interpreter` walks an array-free program over any state with
+`is_empty()`, `assign(var, lin)`, `forget(var)` (havoc), `assume(f)`,
+`entails(f)` (a sound yes), `join(other)` and `bounded()` (the state
+after a branch merge, within its cap). Once the state is empty it skips
+the rest of the block, so dead code records no assert verdicts.
+`AbstractState` and the path set of `exact.py` implement it. Only
+`AbstractState` has loops (`loop` needs its `widen`, `leq` and
+`collapse`) and flags; its `bounded` collapses the flag partitions past
+`PARTITION_CAP`, which each loop head checks too.
+
+The abstract state is a map from flag valuations to product-domain
+elements. Flags are write-only booleans assigned constants by
+instrumented branches; they carry no numeric content and are excluded
+from the numeric universe. Assigning a flag moves partitions between
+buckets (joining on collision), so each bucket's element describes
+exactly the runs that reached it with those flag values. With no flags
+the state is a single bucket and the analysis is a plain product-domain
 interpretation.
 
 Loops run an ascending pass (join for WIDENING_DELAY steps, then
@@ -26,6 +37,7 @@ widening just relaxed and loop forever.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -40,7 +52,7 @@ from ..lang.ast import (
     Stmt,
     While,
 )
-from ..lia import FALSE, Formula, Lin, eq, land, lnot, lor, subst
+from ..lia import FALSE, Formula, Lin, eq, land, lnot, lor
 from .product import Product
 
 Valuation = tuple  # of 0 | 1 | None per flag, None meaning unknown
@@ -91,9 +103,17 @@ class AbstractState:
     def assume(self, f: Formula) -> "AbstractState":
         return self.map(lambda el: el.assume(f).reduce())
 
-    def assign_flag(self, flag: str, value: int | None) -> "AbstractState":
-        """Move every bucket to flag = value (None: unknown), joining on
-        collision."""
+    def assign(self, var: str, lin: Lin) -> "AbstractState":
+        return self.map(lambda el: el.assign(var, lin))
+
+    def forget(self, var: str) -> "AbstractState":
+        return self.map(lambda el: el.forget(var))
+
+    def bounded(self) -> "AbstractState":
+        return self.collapse() if len(self.parts) > PARTITION_CAP else self
+
+    def assign_flag(self, flag: str, value: int) -> "AbstractState":
+        """Move every bucket to flag = value, joining on collision."""
         i = self.flags.index(flag)
         out: dict[Valuation, Product] = {}
         for k, v in self.parts.items():
@@ -106,33 +126,14 @@ class AbstractState:
         become unknown."""
         if not self.parts:
             return self
-        el = None
-        for v in self.parts.values():
-            el = v if el is None else el.join(v)
+        el = functools.reduce(Product.join, self.parts.values())
         return AbstractState(self.flags, {(None,) * len(self.flags): el})
 
     def entails(self, f: Formula) -> bool:
-        """Sound entailment: the negation is unreachable in every bucket."""
+        """Sound entailment: the negation is unreachable in every bucket.
+        f speaks of numeric variables only (the walker rejects the rest)."""
         neg = lnot(f)
-        for k, el in self.parts.items():
-            g = self._ground(neg, k)
-            free = set(g.free_vars())
-            if free & set(self.flags):
-                return False  # flag value unknown in this bucket
-            unknown = free - set(el.vars)
-            if unknown:
-                raise AnalysisError(f"unknown variables in query: {sorted(unknown)}")
-            if not el.assume(g).reduce().is_empty():
-                return False
-        return True
-
-    def _ground(self, f: Formula, valuation: Valuation) -> Formula:
-        env = {
-            fl: Lin.of(v)
-            for fl, v in zip(self.flags, valuation)
-            if v is not None
-        }
-        return subst(f, env) if env else f
+        return all(el.assume(neg).reduce().is_empty() for el in self.parts.values())
 
     def to_formula(self) -> Formula:
         """Disjunction of bucket descriptions, flag values included."""
@@ -164,9 +165,12 @@ class AnalysisResult:
 
 
 @dataclass
-class _Interp:
+class Interpreter:
+    """The walker over scalar statements (module docstring). Asserts
+    met with `check` set append their verdicts to `asserts`."""
+
     numeric: tuple[str, ...]
-    flags: tuple[str, ...]
+    flags: tuple[str, ...] = ()
     asserts: list[AssertVerdict] = field(default_factory=list)
 
     def _lin(self, expr) -> Lin:
@@ -192,26 +196,25 @@ class _Interp:
             if v not in self.numeric:
                 raise AnalysisError(f"unknown variable {v}")
 
-    def block(self, stmts: Iterable[Stmt], st: AbstractState, check: bool) -> AbstractState:
+    def block(self, stmts: Iterable[Stmt], st, check: bool):
         for s in stmts:
-            st = self.stmt(s, st, check)
             if st.is_empty():
-                return st
+                break
+            st = self.stmt(s, st, check)
         return st
 
-    def stmt(self, s: Stmt, st: AbstractState, check: bool) -> AbstractState:
+    def stmt(self, s: Stmt, st, check: bool):
         if isinstance(s, Assign):
-            if s.var in self.flags:
-                if not isinstance(s.expr, Num):
-                    raise AnalysisError("flags may only be assigned constants")
-                return st.assign_flag(s.var, s.expr.value)
-            return st.map(lambda el: el.assign(s.var, self._lin(s.expr)))
+            if s.var not in self.flags:
+                return st.assign(s.var, self._lin(s.expr))
+            if not isinstance(s.expr, Num):
+                raise AnalysisError("flags may only be assigned constants")
+            return st.assign_flag(s.var, s.expr.value)
         if isinstance(s, Havoc):
             if s.var in self.flags:
-                return st.assign_flag(s.var, None)
-            if s.var not in self.numeric:
-                raise AnalysisError(f"unknown variable {s.var}")
-            return st.map(lambda el: el.forget(s.var))
+                raise AnalysisError(f"observer flag {s.var} havocked by the program")
+            self._check_vars((s.var,))
+            return st.forget(s.var)
         if isinstance(s, Assume):
             return st.assume(self._cond(s.cond))
         if isinstance(s, Assert):
@@ -223,10 +226,7 @@ class _Interp:
             f = self._cond(s.cond)
             a = self.block(s.then, st.assume(f), check)
             b = self.block(s.els, st.assume(lnot(f)), check)
-            out = a.join(b)
-            if len(out.parts) > PARTITION_CAP:
-                out = out.collapse()
-            return out
+            return a.join(b).bounded()
         if isinstance(s, While):
             return self.loop(s, st, check)
         raise AnalysisError(f"array statement reached the analysis: {s!r}")
@@ -276,6 +276,6 @@ def analyze_scalar(sp) -> AnalysisResult:
         if v not in flags:
             el = el.assign(v, Lin.of(0))
     entry = AbstractState(flags, {(0,) * len(flags): el})
-    interp = _Interp(numeric, flags)
+    interp = Interpreter(numeric, flags)
     exit_state = interp.block(program.body, entry, True)
     return AnalysisResult(exit=exit_state, asserts=tuple(interp.asserts))

@@ -91,7 +91,7 @@ def _elim_block(bound: tuple[str, ...], f: Formula, budget: Budget) -> Formula:
                     counts[v] += 1
         pending.sort(key=lambda v: (counts[v], v))
         v = pending.pop(0)
-        f = _elim_exists(v, f, budget)
+        f = elim_exists(v, f, budget)
     return f
 
 
@@ -102,20 +102,20 @@ def project(f: Formula, keep: Iterable[str], budget: Budget | None = None) -> Fo
     return _elim(exists(drop, nnf(f)), budget or Budget())
 
 
-def _elim_exists(x: str, f: Formula, budget: Budget) -> Formula:
+def elim_exists(x: str, f: Formula, budget: Budget) -> Formula:
     budget.tick()
     if x not in f.free_vars():
         return simplify(f)
     f = simplify(f)
     if f.kind == "or":
-        return lor(*(_elim_exists(x, d, budget) for d in f.args))
+        return lor(*(elim_exists(x, d, budget) for d in f.args))
     if f.kind == "and":
         with_x = [a for a in f.args if x in a.free_vars()]
         without = [a for a in f.args if x not in a.free_vars()]
         if without:
-            core = _elim_exists(x, land(*with_x), budget)
+            core = elim_exists(x, land(*with_x), budget)
             return simplify(land(land(*without), core))
-        pinned = _pinned_value(x, f)
+        pinned = pinned_value(x, f)
         if pinned is not None:
             return simplify(subst(f, {x: pinned}))
         rng = _const_range(x, f)
@@ -153,7 +153,7 @@ def _const_range(x: str, f: Formula) -> tuple[int, int] | None:
     return lo, hi
 
 
-def _pinned_value(x: str, f: Formula) -> Lin | None:
+def pinned_value(x: str, f: Formula) -> Lin | None:
     """Term t with x == t forced by unit-coefficient atoms of the conjunction."""
     lows: set[Lin] = set()
     for lit in conj_literals(f):

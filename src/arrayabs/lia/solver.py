@@ -27,8 +27,9 @@ from .formula import (
     lnot,
     nnf,
     simplify,
+    subst,
 )
-from .qe import Budget, _elim_exists, eliminate_quantifiers
+from .qe import Budget, elim_exists, eliminate_quantifiers, pinned_value
 
 Model = dict[str, int]
 
@@ -149,7 +150,7 @@ def _sat_int_conj(f: Formula, budget: Budget) -> Model | None:
     if quick is not None:
         return quick
     x = _pick_var(f, fv)
-    g = simplify(_elim_exists(x, f, budget))
+    g = simplify(elim_exists(x, f, budget))
     m = _sat(g, budget)
     if m is None:
         return None
@@ -163,10 +164,8 @@ def _sat_int_conj(f: Formula, budget: Budget) -> Model | None:
 
 
 def _pick_var(f: Formula, fv: tuple[str, ...]) -> str:
-    from .qe import _pinned_value
-
     for v in fv:
-        if _pinned_value(v, f) is not None:
+        if pinned_value(v, f) is not None:
             return v
     counts = {v: 0 for v in fv}
     for a in f.atoms():
@@ -177,8 +176,6 @@ def _pick_var(f: Formula, fv: tuple[str, ...]) -> str:
 
 
 def _substitute_model(f: Formula, model: Mapping[str, int]) -> Formula:
-    from .formula import subst
-
     return simplify(subst(f, {v: Lin.of(c) for v, c in model.items()}))
 
 

@@ -11,13 +11,19 @@ instantiations, and gamma reads candidate contents at them with the
 `covers` test of `domains`. When the cell budget is below the access
 count the inclusion can go strict; the checker reports which side has
 surplus states.
+
+Both sides draw havocs, initial contents and cell contents at entry
+from `values`. A read of the transformed program, `havoc r` then
+`assume(r == cell value)`, is the one exception: it ranges over
+`values` and every value a write stores in some concrete run, since a
+cell can hold a value written outside `values`.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..lang.ast import (
     Add,
@@ -28,6 +34,7 @@ from ..lang.ast import (
     Assume,
     Cmp,
     CondAnd,
+    CondOr,
     Havoc,
     If,
     Num,
@@ -38,6 +45,7 @@ from ..lang.ast import (
     While,
     walk_stmts,
 )
+from ..lang.decompose import decompose_accesses
 from ..lang.interp import Bounds, enumerate_executions
 from ..transform import ArrayCells, IndexConfig, transform_program
 from .domains import OracleError, covers, instantiations
@@ -55,8 +63,24 @@ class CompletenessResult:
         return self.equal
 
 
-def _loopfree(p: Program) -> bool:
-    return not any(isinstance(s, While) for s in walk_stmts(p.body))
+def _within(x: str, values: tuple[int, ...]) -> Assume:
+    return Assume(CondOr(tuple(Cmp("==", Var(x), Num(v)) for v in values)))
+
+
+def _instrumented(body: tuple[Stmt, ...], values: tuple[int, ...], logs: list[str]) -> tuple[Stmt, ...]:
+    """body with each havoc of x followed by assume(x in values), and
+    each write's value first copied into a fresh local, added to logs."""
+    out: list[Stmt] = []
+    for s in body:
+        if isinstance(s, If):
+            s = If(s.cond, _instrumented(s.then, values, logs), _instrumented(s.els, values, logs), line=s.line)
+        elif isinstance(s, ArrWrite):
+            logs.append(f"write${len(logs)}")
+            out.append(Assign(logs[-1], s.value))
+        out.append(s)
+        if isinstance(s, Havoc):
+            out.append(_within(s.var, values))
+    return tuple(out)
 
 
 def check_completeness(
@@ -74,7 +98,7 @@ def check_completeness(
     admissible position tuple. Every configured array must be nonempty
     under every parameter valuation.
     """
-    if not _loopfree(p):
+    if any(isinstance(s, While) for s in walk_stmts(p.body)):
         raise OracleError("completeness check needs a loop-free program")
     params = params or {}
     for n in p.params:
@@ -83,12 +107,23 @@ def check_completeness(
 
     bounds = Bounds(params=params, values=values, max_steps=max_steps)
     names = list(p.scalars())
-    concrete = {
-        (st.status, tuple(st.scalar_dict()[n] for n in names))
-        for st in enumerate_executions(p, bounds)
-    }
+    # decomposed first, so that a logged value reads no array
+    logs: list[str] = []
+    q = decompose_accesses(p)
+    body = _instrumented(q.body, values, logs)
+    q = replace(q, locals=q.locals + tuple(logs), body=body)
+    concrete, stored = set(), set(values)
+    for st in enumerate_executions(q, bounds):
+        sc = st.scalar_dict()
+        concrete.add((st.status, tuple(sc[n] for n in names)))
+        stored.update(sc[w] for w in logs)
 
-    sp = transform_program(p, cfg)
+    # the reads range over every stored value; the cell contents at
+    # entry, like the havocs of q, over `values` only
+    sp = transform_program(q, cfg)
+    pins = tuple(_within(c.value, values) for cs in sp.cells.values() for c in cs)
+    k = sp.prologue_len
+    prog = replace(sp.program, body=sp.program.body[:k] + pins + sp.program.body[k:])
     boxes: dict[str, list[tuple[int, ...]]] = {}
     index_bounds = dict(params)
     for name, spec in cfg.arrays.items():
@@ -108,13 +143,13 @@ def check_completeness(
             for xv, l in zip(c.index, lens):
                 index_bounds[xv] = tuple(range(l))
 
-    abounds = Bounds(params=index_bounds, values=values, max_steps=max_steps)
+    abounds = Bounds(params=index_bounds, values=tuple(sorted(stored)), max_steps=max_steps)
 
     # the abstract element: (outcome, positions, values), one position
     # (array, index point) and one value per cell
     cells = [(name, c) for name in cfg.arrays for c in sp.cells[name]]
     x = set()
-    for st in enumerate_executions(sp.program, abounds):
+    for st in enumerate_executions(prog, abounds):
         sc = st.scalar_dict()
         x.add(
             (

@@ -1,4 +1,5 @@
-"""Numeric domains of the backend, and the exact analysis' assert order.
+"""Numeric domains of the backend, and the contract of the statement
+walker that both scalar analyses share.
 
 Properties compare an element's formula with the constraints it was
 built from, point by point over a small integer box (helpers.truth_table).
@@ -10,12 +11,22 @@ references, and the affine shortcuts against the full reduction.
 
 import itertools
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from arrayabs.backend import AbstractState, AffineEqs, Octagon, Product, analyze_loopfree_exact
-from arrayabs.backend.abstract import PARTITION_CAP
+from arrayabs.backend import (
+    AbstractState,
+    AffineEqs,
+    AnalysisError,
+    ExactError,
+    Octagon,
+    Product,
+    analyze_loopfree_exact,
+    analyze_scalar,
+)
+from arrayabs.backend.abstract import PARTITION_CAP, Interpreter
 from arrayabs.backend.affine import _rref
-from arrayabs.lang import parse_program
+from arrayabs.lang import Havoc, parse_program
 from arrayabs.lia import Lin, eq, eq0, is_sat, land, le, subst
 from arrayabs.transform import IndexConfig, transform_program
 
@@ -509,7 +520,43 @@ class TestPartitions:
         assert all(p.leq(merged) for p in parts.values())
 
 
-# -------------------------------------------------------------------- exact
+# ------------------------------------------------------------------- walker
+
+DEAD_ASSERTS = """proc p(x: int) {
+  if (x < 0 && x > 0) {
+    assert(x == 5);
+    assert(x == 6);
+  }
+  assert(x == x);
+}
+"""
+
+DEAD_LOOP = """proc p(x: int) {
+  var i: int;
+  if (x < 0 && x > 0) {
+    while (i < 3) {
+      i = i + 1;
+    }
+  }
+}
+"""
+
+
+class TestWalker:
+    def test_dead_code_records_no_verdicts(self):
+        sp = transform_program(parse_program(DEAD_ASSERTS), IndexConfig())
+        assert [(a.line, a.proven) for a in analyze_scalar(sp).asserts] == [(6, True)]
+        assert list(analyze_loopfree_exact(sp).asserts) == [(6, True)]
+
+    def test_exact_analysis_rejects_an_unreachable_loop(self):
+        sp = transform_program(parse_program(DEAD_LOOP), IndexConfig())
+        with pytest.raises(ExactError, match="line 4: loop"):
+            analyze_loopfree_exact(sp)
+
+    def test_havoc_of_a_flag_is_rejected(self):
+        st0 = AbstractState(("f",), {(0,): Product.top(("x",))})
+        with pytest.raises(AnalysisError, match="observer flag f havocked"):
+            Interpreter(("x",), ("f",)).block((Havoc("f"),), st0, True)
 
 
 class TestExactAsserts:

@@ -1,11 +1,12 @@
 """Every module under src/arrayabs uses each name it imports, and each
-private helper it defines.
+private helper it defines, and imports no other module's private name.
 
 No linter is part of the toolchain, so this scans the syntax tree of
 each module (package `__init__` files excluded: they import to
 re-export) and compares the names its imports bind, and the `_private`
 functions and classes it defines at module level, with the names the
-rest of the module reads, string annotations included.
+rest of the module reads, string annotations included. The private
+import check covers the `__init__` files too.
 """
 
 import ast
@@ -70,3 +71,16 @@ def test_no_dead_private_helpers(path):
         and node.name not in used
     )
     assert not dead, f"{path.name} defines private helpers it never uses: {', '.join(dead)}"
+
+
+def test_no_private_imports():
+    # a name with a leading underscore is its module's own business
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno} {a.name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+    assert not found, f"modules import private names of other modules: {', '.join(found)}"

@@ -1,11 +1,14 @@
-"""Lifting scalar invariants to array facts and checking ensures clauses."""
+"""Lifting scalar invariants to array facts, checking ensures clauses, and
+the pair reduction of ordered two-cell invariants."""
+
+from pathlib import Path
 
 import pytest
 
 from arrayabs.backend import analyze_scalar
 from arrayabs.lang import Cmp, Expr, Num, Target, decompose_accesses, parse_condition, parse_program
-from arrayabs.lia import Budget
-from arrayabs.lift import LiftError, check_target, quantify
+from arrayabs.lia import Budget, entails, equivalent, is_sat, land, parse_formula
+from arrayabs.lift import LiftError, check_target, quantify, reduce_dual
 from arrayabs.transform import ArrayCells, IndexConfig, ObserverSpec, ObsFlag, transform_program
 
 FILL = """
@@ -159,3 +162,42 @@ def test_render_of_the_init_invariant():
             " && t$0$v >= 0 && t$0$v + t$0$x0 >= 0 && t$0$x0 >= 0",
         ]
     )
+
+
+# ---------------------------------------------------------- reduce_dual
+
+INDEX_ARR = (Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "index.arr").read_text()
+
+
+def index_program(cells: ArrayCells):
+    return transform_program(parse_program(INDEX_ARR), IndexConfig(arrays={"t": cells}))
+
+
+def test_pair_reduction_rules_out_a_right_cell_with_no_left_neighbours():
+    # every position left of t$1$x0 must be able to hold the left cell,
+    # and phi puts the left cell below 2, so t$1$x0 <= 2
+    sp = index_program(ArrayCells(2, ordered=True))
+    phi = parse_formula("t$0$x0 < 2")
+    far = parse_formula("t$1$x0 == 5 && n == 9")
+    assert is_sat(land(phi, sp.universe, far)) is not None
+    assert is_sat(land(reduce_dual(phi, sp), far)) is None
+
+
+def test_pair_reduction_is_decreasing_and_idempotent():
+    sp = index_program(ArrayCells(2, ordered=True))
+    phi = parse_formula("t$0$x0 < 2")
+    once = reduce_dual(phi, sp)
+    assert entails(once, phi)
+    assert equivalent(reduce_dual(once, sp), once)
+
+
+def test_pair_reduction_out_of_budget_keeps_the_invariant():
+    sp = index_program(ArrayCells(2, ordered=True))
+    phi = parse_formula("t$0$x0 < 2")
+    with pytest.warns(UserWarning, match="pair reduction ran out of budget"):
+        assert reduce_dual(phi, sp, budget=Budget(1)) is phi
+
+
+def test_pair_reduction_needs_an_ordered_pair():
+    with pytest.raises(LiftError, match="need exactly one ordered two-cell array"):
+        reduce_dual(parse_formula("t$0$x0 < 2"), index_program(ArrayCells(1)))

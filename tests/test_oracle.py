@@ -72,18 +72,9 @@ def test_precision_loss_example():
 
 # ------------------------------------------------------ loop-free programs
 
-HAVOC_RANGE = pytest.mark.xfail(
-    strict=True,
-    reason="false 'unsound': the abstract side havocs reads only over `values`, so a read of a written -1 dies",
-)
-
-
 # seed 11 is left out: its transformed program exceeds the enumeration
 # budget (EnumerationBudgetError after about 9 s)
-@pytest.mark.parametrize(
-    "seed",
-    [pytest.param(g, marks=HAVOC_RANGE) if g in (10, 13) else g for g in range(40) if g != 11],
-)
+@pytest.mark.parametrize("seed", [g for g in range(40) if g != 11])
 def test_completeness_with_one_cell_per_access(seed):
     p, cfg = random_loopfree_program(random.Random(seed))
     assert check_completeness(p, cfg).equal
