@@ -167,11 +167,16 @@ class AnalysisResult:
 @dataclass
 class Interpreter:
     """The walker over scalar statements (module docstring). Asserts
-    met with `check` set append their verdicts to `asserts`."""
+    met with `check` set append their verdicts to `asserts`. Each
+    condition is translated once: loop rounds and the check pass meet
+    the same nodes again."""
 
     numeric: tuple[str, ...]
     flags: tuple[str, ...] = ()
     asserts: list[AssertVerdict] = field(default_factory=list)
+    # id of a condition node -> (the node, its formula); holding the
+    # node keeps its id from being reused while the entry lives
+    _formulas: dict[int, tuple[object, Formula]] = field(default_factory=dict, init=False, repr=False)
 
     def _lin(self, expr) -> Lin:
         try:
@@ -182,11 +187,15 @@ class Interpreter:
         return lin
 
     def _cond(self, cond) -> Formula:
+        hit = self._formulas.get(id(cond))
+        if hit is not None:
+            return hit[1]
         try:
             f = cond_to_formula(cond)
         except BridgeError as e:
             raise AnalysisError(f"condition not scalar: {e}") from e
         self._check_vars(f.free_vars())
+        self._formulas[id(cond)] = (cond, f)
         return f
 
     def _check_vars(self, vs: Iterable[str]) -> None:

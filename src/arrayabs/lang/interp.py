@@ -63,7 +63,7 @@ class _OutOfBounds(Exception):
     pass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ConcreteState:
     """Final program state in canonical form."""
 
@@ -72,11 +72,22 @@ class ConcreteState:
     arrays: tuple[tuple[str, tuple[tuple[tuple[int, ...], int], ...]], ...]
 
     @staticmethod
-    def make(status: str, scalars: Mapping[str, int], arrays: Mapping[str, Mapping[tuple[int, ...], int]]) -> "ConcreteState":
+    def make(
+        status: str,
+        scalars: Mapping[str, int],
+        arrays: Mapping[str, Mapping[tuple[int, ...], int]],
+        pairs: dict | None = None,
+    ) -> "ConcreteState":
+        """The canonical state. States made with one `pairs` dict share
+        their equal (name, value) and (index, value) pairs: the final
+        states of one enumeration differ in a few values each."""
+        if pairs is None:
+            pairs = {}
+        share = pairs.setdefault
         return ConcreteState(
             status,
-            tuple(sorted(scalars.items())),
-            tuple(sorted((n, tuple(sorted(f.items()))) for n, f in arrays.items())),
+            tuple([share(kv, kv) for kv in sorted(scalars.items())]),
+            tuple(sorted((n, tuple([share(kv, kv) for kv in sorted(f.items())])) for n, f in arrays.items())),
         )
 
     def scalar_dict(self) -> dict[str, int]:
@@ -233,7 +244,8 @@ def run_program(
     init_scalars.update(scalars)
     init_arrays: Arrays = {n: dict(f) for n, f in arrays.items()}
     runner = _Runner(values, [max_steps])
-    out = {ConcreteState.make(st, sc, ar) for st, sc, ar in runner.run(p.body, init_scalars, init_arrays)}
+    pairs: dict = {}
+    out = {ConcreteState.make(st, sc, ar, pairs) for st, sc, ar in runner.run(p.body, init_scalars, init_arrays)}
     return tuple(sorted(out))
 
 
@@ -259,6 +271,7 @@ def enumerate_executions(p: Program, bounds: Bounds) -> tuple[ConcreteState, ...
             raise ValueError(f"no bounds given for parameter {n}")
     budget = [bounds.max_steps]
     finals: set[ConcreteState] = set()
+    pairs: dict = {}
     for pvals in itertools.product(*[bounds.params[n] for n in p.params]):
         penv = dict(zip(p.params, pvals))
         box = index_box(p, penv)
@@ -273,5 +286,5 @@ def enumerate_executions(p: Program, bounds: Bounds) -> tuple[ConcreteState, ...
             scalars = {**{n: 0 for n in p.locals}, **penv}
             runner = _Runner(bounds.values, budget)
             for st, sc, ar in runner.run(p.body, scalars, arrays):
-                finals.add(ConcreteState.make(st, sc, ar))
+                finals.add(ConcreteState.make(st, sc, ar, pairs))
     return tuple(sorted(finals))

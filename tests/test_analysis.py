@@ -10,7 +10,7 @@ import signal
 
 import pytest
 
-from arrayabs.backend import analyze_scalar
+from arrayabs.backend import abstract, analyze_scalar
 from arrayabs.lang import Bounds, decompose_accesses, enumerate_executions, parse_condition, parse_program
 from arrayabs.lang.interp import OK
 from arrayabs.lia import parse_formula
@@ -80,6 +80,20 @@ def test_bounds_asserts_of_a_nine_array_chain(cmp):
     if cmp == "<":
         assert {len(el.vars) for el in res.exit.parts.values()} == {21}
 
+
+
+def test_nine_array_chain_exits_with_one_pack_of_positions():
+    # the exit octagon relates n, i and the nine cell positions
+    # (0 <= x < n, i == n); a cell's value and r are related to nothing,
+    # so each sits in a pack of its own
+    p = decompose_accesses(parse_program(wide_chain(9, "<")))
+    cfg = IndexConfig(arrays={f"a{j}": ArrayCells(1) for j in range(9)}, bounds_checks=True)
+    (el,) = analyze_scalar(transform_program(p, cfg)).exit.parts.values()
+    o = el.oct.close()
+    packs = {tuple(o.vars[i] for i in pack.vars) for pack in o.packs}
+    related = {"n", "i", *(f"a{j}$0$x0" for j in range(9))}
+    assert set(map(frozenset, packs)) == {frozenset(related), *(frozenset({v}) for v in set(o.vars) - related)}
+    assert len(o.vars) == 21
 
 COUNT = """
 proc count(n: int) {
@@ -252,3 +266,14 @@ def assert_sound(sp, exit_formula):
     assert finals
     for s in finals:
         assert exit_formula.evaluate(s.scalar_dict()), s
+
+
+def test_each_condition_is_translated_once(monkeypatch):
+    # the loop guard is met in every round and in the check pass, the
+    # assert once: two condition nodes, two translations
+    met = []
+    translate = abstract.cond_to_formula
+    monkeypatch.setattr(abstract, "cond_to_formula", lambda c: met.append(c) or translate(c))
+    asserts = analyze_scalar(transform_program(parse_program(COUNT), IndexConfig())).asserts
+    assert [(a.line, a.proven) for a in asserts] == [(8, True)]
+    assert len(met) == len({id(c) for c in met}) == 2

@@ -3,10 +3,12 @@ walker that both scalar analyses share.
 
 Properties compare an element's formula with the constraints it was
 built from, point by point over a small integer box (helpers.truth_table).
-Incremental closure and the `closed` mark are checked against the full
-closure of the same matrix, the rows an octagon operation shares with
-its input by object identity, the lattice operations against entrywise
-references, and the affine shortcuts against the full reduction.
+The packed octagon is checked against the dense reference of
+helpers.DenseOctagon step by step, incremental closure and the `closed`
+mark against the full closure of its dense view, the packs and rows an
+octagon operation shares with its input by object identity, the lattice
+operations against entrywise references, and the affine shortcuts
+against the full reduction.
 """
 
 import itertools
@@ -26,11 +28,12 @@ from arrayabs.backend import (
 )
 from arrayabs.backend.abstract import PARTITION_CAP, Interpreter
 from arrayabs.backend.affine import _rref
+from arrayabs.backend.octagon import INF
 from arrayabs.lang import Havoc, parse_program
 from arrayabs.lia import Lin, eq, eq0, is_sat, land, le, subst
 from arrayabs.transform import IndexConfig, transform_program
 
-from helpers import box_points, truth_table
+from helpers import DenseOctagon, box_points, dense_close, truth_table
 
 NAMES = ("x", "y", "z")
 NAMES4 = (*NAMES, "w")  # for properties that compare matrices, not points
@@ -131,11 +134,30 @@ def paired_constraints(o):
             seen[key] = k
 
 
-def edge(o, coeffs):
-    """Nodes (a, b) of the matrix entry that o.add(coeffs, k) sets to k,
-    its mirror being (b^1, a^1)."""
-    nodes = [o._node(v, s) for v, s in coeffs.items()]
+def node(o, v, sign, pack=None):
+    """Node of the signed variable sign*v in the dense view o.m, or in
+    the matrix of `pack` when given."""
+    i = o.vars.index(v)
+    return 2 * (i if pack is None else pack.vars.index(i)) + (sign < 0)
+
+
+def edge(o, coeffs, pack=None):
+    """Nodes (a, b) of the entry that o.add(coeffs, k) sets to k, its
+    mirror being (b^1, a^1): in the dense view, or in `pack`, which
+    holds every variable of coeffs."""
+    nodes = [node(o, v, s, pack) for v, s in coeffs.items()]
     return (nodes[0], nodes[0] ^ 1) if len(nodes) == 1 else (nodes[0], nodes[1] ^ 1)
+
+
+def with_entry(o, coeffs, k):
+    """The dense view of o met with sum(coeffs) <= k at its entry and
+    the mirror, unclosed."""
+    a, b = edge(o, coeffs)
+    rows = [list(r) for r in o.m]
+    k = 2 * k if b == a ^ 1 else k
+    if at_most(k, rows[a][b]):
+        rows[a][b] = rows[b ^ 1][a ^ 1] = k
+    return tuple(map(tuple, rows))
 
 
 def entrywise(a, b, f):
@@ -173,11 +195,10 @@ class TestOctagon:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(oct_constraint, max_size=6))
     def test_closed_form_is_canonical(self, cs):
-        """Closing again, or rebuilding from the constraints the closed
-        form reports, gives back the same matrix."""
+        """A full pass over the dense view, or rebuilding from the
+        constraints the closed form reports, gives back the same matrix."""
         c = octagon(cs).close()
-        again = Octagon(c.vars, c.m, c.empty).close()  # same matrix, not marked closed
-        assert again.m == c.m
+        assert c.empty or dense_close(c.m) == c.m
         assert c.empty or octagon(list(c.constraints())).close() == c
 
     @settings(max_examples=60, deadline=None)
@@ -205,67 +226,80 @@ class TestOctagon:
     @given(oct_ops(NAMES4), st.lists(constraint(NAMES4), min_size=1, max_size=4))
     def test_add_to_closed_is_the_full_closure(self, ops, cs):
         """Constraints added one by one to a closed element are closed
-        incrementally; the full pass over the same matrix with the entry
-        set agrees at every step."""
+        incrementally, inside the packs they merge; the full pass over
+        the dense view with the entry set agrees at every step."""
         c = build(ops, NAMES4).close()
         for coeffs, k in cs:
             if c.empty:
                 break
             got = c.add(coeffs, k)
             assert got.closed
-            assert got == Octagon(c.vars, c.m).add(coeffs, k).close()
+            assert got.m == (dense_close(with_entry(c, coeffs, k)) or ())
             c = got
 
     @settings(max_examples=100, deadline=None)
     @given(oct_ops(NAMES4), st.lists(constraint(NAMES4), min_size=1, max_size=3))
     def test_add_to_closed_shares_the_rows_it_leaves(self, ops, cs):
-        """Copy-on-write rows: `add` on a closed element copies no row
-        that comes out unchanged, and a row with no finite entry towards
-        the new edge a -> b or its mirror (at a and b^1) changes only in
-        the columns j whose unary bound m[j^1][j] moved."""
+        """Copy-on-write packs and rows: `add` on a closed element hands
+        on every pack that holds none of its variables. Inside a pack
+        that it does not merge, it copies no row that comes out
+        unchanged, and a row with no finite entry towards the new edge
+        a -> b or its mirror (at a and b^1) changes only in the columns
+        j whose unary bound m[j^1][j] moved."""
         c = build(ops, NAMES4).close()
         for coeffs, k in cs:
             got = c.add(coeffs, k)
             if got.empty:
                 break
-            a, b = edge(c, coeffs)
-            moved = {u for u in range(len(c.m)) if got.m[u][u ^ 1] != c.m[u][u ^ 1]}
-            for old, new in zip(c.m, got.m):
-                assert new is old or new != old
-                if old[a] is None and old[b ^ 1] is None:
-                    assert all(x == y for j, (x, y) in enumerate(zip(old, new)) if j ^ 1 not in moved)
+            touched = {c.vars.index(v) for v in coeffs}
+            for old, new in zip(c.packs, got.packs):
+                if not touched & set(old.vars):
+                    assert new is old
+            p, q = c.packs[min(touched)], got.packs[min(touched)]
+            if p.vars == q.vars and touched <= set(p.vars):
+                a, b = edge(c, coeffs, p)
+                moved = {u for u in range(len(p.m)) if q.m[u][u ^ 1] != p.m[u][u ^ 1]}
+                for old, new in zip(p.m, q.m):
+                    assert new is old or new != old
+                    if old[a] == INF and old[b ^ 1] == INF:  # a stored row: INF, not None
+                        assert all(x == y for j, (x, y) in enumerate(zip(old, new)) if j ^ 1 not in moved)
             c = got
 
     def test_odd_unary_bound_is_strengthened_in_untouched_rows(self):
         """x - y <= 0, then x + y <= 3, gives 2x <= 3: the unary bound is
         floored to x <= 1, and row +z, which reaches neither new edge,
-        still gets z + x <= 5 + 1 through the moved column -x."""
+        still gets z + x <= 5 + 1 through the moved column -x. z sits in
+        a pack of its own, which the add hands on as is: that entry is
+        the sum of the halves."""
         vs = ("x", "y", "z")
         c = octagon([({"z": 1}, 5), ({"x": 1, "y": -1}, 0)], vs)
         got = c.add({"x": 1, "y": 1}, 3)
-        pz, nx = c._node("z", 1), c._node("x", -1)
+        pz, nx = node(c, "z", 1), node(c, "x", -1)
         a, b = edge(c, {"x": 1, "y": 1})
-        raw = [list(r) for r in c.m]
-        raw[a][b] = raw[b ^ 1][a ^ 1] = 3
-        assert got == Octagon(vs, tuple(map(tuple, raw)), False, False).close()
+        assert got.m == dense_close(with_entry(c, {"x": 1, "y": 1}, 3))
         assert got.bounds("x") == (None, 1)
         assert c.m[pz][a] is None and c.m[pz][b ^ 1] is None
         assert c.m[pz][nx] is None and got.m[pz][nx] == 6
-        assert got.m[c._node("z", -1)] is c.m[c._node("z", -1)]
+        assert got.packs[2] is c.packs[2] and got.packs[0] is got.packs[1]
 
     @settings(max_examples=100, deadline=None)
     @given(oct_ops(NAMES4), oct_ops(NAMES4, 4), oct_ops(NAMES4, 4))
     def test_lattice_operations_are_entrywise(self, base, p, q):
         """join, widen and leq of two elements grown from one ancestor,
-        so that most of their rows are shared, against entrywise
-        references; a row both sides share comes out of join as is."""
+        so that most of their packs and rows are shared, against
+        entrywise references on the dense views; a pack both sides
+        share comes out of join as is, and so does a row both sides
+        share in packs over the same variables."""
         ancestor = build(base, NAMES4)
         a, b = build(p, NAMES4, ancestor), build(q, NAMES4, ancestor)
         assume(not a.is_empty() and not b.is_empty())
         a, b = a.close(), b.close()
         j = a.join(b)
         assert j.m == entrywise(a, b, lambda x, y: None if x is None or y is None else max(x, y))
-        assert all(rj is ra for ra, rb, rj in zip(a.m, b.m, j.m) if ra is rb)
+        for pa, pb, pj in zip(a.packs, b.packs, j.packs):
+            assert pj is pa or pa is not pb
+            if pa.vars == pb.vars == pj.vars:
+                assert all(rj is ra for ra, rb, rj in zip(pa.m, pb.m, pj.m) if ra is rb)
         assert a.leq(b) == all(at_most(x, y) for ra, rb in zip(a.m, b.m) for x, y in zip(ra, rb))
         assert a.leq(j) and b.leq(j)
         w = a.widen(b)
@@ -297,17 +331,23 @@ class TestOctagon:
         }
         for op, r in results.items():
             assert r.closed, op
-            assert r.empty or Octagon(r.vars, r.m).close().m == r.m, op
+            assert r.empty or dense_close(r.m) == r.m, op
 
     @settings(max_examples=60, deadline=None)
     @given(oct_ops(NAMES))
     def test_equalities(self, ops):
-        """Each equality of the closed form once, the same set the pairing
-        of constraints() finds, and each holds on every point."""
+        """Each equality of the closed form once, the set the pairing of
+        constraints() finds but for the ones between two constants in
+        different packs, and each holds on every point."""
         c = build(ops).close()
         got = [up_to_sign(*e) for e in c.equalities()]
         assert len(set(got)) == len(got)
-        assert set(got) == {up_to_sign(*e) for e in paired_constraints(c)}
+        paired = {up_to_sign(*e) for e in paired_constraints(c)}
+        assert set(got) <= paired
+        for e in paired - set(got):
+            v, w = sorted({u for lin in e for u in lin.vars()})
+            assert c.packs[c.vars.index(v)] is not c.packs[c.vars.index(w)]
+            assert up_to_sign({v: 1}, c.bounds(v)[0]) in got and up_to_sign({w: 1}, c.bounds(w)[0]) in got
         inside = points(c.to_formula())
         for coeffs, k in c.equalities():
             assert points(eq(Lin.make(coeffs), Lin.of(k)))[inside].all()
@@ -323,11 +363,16 @@ class TestOctagon:
     @settings(max_examples=100, deadline=None)
     @given(oct_ops(NAMES4), oct_ops(NAMES4), st.lists(constraint(NAMES4), max_size=3))
     def test_add_to_widened_is_the_closure_of_the_meet(self, p, q, cs):
-        """A widening result stays unclosed, so `add` only sets entries
-        (the path every widened loop head takes when a guard is assumed);
-        closing afterwards gives what adding to its closure gives."""
+        """A widening result stays unclosed and keeps its closure once
+        computed, and `add` meets that closure (the path every widened
+        loop head takes when a guard is assumed); the dense reference
+        sets the entries and closes afterwards."""
         a = build(p, NAMES4).widen(build(q, NAMES4))
-        assert meet(a, cs).close() == meet(a.close(), cs)
+        assert a.close() is a.close()
+        ref = DenseOctagon(a.vars, a.m, closed=a.empty, empty=a.empty)
+        for coeffs, k in cs:
+            ref = DenseOctagon(a.vars, with_entry(ref, coeffs, k) if not ref.empty else (), False, ref.empty)
+        assert meet(a, cs).m == ref.close().m
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -342,6 +387,125 @@ class TestOctagon:
         for p in box_points(NAMES, LO, HI):
             if pre.evaluate(p):
                 assert post.evaluate({**p, "x": rhs.evaluate(p)}), p
+
+
+def against_dense(names, min_size, max_size):
+    """Transfer and lattice operations for `run_against_dense`; join,
+    widen and leq pick their other operand from the states so far,
+    counted back from the latest, so that both sides share packs and
+    rows as in an analysis."""
+    c, v, earlier = constraint(names), st.sampled_from(names), st.integers(1, 12)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), c),
+            st.tuples(st.just("eq"), c),
+            st.tuples(st.just("assign"), v, v, st.sampled_from(ASSIGN_RHS), st.integers(-2, 2)),
+            st.tuples(st.just("forget"), v),
+            st.tuples(st.just("box"), v, st.integers(-3, 3), st.integers(0, 2)),
+            st.tuples(st.just("join"), earlier, st.booleans()),
+            st.tuples(st.just("widen"), earlier, st.booleans()),
+            st.tuples(st.just("leq"), earlier),
+            st.tuples(st.just("rewind"), earlier),  # go on from an earlier state: a branch
+        ),
+        min_size=min_size,
+        max_size=max_size,
+    )
+
+
+def boxes(names):
+    """(v, lo, width): v into [lo, lo + width]."""
+    return st.lists(st.tuples(st.sampled_from(names), st.integers(-3, 3), st.integers(0, 2)), max_size=4)
+
+
+def put_in_boxes(o, d, bs):
+    """o and its dense twin d with every v of bs forgotten and put into
+    its box."""
+    for v, lo, width in bs:
+        o = o.forget(v).add({v: 1}, lo + width).add({v: -1}, -lo)
+        d = d.forget(v).add({v: 1}, lo + width).add({v: -1}, -lo)
+    return o, d
+
+
+def run_against_dense(names, ops):
+    """Each operation on a packed element and on the dense reference;
+    after every step the dense view of the one is the matrix of the
+    other, and the formulas read the same."""
+    states = [(Octagon.top(names), DenseOctagon.top(names))]
+    o, d = states[0]
+    for op, *args in ops:
+        if op == "add":
+            o, d = o.add(*args[0]), d.add(*args[0])
+        elif op == "eq":
+            (coeffs, k), = args
+            back = {u: -c for u, c in coeffs.items()}
+            o, d = o.add(coeffs, k).add(back, -k), d.add(coeffs, k).add(back, -k)
+        elif op == "assign":
+            v, w, kind, k = args
+            rhs = assign_rhs(kind, v, w, k)
+            o, d = o.assign(v, rhs), d.assign(v, rhs)
+        elif op == "forget":
+            o, d = o.forget(args[0]), d.forget(args[0])
+        elif op == "box":  # v into [lo, lo + width], a pack of its own
+            o, d = put_in_boxes(o, d, [args])
+        else:
+            po, pd = states[-1 - args[0] % len(states)]
+            if op == "rewind":
+                o, d = po, pd
+            elif op == "leq":
+                assert o.leq(po) == d.leq(pd) and po.leq(o) == pd.leq(d)
+            elif args[1]:  # the earlier state on the left
+                o, d = getattr(po, op)(o), getattr(pd, op)(d)
+            else:
+                o, d = getattr(o, op)(po), getattr(d, op)(pd)
+        assert o.m == d.m, op
+        assert str(o.to_formula()) == str(d.to_formula()), op
+        states.append((o, d))
+
+
+NAMES8 = tuple(f"v{i}" for i in range(8))
+NAMES12 = tuple(f"v{i}" for i in range(12))
+
+
+class TestPackedAgainstDense:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: against_dense(NAMES8[:n], 4, 16)))
+    def test_every_step_matches_the_dense_reference(self, ops):
+        run_against_dense(NAMES8, ops)
+
+    @pytest.mark.slow
+    @settings(max_examples=2000, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: against_dense(NAMES12[:n], 16, 32)))
+    def test_long_sweep_against_the_dense_reference(self, ops):
+        run_against_dense(NAMES12, ops)
+
+    @settings(max_examples=150, deadline=None)
+    @given(oct_ops(NAMES4), boxes(NAMES4), boxes(NAMES4))
+    def test_branches_that_move_bounds_apart(self, base, p, q):
+        """Two branches from one ancestor put some variables into boxes
+        of their own; join and widen, both ways round, against the
+        dense reference. Where one branch raises a bound and the other
+        lowers one, the result relates variables that no pack of either
+        branch relates."""
+        ancestor = build(base, NAMES4).close()
+        dense = DenseOctagon(NAMES4, ancestor.m, empty=ancestor.empty)
+        (a, da), (b, db) = (put_in_boxes(ancestor, dense, bs) for bs in (p, q))
+        for op in ("join", "widen"):
+            assert getattr(a, op)(b).m == getattr(da, op)(db).m, op
+            assert getattr(b, op)(a).m == getattr(db, op)(da).m, op
+
+    def test_join_merges_packs_whose_bounds_move_apart(self):
+        """{x = 0, y = 1} join {x = 1, y = 0} holds x + y == 1, which no
+        pair of unary bounds says: x and y end in one pack. Where the
+        bounds of y stay put, x and y stay apart."""
+        def box(x_lo, x_hi, y_lo, y_hi):
+            return octagon([({"x": 1}, x_hi), ({"x": -1}, -x_lo), ({"y": 1}, y_hi), ({"y": -1}, -y_lo)], ("x", "y"))
+
+        j = box(0, 0, 1, 1).join(box(1, 1, 0, 0))
+        assert j.packs[0] is j.packs[1]
+        assert ({"x": 1, "y": 1}, 1) in list(j.constraints()) and ({"x": -1, "y": -1}, -1) in list(j.constraints())
+        apart = box(0, 0, 0, 1).join(box(1, 1, 0, 1))
+        assert apart.packs[0] is not apart.packs[1]
+        assert apart.m == box(0, 1, 0, 1).m
 
 
 # ------------------------------------------------------------------- affine

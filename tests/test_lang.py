@@ -497,3 +497,12 @@ class TestInterp:
         a = ConcreteState.make("ok", {"x": 1}, {})
         b = ConcreteState.make("ok", {"x": 2}, {})
         assert a < b and a == ConcreteState.make("ok", {"x": 1}, {})
+
+    def test_final_states_share_equal_pairs(self):
+        """The final states of one enumeration hold one object per equal
+        (name, value) or (index, value) pair, and no per-instance dict."""
+        p = parse_program(SENTINEL)
+        finals = enumerate_executions(p, Bounds({"n": [2], "p": [0, 1]}, values=(0, 1)))
+        pairs = [kv for s in finals for kv in s.scalars] + [kv for s in finals for _, f in s.arrays for kv in f]
+        assert len({id(kv) for kv in pairs}) == len(set(pairs)) < len(pairs)
+        assert not hasattr(finals[0], "__dict__")
