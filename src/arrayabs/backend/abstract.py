@@ -16,8 +16,10 @@ elements. Flags are write-only booleans assigned constants by
 instrumented branches; they carry no numeric content and are excluded
 from the numeric universe. Assigning a flag moves partitions between
 buckets (joining on collision), so each bucket's element describes
-exactly the runs that reached it with those flag values. With no flags
-the state is a single bucket and the analysis is a plain product-domain
+exactly the runs that reached it with those flag values. Flags are
+partition keys only: the exit formula is the disjunction of the
+buckets' numeric parts and never names a flag. With no flags the state
+is a single bucket and the analysis is a plain product-domain
 interpretation.
 
 Loops run an ascending pass (join for WIDENING_DELAY steps, then
@@ -52,7 +54,7 @@ from ..lang.ast import (
     Stmt,
     While,
 )
-from ..lia import FALSE, Formula, Lin, eq, land, lnot, lor
+from ..lia import Formula, Lin, lnot, lor
 from .product import Product
 
 Valuation = tuple  # of 0 | 1 | None per flag, None meaning unknown
@@ -136,16 +138,10 @@ class AbstractState:
         return all(el.assume(neg).reduce().is_empty() for el in self.parts.values())
 
     def to_formula(self) -> Formula:
-        """Disjunction of bucket descriptions, flag values included."""
-        disjuncts = []
-        for k, el in sorted(self.parts.items(), key=lambda kv: str(kv[0])):
-            lits = [
-                eq(Lin.var(fl), Lin.of(v))
-                for fl, v in zip(self.flags, k)
-                if v is not None
-            ]
-            disjuncts.append(land(*lits, el.reduce().to_formula()))
-        return lor(*disjuncts) if disjuncts else FALSE
+        """Disjunction of the buckets' numeric descriptions. Flags are
+        partition keys only and never reach the formula."""
+        parts = sorted(self.parts.items(), key=lambda kv: str(kv[0]))
+        return lor(*(el.reduce().to_formula() for _, el in parts))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ Both components track the same variable tuple. Reduction exchanges
 facts in both directions: affine rows the octagon can hold (unit
 coefficients on one or two variables) become octagon bounds, and the
 equalities of the closed octagon, read off its matrix, become affine
-rows. The exchange repeats until neither side changes, which
-terminates because octagon entries only tighten and affine rank only
-grows.
+rows. The exchange repeats until the octagon adds no affine row, when
+neither side can change again; it terminates because octagon entries
+only tighten and affine rank only grows.
 
 Reduction must not run on widening results: re-tightening a widened
 bound can oscillate and break termination, so widen() is purely
@@ -48,29 +48,23 @@ class Product:
 
     def reduce(self) -> "Product":
         o, a = self.oct.close(), self.aff
-        for _ in range(5):
+        while True:
             if o.is_empty() or a.is_empty():
                 return self._as_bottom()
-            changed = False
             # affine rows -> octagon (rows are equalities, push both
             # sides; the octagon ignores rows it cannot hold)
             for coeffs, b in a.equalities():
                 lin = Lin.make(coeffs, -b)
-                o2 = o.assume(lin).assume(-lin)
-                if o2 != o:  # closed forms are canonical
-                    o, changed = o2, True
+                o = o.assume(lin).assume(-lin)
             if o.is_empty():
                 return self._as_bottom()
-            # equalities of the closed octagon -> affine rows
+            # equalities of the closed octagon -> affine rows; add_eq
+            # hands back the element itself for an implied row
+            before = a
             for coeffs, k in o.equalities():
-                a2 = a.add_eq(Lin.make(coeffs, -k))
-                if a2 != a:
-                    a, changed = a2, True
-            if not changed:
-                break
-        if o.is_empty() or a.is_empty():
-            return self._as_bottom()
-        return Product(o, a)
+                a = a.add_eq(Lin.make(coeffs, -k))
+            if a is before:
+                return Product(o, a)
 
     # -- lattice
 

@@ -13,14 +13,22 @@ transform decides U once, as `ScalarProgram.universe`; this module
 reads it back. It builds that quantified form, decides entailment of
 `ensures` clauses, and implements the left-neighbour strengthening for
 ordered two-cell layouts.
+
+An ensures clause is checked the way the decision procedure for the
+array property fragment does it (Bradley, Manna and Sipma, "What's
+decidable about arrays?", VMCAI 2006): the invariant is instantiated
+at the index terms the clause reads, all positions at once. A premise
+that left a position free could never change the verdict, and observer
+flags never reach the invariant; `check_target` says why.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .bridge import BridgeError, cond_to_formula, formula_to_cond
 from .lang.ast import ArrRead, Target
@@ -66,9 +74,6 @@ class QuantifiedInvariant:
     universe: Formula
     matrix: Formula
     cells: Mapping[str, tuple[Cell, ...]]
-    # variables whose value depends on the tracked positions (observer
-    # flags): each instantiation of the invariant gets its own copy
-    per_position: tuple[str, ...] = ()
 
     def render(self) -> str:
         """Condition syntax of the source language where possible."""
@@ -86,15 +91,14 @@ def quantify(phi: Formula, sp: ScalarProgram) -> QuantifiedInvariant:
 
     phi must speak only of program scalars and generated cell
     variables; it is typically the exit state of an analysis of
-    sp.program. The observer flags are the position-dependent
-    variables.
+    sp.program.
     """
     indices = tuple(n for c in sp.all_cells() for n in c.index)
     allowed = set(sp.program.params) | set(sp.program.locals)
     loose = sorted(set(phi.free_vars()) - allowed)
     if loose:
         raise LiftError(f"invariant mentions unknown variables: {', '.join(loose)}")
-    return QuantifiedInvariant(indices, sp.universe, phi, dict(sp.cells), sp.flags)
+    return QuantifiedInvariant(indices, sp.universe, phi, dict(sp.cells))
 
 
 # --------------------------------------------------------- check_target
@@ -122,65 +126,60 @@ def _symbol(accesses: Accesses, array: str, initial: bool, terms: tuple[Lin, ...
     return sym
 
 
-def _cell_bindings(inv: QuantifiedInvariant, accesses: Accesses) -> list[dict[str, Lin]]:
-    """Every way of pinning cells to accessed positions, one array at
-    a time. Each binding is a substitution: index variables go to the
-    position terms, value variables to the access symbols. Cells left
-    out keep their own names (an arbitrary admissible position).
+def _cell_bindings(inv: QuantifiedInvariant, accesses: Accesses, budget: Budget) -> Iterator[dict[str, Lin]]:
+    """Every complete binding: each cell of each tracked array pinned
+    to an index term at which the clause reads that array. Each binding
+    is a substitution: index variables go to the terms, value variables
+    to the access symbols. The product is charged to `budget`, one step
+    per binding, before the first one is made.
 
     A bound cell's value always routes through the canonical symbol
     for that position, even when the clause never mentions it:
     distinct bindings of one cell must not pin its free name to two
     different spots.
     """
-    by_array: dict[str, list[tuple[bool, tuple[Lin, ...]]]] = {}
-    for array, initial, terms in list(accesses):
-        by_array.setdefault(array, []).append((initial, terms))
-
-    out: list[dict[str, Lin]] = []
-    for array, uses in sorted(by_array.items()):
-        cs = inv.cells.get(array)
-        if cs is None:
-            continue  # untracked array: symbols stay unconstrained
-        terms = []
-        seen = set()
-        for _initial, t in uses:
-            if t not in seen:
-                seen.add(t)
-                terms.append(t)
-        for t in terms:
-            if len(t) != len(cs[0].index):
-                raise LiftError(
-                    f"target indexes {array} with {len(t)} subscripts, cells have {len(cs[0].index)}"
-                )
-        choices = [terms + [None] for _ in cs]
-        for combo in itertools.product(*choices):
-            if all(t is None for t in combo):
-                continue
-            env: dict[str, Lin] = {}
-            for c, t in zip(cs, combo):
-                if t is None:
-                    continue
-                for xv, term in zip(c.index, t):
-                    env[xv] = term
-                env[c.value] = Lin.var(_symbol(accesses, array, False, t))
-                if c.init:
-                    env[c.init] = Lin.var(_symbol(accesses, array, True, t))
-            out.append(env)
-    return out
+    terms: dict[str, list[tuple[Lin, ...]]] = {array: [] for array in inv.cells}
+    for array, _initial, t in accesses:
+        if array in terms and t not in terms[array]:
+            width = len(inv.cells[array][0].index)
+            if len(t) != width:
+                raise LiftError(f"target indexes {array} with {len(t)} subscripts, cells have {width}")
+            terms[array].append(t)
+    cells = [(array, c) for array in sorted(inv.cells) for c in inv.cells[array]]
+    choices = [terms[array] for array, _ in cells]
+    budget.tick(math.prod(map(len, choices)))
+    for combo in itertools.product(*choices):
+        env: dict[str, Lin] = {}
+        for (array, c), t in zip(cells, combo):
+            env.update(zip(c.index, t))
+            env[c.value] = Lin.var(_symbol(accesses, array, False, t))
+            if c.init:
+                env[c.init] = Lin.var(_symbol(accesses, array, True, t))
+        yield env
 
 
 def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | None = None) -> bool | None:
     """Does the lifted invariant entail the ensures clause? True when it
-    does, False when the query has a model, None when the solver ran out
-    of budget before deciding.
+    does, False when the query has a model, None when the budget ran
+    out before deciding.
 
-    The clause's indices become fresh constants, its array reads
-    become value symbols, and the invariant is instantiated at every
-    combination of accessed positions; the conjunction must leave the
-    negated clause unsatisfiable. Instantiating at the mentioned
-    positions is complete when enough cells track the right spots,
-    and sound regardless.
+    The clause's indices become fresh constants and its array reads
+    become value symbols. Each premise is the invariant, U -> M,
+    instantiated at one complete binding (`_cell_bindings`); the
+    premises must leave the negated clause unsatisfiable. This is sound
+    by instantiation of the universal, and complete when enough cells
+    track the right spots.
+
+    No other premise could change the answer. U holds 0 <= x for every
+    position x, so a premise that leaves x free is made true by x = -1;
+    a free position occurs in no premise that binds it, nor in the
+    clause, so all such premises hold at once, whatever the rest of the
+    query says. The uninstantiated invariant and every partial binding
+    are of that kind. With no tracked cell the one complete binding is
+    empty, and its premise is the invariant itself. Observer flags
+    never reach M: per-instance copies of them would only add an
+    existential over the flags, which every part of the exit state
+    satisfies.
     """
     taken = set(inv.matrix.free_vars()) | set(inv.universe.free_vars()) | set(inv.indices)
     for cs in inv.cells.values():
@@ -207,23 +206,10 @@ def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | N
         raise LiftError(f"no translation for the target: {e}") from e
 
     base = implies(inv.universe, inv.matrix)
-    premises = [base]
-    local = [v for v in inv.per_position if v in base.free_vars()]
-    for n, env in enumerate(_cell_bindings(inv, accesses)):
-        copy = subst(base, env)
-        if local:
-            # flags travel with the positions: each instantiation of
-            # the invariant speaks about its own observer outcome
-            copies = {}
-            for v in local:
-                copies[v] = _fresh(f"{v}~{n}", taken)
-                taken.add(copies[v])
-            copy = rename(copy, copies)
-        premises.append(copy)
-
-    query = land(*premises, lnot(goal))
+    budget = budget or Budget()
     try:
-        return is_sat(query, budget or Budget()) is None
+        premises = [subst(base, env) for env in _cell_bindings(inv, accesses, budget)]
+        return is_sat(land(*premises, lnot(goal)), budget) is None
     except BudgetError:
         return None
 

@@ -7,9 +7,9 @@ import pytest
 
 from arrayabs.backend import analyze_scalar
 from arrayabs.lang import Cmp, Expr, Num, Target, decompose_accesses, parse_condition, parse_program
-from arrayabs.lia import Budget, entails, equivalent, is_sat, land, parse_formula
-from arrayabs.lift import LiftError, check_target, quantify, reduce_dual
-from arrayabs.transform import ArrayCells, IndexConfig, ObserverSpec, ObsFlag, transform_program
+from arrayabs.lia import TRUE, Budget, entails, equivalent, is_sat, land, parse_formula
+from arrayabs.lift import LiftError, QuantifiedInvariant, check_target, quantify, reduce_dual
+from arrayabs.transform import ArrayCells, Cell, IndexConfig, ObserverSpec, ObsFlag, transform_program
 
 FILL = """
 proc fill(n: int) {
@@ -82,6 +82,7 @@ def proved(src: str, target: Target | None = None, **kw) -> bool:
         ("0", "t[t[k]] == 1", False),
         ("i", "t[k] == k", True),
         ("i", "t[k] <= 1", False),
+        ("2 * i", "t[k] == 2 * k", True),  # needs the affine half of the product
     ],
 )
 def test_fill(value, clause, expected):
@@ -119,7 +120,7 @@ def test_snapshots_only_for_arrays_read_through_old():
 @pytest.mark.parametrize("clause, expected", [("t[at] == at", True), ("t[at] <= 1", False)])
 def test_target_index_named_like_an_observer_flag(clause, expected):
     # `at` is a scalar of the transformed program; the clause's index
-    # must stay apart from it and from every per-position copy of it
+    # must stay apart from it
     assert proved(fill("i", clause, k="at")) is expected
 
 
@@ -136,6 +137,26 @@ def test_target_check_out_of_budget_is_undecided():
     assert check_target(inv, target) is True
 
 
+def _two_arrays(cells: int, terms: int):
+    """An invariant that says nothing, over arrays a and b with `cells`
+    cells each, and a valid clause that reads each at `terms` terms."""
+    layout = {x: tuple(Cell((f"{x}${j}$x0",), f"{x}${j}$v") for j in range(cells)) for x in "ab"}
+    indices = tuple(c.index[0] for cs in layout.values() for c in cs)
+    reads = " + ".join(f"{x}[k + {d}]" for x in "ab" for d in range(terms))
+    return QuantifiedInvariant(indices, TRUE, TRUE, layout), Target(("k",), parse_condition(f"{reads} == {reads}"))
+
+
+def test_target_check_charges_one_step_per_premise():
+    # every cell of both arrays at one of 2 terms: 2**4 premises, then
+    # one solver step on a clause that is valid as it stands
+    inv, target = _two_arrays(cells=2, terms=2)
+    assert check_target(inv, target, budget=Budget(16)) is None
+    assert check_target(inv, target, budget=Budget(17)) is True
+    # 12**6 premises, past the default budget: given up before building one
+    inv, target = _two_arrays(cells=3, terms=12)
+    assert check_target(inv, target) is None
+
+
 def test_unsupported_target_expression_raises_lift_error():
     inv, _ = lift(fill("0", "true"))
     with pytest.raises(LiftError):
@@ -144,20 +165,21 @@ def test_unsupported_target_expression_raises_lift_error():
 
 def test_render_of_the_init_invariant():
     # the universe's negation, then one disjunct per observer outcome
-    # of the exit state: the cell was written last (at == 1) or earlier
-    # (lt == 1); either way its value is 0
+    # of the exit state: the cell was written last (x0 == i - 1) or
+    # earlier (x0 <= i - 2); either way its value is 0. The flags only
+    # key the parts and are not rendered.
     inv, _ = lift(fill("0", "t[k] == 0"))
     assert inv.render() == " || ".join(
         [
             "forall t$0$x0: !(n >= t$0$x0 + 1 && t$0$x0 >= 0)",
-            "1 == at && n >= i && t$0$x0 + 1 >= i && i >= 1 && i >= n && i + n >= 2"
+            "n >= i && t$0$x0 + 1 >= i && i >= 1 && i >= n && i + n >= 2"
             " && i >= t$0$v + 1 && i + t$0$v >= 1 && i >= t$0$x0 + 1 && i + t$0$x0 >= 1"
-            " && 0 == lt && t$0$x0 + 1 >= n && n >= 1 && n >= t$0$v + 1 && n + t$0$v >= 1"
+            " && t$0$x0 + 1 >= n && n >= 1 && n >= t$0$v + 1 && n + t$0$v >= 1"
             " && n >= t$0$x0 + 1 && n + t$0$x0 >= 1 && 0 >= t$0$v && t$0$x0 >= t$0$v"
             " && t$0$v >= 0 && t$0$v + t$0$x0 >= 0 && t$0$x0 >= 0",
-            "0 == at && n >= i && i >= 2 && i >= n && i + n >= 4"
+            "n >= i && i >= 2 && i >= n && i + n >= 4"
             " && i >= t$0$v + 2 && i + t$0$v >= 2 && i >= t$0$x0 + 2 && i + t$0$x0 >= 2"
-            " && 1 == lt && n >= 2 && n >= t$0$v + 2 && n + t$0$v >= 2"
+            " && n >= 2 && n >= t$0$v + 2 && n + t$0$v >= 2"
             " && n >= t$0$x0 + 2 && n + t$0$x0 >= 2 && 0 >= t$0$v && t$0$x0 >= t$0$v"
             " && t$0$v >= 0 && t$0$v + t$0$x0 >= 0 && t$0$x0 >= 0",
         ]
