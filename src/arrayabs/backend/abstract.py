@@ -2,14 +2,22 @@
 walker over scalar statements.
 
 `Interpreter` walks an array-free program over any state with
-`is_empty()`, `assign(var, lin)`, `forget(var)` (havoc), `assume(f)`,
-`entails(f)` (a sound yes), `join(other)` and `bounded()` (the state
-after a branch merge, within its cap). Once the state is empty it skips
-the rest of the block, so dead code records no assert verdicts.
-`AbstractState` and the path set of `exact.py` implement it. Only
-`AbstractState` has loops (`loop` needs its `widen`, `leq` and
+`is_empty()`, `assign(var, lin)`, `forget(var)` (havoc), `guard(f)`,
+`assume(g)`, `entails(g)` (a sound yes), `join(other)` and `bounded()`
+(the state after a branch merge, within its cap). Once the state is
+empty it skips the rest of the block, so dead code records no assert
+verdicts. `AbstractState` and the path set of `exact.py` implement it.
+Only `AbstractState` has loops (`loop` needs its `widen`, `leq` and
 `collapse`) and flags; its `bounded` collapses the flag partitions past
 `PARTITION_CAP`, which each loop head checks too.
+
+Guard normal forms live in the walker. `guard(f)` turns the formula of
+a condition into the pair (condition, negation) in the form that the
+state's `assume` and `entails` take. The walker makes that pair once
+per condition node and keeps it for its run only, so no cache outlives
+an analysis. `AbstractState` takes a `Guard`, both formulas in negation
+normal form, so each guard and its negation are normalised once per
+analysis; the path set of `exact.py` takes the formulas as they are.
 
 The abstract state is a map from flag valuations to product-domain
 elements. Flags are write-only booleans assigned constants by
@@ -34,14 +42,15 @@ intermediate iterates.
 
 Widened elements are stored unreduced; guard assumes reduce their own
 copies. Reducing the stored head element could re-tighten what the
-widening just relaxed and loop forever.
+widening just relaxed and loop forever. A reduced part keeps the memo
+of `product.py`, so the next guard exchanges only the facts it adds.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from ..bridge import BridgeError, cond_to_formula, expr_to_lin
 from ..lang.ast import (
@@ -54,7 +63,7 @@ from ..lang.ast import (
     Stmt,
     While,
 )
-from ..lia import Formula, Lin, lnot, lor
+from ..lia import Formula, Lin, lor, nnf
 from .product import Product
 
 Valuation = tuple  # of 0 | 1 | None per flag, None meaning unknown
@@ -65,6 +74,14 @@ PARTITION_CAP = 12  # flag partitions kept before they collapse into one
 
 class AnalysisError(ValueError):
     pass
+
+
+class Guard(NamedTuple):
+    """A condition as `AbstractState` takes it: the condition and its
+    negation, each in negation normal form."""
+
+    holds: Formula
+    fails: Formula
 
 
 @dataclass(frozen=True)
@@ -102,8 +119,14 @@ class AbstractState:
             k in other.parts and v.leq(other.parts[k]) for k, v in self.parts.items()
         )
 
-    def assume(self, f: Formula) -> "AbstractState":
-        return self.map(lambda el: el.assume(f).reduce())
+    @staticmethod
+    def guard(f: Formula) -> tuple[Guard, Guard]:
+        """f and its negation, as `assume` and `entails` take them."""
+        g = Guard(nnf(f), nnf(f, True))
+        return g, Guard(g.fails, g.holds)
+
+    def assume(self, g: Guard) -> "AbstractState":
+        return self.map(lambda el: el.assume(g.holds).reduce())
 
     def assign(self, var: str, lin: Lin) -> "AbstractState":
         return self.map(lambda el: el.assign(var, lin))
@@ -131,11 +154,10 @@ class AbstractState:
         el = functools.reduce(Product.join, self.parts.values())
         return AbstractState(self.flags, {(None,) * len(self.flags): el})
 
-    def entails(self, f: Formula) -> bool:
+    def entails(self, g: Guard) -> bool:
         """Sound entailment: the negation is unreachable in every bucket.
-        f speaks of numeric variables only (the walker rejects the rest)."""
-        neg = lnot(f)
-        return all(el.assume(neg).reduce().is_empty() for el in self.parts.values())
+        g speaks of numeric variables only (the walker rejects the rest)."""
+        return all(el.assume(g.fails).reduce().is_empty() for el in self.parts.values())
 
     def to_formula(self) -> Formula:
         """Disjunction of the buckets' numeric descriptions. Flags are
@@ -164,15 +186,16 @@ class AnalysisResult:
 class Interpreter:
     """The walker over scalar statements (module docstring). Asserts
     met with `check` set append their verdicts to `asserts`. Each
-    condition is translated once: loop rounds and the check pass meet
-    the same nodes again."""
+    condition is translated and guarded once: loop rounds and the check
+    pass meet the same nodes again."""
 
     numeric: tuple[str, ...]
     flags: tuple[str, ...] = ()
     asserts: list[AssertVerdict] = field(default_factory=list)
-    # id of a condition node -> (the node, its formula); holding the
-    # node keeps its id from being reused while the entry lives
-    _formulas: dict[int, tuple[object, Formula]] = field(default_factory=dict, init=False, repr=False)
+    # id of a condition node -> (the node, its formula, the state's
+    # guard of it and of its negation); holding the node keeps its id
+    # from being reused while the entry lives
+    _guards: dict[int, tuple] = field(default_factory=dict, init=False, repr=False)
 
     def _lin(self, expr) -> Lin:
         try:
@@ -182,17 +205,17 @@ class Interpreter:
         self._check_vars(lin.vars())
         return lin
 
-    def _cond(self, cond) -> Formula:
-        hit = self._formulas.get(id(cond))
-        if hit is not None:
-            return hit[1]
-        try:
-            f = cond_to_formula(cond)
-        except BridgeError as e:
-            raise AnalysisError(f"condition not scalar: {e}") from e
-        self._check_vars(f.free_vars())
-        self._formulas[id(cond)] = (cond, f)
-        return f
+    def _cond(self, cond, st) -> tuple:
+        """The formula of a condition node, then `st.guard` of it."""
+        hit = self._guards.get(id(cond))
+        if hit is None:
+            try:
+                f = cond_to_formula(cond)
+            except BridgeError as e:
+                raise AnalysisError(f"condition not scalar: {e}") from e
+            self._check_vars(f.free_vars())
+            hit = self._guards[id(cond)] = (cond, f, *st.guard(f))
+        return hit[1:]
 
     def _check_vars(self, vs: Iterable[str]) -> None:
         for v in vs:
@@ -221,23 +244,24 @@ class Interpreter:
             self._check_vars((s.var,))
             return st.forget(s.var)
         if isinstance(s, Assume):
-            return st.assume(self._cond(s.cond))
+            _, g, _ = self._cond(s.cond, st)
+            return st.assume(g)
         if isinstance(s, Assert):
-            f = self._cond(s.cond)
+            f, g, _ = self._cond(s.cond, st)
             if check:
-                self.asserts.append(AssertVerdict(s.line, f, st.entails(f)))
-            return st.assume(f)
+                self.asserts.append(AssertVerdict(s.line, f, st.entails(g)))
+            return st.assume(g)
         if isinstance(s, If):
-            f = self._cond(s.cond)
-            a = self.block(s.then, st.assume(f), check)
-            b = self.block(s.els, st.assume(lnot(f)), check)
+            _, g, not_g = self._cond(s.cond, st)
+            a = self.block(s.then, st.assume(g), check)
+            b = self.block(s.els, st.assume(not_g), check)
             return a.join(b).bounded()
         if isinstance(s, While):
             return self.loop(s, st, check)
         raise AnalysisError(f"array statement reached the analysis: {s!r}")
 
     def loop(self, s: While, st: AbstractState, check: bool) -> AbstractState:
-        f = self._cond(s.cond)
+        _, g, not_g = self._cond(s.cond, st)
         # A head that collapsed once stays collapsed: later iterates are
         # merged into its one key too. Otherwise they bring back keys
         # that the widening passes through unwidened, and the sequence
@@ -245,7 +269,7 @@ class Interpreter:
         collapsed = False
 
         def step(head: AbstractState) -> AbstractState:
-            nxt = st.join(self.block(s.body, head.assume(f), False))
+            nxt = st.join(self.block(s.body, head.assume(g), False))
             return nxt.collapse() if collapsed else nxt
 
         inv = st
@@ -263,8 +287,8 @@ class Interpreter:
             if len(inv.parts) > PARTITION_CAP:
                 inv, collapsed = inv.collapse(), True
         if check:
-            self.block(s.body, inv.assume(f), True)
-        return inv.assume(lnot(f))
+            self.block(s.body, inv.assume(g), True)
+        return inv.assume(not_g)
 
 
 def analyze_scalar(sp) -> AnalysisResult:

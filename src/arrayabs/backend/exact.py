@@ -81,6 +81,10 @@ class _Paths:
     def is_empty(self) -> bool:
         return not self.paths
 
+    @staticmethod
+    def guard(g: Formula) -> tuple[Formula, Formula]:
+        return g, lnot(g)
+
     def assign(self, var: str, lin: Lin) -> "_Paths":
         out = []
         for p in self.paths:

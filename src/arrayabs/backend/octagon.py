@@ -521,12 +521,16 @@ class Octagon:
         """Meet with sum(coeffs)*vars <= k: one or two variables, unit
         coefficients. The result is tightly closed; an unclosed element
         meets its closed form."""
-        if self.empty:
-            return self
         if not _octagonal(coeffs):
             raise ValueError(f"not an octagon constraint: {coeffs}")
+        return self._add(coeffs, k)
+
+    def _add(self, coeffs: dict[str, int], k: int) -> "Octagon":
+        """`add` for coefficients known to be octagonal."""
+        if self.empty:
+            return self
         if not self.closed:
-            return self.close().add(coeffs, k)
+            return self.close()._add(coeffs, k)
         (v, s), *rest = coeffs.items()
         i, p, a = self._where(v)
         a += s < 0
@@ -563,7 +567,7 @@ class Octagon:
         coeffs = dict(lin.coeffs)
         if _octagonal(coeffs):
             # lin >= 0  <=>  -lin <= const
-            return self.add({v: -c for v, c in coeffs.items()}, lin.const)
+            return self._add({v: -c for v, c in coeffs.items()}, lin.const)
         return self
 
     # -- transfer helpers
@@ -590,7 +594,7 @@ class Octagon:
         k = lin.const
         if not coeffs:
             out = self.forget(v)
-            return out.add({v: 1}, k).add({v: -1}, -k)
+            return out._add({v: 1}, k)._add({v: -1}, -k)
         if len(coeffs) == 1:
             (w, c), = coeffs.items()
             if w == v and c == 1:
@@ -598,15 +602,15 @@ class Octagon:
             if c in (1, -1) and w != v:
                 out = self.forget(v)
                 # v - c*w <= k and c*w - v <= -k
-                out = out.add({v: 1, w: -c}, k)
-                return out.add({v: -1, w: c}, -k)
+                out = out._add({v: 1, w: -c}, k)
+                return out._add({v: -1, w: c}, -k)
         # general affine right side: fall back to interval evaluation
         lo, hi = self.eval_range(lin)
         out = self.forget(v)
         if hi is not None:
-            out = out.add({v: 1}, hi)
+            out = out._add({v: 1}, hi)
         if lo is not None:
-            out = out.add({v: -1}, -lo)
+            out = out._add({v: -1}, -lo)
         return out
 
     def _shift(self, v: str, k: int) -> "Octagon":
@@ -670,16 +674,22 @@ class Octagon:
                 else:
                     yield {v: s, w: -t}, c
 
-    def equalities(self) -> Iterator[tuple[dict[str, int], int]]:
+    def equalities(self, known: Sequence[_Pack] = ()) -> Iterator[tuple[dict[str, int], int]]:
         """Yield (coeffs, k) meaning sum(coeffs) == k, once per equality
         inside a pack of the closed form: +v - (signed w) bounded both
         ways by one value. An equality between two packs holds only
         when both variables are constants, so it follows from the two
-        unary equalities and is left out. Each pack keeps its list."""
+        unary equalities and is left out. Each pack keeps its list.
+
+        `known` is the `packs` of an element over the same variables
+        whose equalities the caller has read: a pack it holds at the
+        same place is skipped."""
         a = self.close()
         if a.empty:
             return
-        for p in a._distinct():
+        for i, p in enumerate(a.packs):
+            if p.vars[0] != i or known and known[i] is p:
+                continue
             if p.eqs is None:
                 p.eqs = list(a._pack_equalities(p))
             yield from p.eqs

@@ -8,6 +8,23 @@ rows. The exchange repeats until the octagon adds no affine row, when
 neither side can change again; it terminates because octagon entries
 only tighten and affine rank only grows.
 
+The exchange is semi-naive: the iterated reduction of Cousot, Cousot
+and Mauborgne (FoSSaCS 2011), run only on what changed, as the packs of
+Singh, Puschel and Vechev (PLDI 2015) are. An element remembers that
+it is reduced, the affine element whose rows its octagon already
+entails, and the packs of the octagon whose equalities its affine part
+already holds. `reduce` hands a reduced element back
+as is, pushes only rows that the remembered affine element does not
+have, and reads equalities only from packs that are not the remembered
+ones (by identity). Pushing an entailed row or adding a held equality
+changes nothing, so the result is that of the full exchange. The memo
+stays valid through meets, which alone carry it on: an octagon meet
+only tightens, so it still entails the rows, and an affine meet only
+adds rows, so it still holds the equalities. Every other operation
+(`join`, `widen`, `assign`, `forget`) returns an element with no memo,
+which `reduce` treats with the full exchange. The memo is never part of
+`==` or the hash.
+
 Reduction must not run on widening results: re-tightening a widened
 bound can oscillate and break termination, so widen() is purely
 componentwise and callers reduce again only after the chain is stable.
@@ -15,10 +32,10 @@ componentwise and callers reduce again only after the chain is stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..lia import FALSE, Formula, Lin, land, nnf
+from ..lia import FALSE, Formula, Lin, land
 from .affine import AffineEqs
 from .octagon import Octagon
 
@@ -27,6 +44,10 @@ from .octagon import Octagon
 class Product:
     oct: Octagon
     aff: AffineEqs
+    # the reduction memo (module docstring)
+    _reduced: bool = field(default=False, compare=False, repr=False)
+    _pushed: AffineEqs | None = field(default=None, compare=False, repr=False)
+    _read: tuple = field(default=(), compare=False, repr=False)
 
     @staticmethod
     def top(vars: Sequence[str]) -> "Product":
@@ -46,25 +67,40 @@ class Product:
     def _as_bottom(self) -> "Product":
         return Product.bottom(self.vars)
 
+    def _meet(self, o: Octagon, a: AffineEqs) -> "Product":
+        """self met with facts that made o and a: self itself when
+        neither moved, else the meet, which keeps the memo."""
+        if o is self.oct and a is self.aff:
+            return self
+        return Product(o, a, False, self._pushed, self._read)
+
     def reduce(self) -> "Product":
+        if self._reduced:
+            return self
         o, a = self.oct.close(), self.aff
+        pushed, read = self._pushed, self._read
         while True:
             if o.is_empty() or a.is_empty():
                 return self._as_bottom()
             # affine rows -> octagon (rows are equalities, push both
             # sides; the octagon ignores rows it cannot hold)
-            for coeffs, b in a.equalities():
-                lin = Lin.make(coeffs, -b)
-                o = o.assume(lin).assume(-lin)
-            if o.is_empty():
-                return self._as_bottom()
+            if a is not pushed:
+                held = set(pushed.rows) if pushed is not None else ()
+                for row, (coeffs, b) in zip(a.rows, a.equalities()):
+                    if row not in held:
+                        lin = Lin.make(coeffs, -b)
+                        o = o.assume(lin).assume(-lin)
+                pushed = a
+                if o.is_empty():
+                    return self._as_bottom()
             # equalities of the closed octagon -> affine rows; add_eq
             # hands back the element itself for an implied row
             before = a
-            for coeffs, k in o.equalities():
+            for coeffs, k in o.equalities(read):
                 a = a.add_eq(Lin.make(coeffs, -k))
+            read = o.packs
             if a is before:
-                return Product(o, a)
+                return Product(o, a, True, a, read)
 
     # -- lattice
 
@@ -95,36 +131,34 @@ class Product:
         return Product(self.oct.forget(v), self.aff.forget(v))
 
     def assume(self, f: Formula) -> "Product":
-        """Meet with an over-approximation of f (negations pushed to
-        atoms first, unknown atoms dropped)."""
-        return self._assume(nnf(f))
-
-    def _assume(self, f: Formula) -> "Product":
+        """Meet with an over-approximation of f, which is in negation
+        normal form (`lia.nnf`): any other node, and divisibility, is
+        dropped. A meet that changes nothing hands back self."""
         k = f.kind
         if k == "true":
             return self
         if k == "false":
             return self._as_bottom()
         if k == "ge":
-            return Product(self.oct.assume(f.lin), self.aff)
+            return self._meet(self.oct.assume(f.lin), self.aff)
         if k == "and":
             out = self
             atoms = [g.lin for g in f.args if g.kind == "ge"]
             for g in f.args:
-                out = out._assume(g)
+                out = out.assume(g)
             # complementary inequality pairs pin an affine equality
             for i, li in enumerate(atoms):
                 for lj in atoms[i + 1:]:
                     if lj == -li:
-                        out = Product(out.oct, out.aff.add_eq(li))
+                        out = out._meet(out.oct, out.aff.add_eq(li))
             return out
         if k == "or":
-            parts = [self._assume(g) for g in f.args]
+            parts = [self.assume(g) for g in f.args]
             out = parts[0]
             for p in parts[1:]:
                 out = out.join(p)
             return out
-        return self  # divisibility or its negation: no information taken
+        return self
 
     # -- output
 

@@ -126,12 +126,18 @@ def _symbol(accesses: Accesses, array: str, initial: bool, terms: tuple[Lin, ...
     return sym
 
 
-def _cell_bindings(inv: QuantifiedInvariant, accesses: Accesses, budget: Budget) -> Iterator[dict[str, Lin]]:
+def _cell_bindings(
+    inv: QuantifiedInvariant, accesses: Accesses, indices: tuple[Lin, ...], budget: Budget
+) -> Iterator[dict[str, Lin]]:
     """Every complete binding: each cell of each tracked array pinned
-    to an index term at which the clause reads that array. Each binding
-    is a substitution: index variables go to the terms, value variables
-    to the access symbols. The product is charged to `budget`, one step
-    per binding, before the first one is made.
+    to an index term at which the clause reads that array. A tracked
+    array the clause does not read is pinned at the terms of its width
+    at which the clause reads any array, or else at the clause's
+    quantified `indices`; any term is sound, by instantiation of the
+    universal.
+    Each binding is a substitution: index variables go to the terms,
+    value variables to the access symbols. The product is charged to
+    `budget`, one step per binding, before the first one is made.
 
     A bound cell's value always routes through the canonical symbol
     for that position, even when the clause never mentions it:
@@ -145,6 +151,11 @@ def _cell_bindings(inv: QuantifiedInvariant, accesses: Accesses, budget: Budget)
             if len(t) != width:
                 raise LiftError(f"target indexes {array} with {len(t)} subscripts, cells have {width}")
             terms[array].append(t)
+    read = list(dict.fromkeys(t for _array, _initial, t in accesses))
+    for array, ts in terms.items():
+        if not ts:
+            width = len(inv.cells[array][0].index)
+            ts += [t for t in read if len(t) == width] or itertools.product(indices, repeat=width)
     cells = [(array, c) for array in sorted(inv.cells) for c in inv.cells[array]]
     choices = [terms[array] for array, _ in cells]
     budget.tick(math.prod(map(len, choices)))
@@ -208,7 +219,8 @@ def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | N
     base = implies(inv.universe, inv.matrix)
     budget = budget or Budget()
     try:
-        premises = [subst(base, env) for env in _cell_bindings(inv, accesses, budget)]
+        indices = tuple(Lin.var(index_map[k]) for k in target.indices)
+        premises = [subst(base, env) for env in _cell_bindings(inv, accesses, indices, budget)]
         return is_sat(land(*premises, lnot(goal)), budget) is None
     except BudgetError:
         return None

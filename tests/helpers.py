@@ -2,7 +2,9 @@
 
 Brute-force evaluation of formulas over integer boxes, both pointwise
 and vectorized over the whole grid, plus small random generators used
-by the differential tests.
+by the differential tests, and the references that the backend's
+differential tests compare with: a dense octagon and the full
+reduction of the product.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from arrayabs.backend import Product
 from arrayabs.lia import FALSE, TRUE, Formula, Lin, dvd, ge0, land, lnot, lor
 
 
@@ -254,3 +257,24 @@ class DenseOctagon:
                 coeffs, k = ({v: s}, x // 2) if v == w else ({v: s, w: -t}, x)
                 parts.append(ge0(Lin.of(k) - Lin.make(coeffs)))
         return land(*parts) if parts else TRUE
+
+
+def full_reduce(p):
+    """Reference for `Product.reduce`: the whole exchange from the
+    components of p, with no memo. Every round pushes every affine row
+    into the octagon and reads every equality of every pack, until the
+    affine part stays put."""
+    o, a = p.oct.close(), p.aff
+    while True:
+        if o.is_empty() or a.is_empty():
+            return Product.bottom(p.vars)
+        for coeffs, b in a.equalities():
+            lin = Lin.make(coeffs, -b)
+            o = o.assume(lin).assume(-lin)
+        if o.is_empty():
+            return Product.bottom(p.vars)
+        before = a
+        for coeffs, k in o.equalities():
+            a = a.add_eq(Lin.make(coeffs, -k))
+        if a == before:
+            return Product(o, a)

@@ -7,6 +7,7 @@ transformed program satisfies the exit formula.
 """
 
 import signal
+import sys
 
 import pytest
 
@@ -277,3 +278,44 @@ def test_each_condition_is_translated_once(monkeypatch):
     asserts = analyze_scalar(transform_program(parse_program(COUNT), IndexConfig())).asserts
     assert [(a.line, a.proven) for a in asserts] == [(8, True)]
     assert len(met) == len({id(c) for c in met}) == 2
+
+
+def test_each_guard_is_normalised_once_per_analysis(monkeypatch):
+    # two condition nodes, each normalised with its negation once: four
+    # normal forms, and four again in a second analysis, which reuses
+    # nothing of the first
+    met = []
+    normalise = abstract.nnf
+    monkeypatch.setattr(abstract, "nnf", lambda f, neg=False: met.append((f, neg)) or normalise(f, neg))
+    sp = transform_program(parse_program(COUNT), IndexConfig())
+    for _ in range(2):
+        met.clear()
+        assert [(a.line, a.proven) for a in analyze_scalar(sp).asserts] == [(8, True)]
+        assert sorted(neg for _, neg in met) == [False, False, True, True]
+        assert len({f for f, _ in met}) == 2
+
+
+def cache_sizes() -> dict:
+    """The size of every dict, list and set bound at module or class
+    level in the package, and of every functools cache."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name != "arrayabs" and not name.startswith("arrayabs."):
+            continue
+        scopes = [(name, vars(mod))]
+        scopes += [(f"{name}.{k}", vars(v)) for k, v in vars(mod).items() if isinstance(v, type)]
+        for where, scope in scopes:
+            for attr, v in scope.items():
+                if isinstance(v, (dict, list, set)) and not attr.startswith("__"):
+                    out[where, attr] = len(v)
+                elif hasattr(v, "cache_info"):
+                    out[where, attr] = v.cache_info().currsize
+    return out
+
+
+def test_analyses_share_no_growing_cache():
+    # guard normal forms and reduction memos belong to one analysis run
+    analyze_scalar(transform_program(parse_program(COUNT), IndexConfig()))
+    before = cache_sizes()
+    analyze_scalar(transform_program(parse_program(CHAIN % "<"), IndexConfig(arrays={"a0": ArrayCells(1)})))
+    assert cache_sizes() == before

@@ -8,7 +8,9 @@ helpers.DenseOctagon step by step, incremental closure and the `closed`
 mark against the full closure of its dense view, the packs and rows an
 octagon operation shares with its input by object identity, the lattice
 operations against entrywise references, and the affine shortcuts
-against the full reduction.
+against the full reduction. The product's semi-naive reduction is
+checked against helpers.full_reduce after every step of random
+sequences.
 """
 
 import itertools
@@ -30,10 +32,10 @@ from arrayabs.backend.abstract import PARTITION_CAP, Interpreter
 from arrayabs.backend.affine import _rref
 from arrayabs.backend.octagon import INF
 from arrayabs.lang import Havoc, parse_program
-from arrayabs.lia import Lin, eq, eq0, is_sat, land, le, subst
+from arrayabs.lia import Lin, eq, eq0, ge0, is_sat, land, le, lor, nnf, subst
 from arrayabs.transform import IndexConfig, transform_program
 
-from helpers import DenseOctagon, box_points, dense_close, truth_table
+from helpers import DenseOctagon, box_points, dense_close, full_reduce, truth_table
 
 NAMES = ("x", "y", "z")
 NAMES4 = (*NAMES, "w")  # for properties that compare matrices, not points
@@ -648,6 +650,107 @@ class TestProduct:
 
 def product(ops, lins):
     return Product(build(ops), affine(lins))
+
+
+def product_steps(names, min_size, max_size):
+    """Steps for `run_against_full_reduce`: a guard (an inequality,
+    octagonal or not, an equality, or a disjunction of two of these),
+    both bounds of an equality as two guards in a row, which only the
+    octagon sees as one, an assignment, a havoc, a join with an earlier
+    state, a widening of an earlier state by the latest followed by a
+    guard, as at a loop head, and a rewind to an earlier state."""
+    v, earlier = st.sampled_from(names), st.integers(1, 12)
+    lin = st.builds(
+        Lin.make,
+        st.dictionaries(v, st.sampled_from((1, -1, 1, -1, 2, -3)), min_size=1, max_size=3),
+        st.integers(-3, 3),
+    )
+    atom = st.one_of(lin.map(ge0), lin.map(eq0))
+    guard = st.one_of(atom, st.tuples(atom, atom).map(lambda ab: lor(*ab)))
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("assume"), guard),
+            st.tuples(st.just("pin"), lin),
+            st.tuples(st.just("assign"), v, lin),
+            st.tuples(st.just("forget"), v),
+            st.tuples(st.just("join"), earlier),
+            st.tuples(st.just("widen"), earlier, guard),
+            st.tuples(st.just("rewind"), earlier),
+        ),
+        min_size=min_size,
+        max_size=max_size,
+    )
+
+
+def reduced_value(p):
+    return p.oct.m, p.aff.rows, p.aff.empty
+
+
+def run_against_full_reduce(names, steps):
+    """Each step on a product as the analysis takes it: a guard met and
+    reduced, everything else left unreduced. After every step the
+    reduction equals `full_reduce` of the same components, in the dense
+    view and the affine rows."""
+    states = [Product.top(names)]
+    p = states[0]
+    for op, *args in steps:
+        if op == "assign":
+            p = p.assign(*args)
+        elif op == "forget":
+            p = p.forget(args[0])
+        elif op == "pin":
+            p = p.assume(ge0(args[0])).reduce().assume(ge0(-args[0]))
+        elif op != "assume":
+            q = states[-1 - args[0] % len(states)]
+            p = q if op == "rewind" else p.join(q) if op == "join" else q.widen(p)
+        if op in ("assume", "widen"):
+            p = p.assume(nnf(args[-1]))
+        assert reduced_value(p.reduce()) == reduced_value(full_reduce(Product(p.oct, p.aff))), op
+        if op in ("assume", "pin", "widen"):
+            p = p.reduce()
+        states.append(p)
+
+
+class TestReduction:
+    @settings(max_examples=150, deadline=None)
+    @given(product_steps(NAMES4, 4, 16))
+    def test_every_reduction_matches_the_full_exchange(self, steps):
+        run_against_full_reduce(NAMES4, steps)
+
+    @pytest.mark.slow
+    @settings(max_examples=1500, deadline=None)
+    @given(st.integers(2, 6).flatmap(lambda n: product_steps(NAMES8[:n], 16, 32)))
+    def test_long_sweep_against_the_full_exchange(self, steps):
+        run_against_full_reduce(NAMES8, steps)
+
+    def test_affine_row_made_octagonal_by_an_equality_reaches_the_octagon(self):
+        # x + y + z == 3, then y + z == 1: the rows become x == 2 and
+        # y + z == 1, both of which the octagon can hold
+        p = Product.top(NAMES).assume(eq0(x + y + z - 3)).reduce()
+        assert p.oct.bounds("x") == (None, None)
+        p = p.assume(eq0(y + z - 1)).reduce()
+        assert p.oct.bounds("x") == (2, 2)
+        assert ({"y": 1, "z": 1}, 1) in list(p.oct.constraints())
+
+    def test_octagon_equality_that_makes_an_affine_row_octagonal_comes_back(self):
+        # x + y == 2 * z in the affine part; y == 1 and z == 2 arrive as
+        # one bound at a time, so the octagon alone sees them whole: the
+        # affine part reads them, and x == 3 goes back to the octagon
+        p = Product.top(NAMES).assume(eq0(x + y - z * 2)).reduce()
+        for g in (ge0(y - 1), ge0(-y + 1), ge0(z - 2), ge0(-z + 2)):
+            p = p.assume(g).reduce()
+        assert p.oct.bounds("x") == (3, 3)
+
+    def test_reduced_element_and_implied_guard_hand_back_the_element(self):
+        p = Product.top(NAMES).assume(land(eq(x, y), le(x, Lin.of(3)), eq0(x + y - 2 * z))).reduce()
+        assert p.reduce() is p
+        # z == x follows through the affine part only
+        for implied in (le(y, Lin.of(3)), eq(y, x), le(z, Lin.of(3)), eq(z, x)):
+            assert p.assume(nnf(implied)) is p
+        # the memo stays out of equality and the hash
+        bare = Product(p.oct, p.aff)
+        assert bare == p and hash(bare) == hash(p)
+        assert full_reduce(bare) == p
 
 
 class TestProductLaws:

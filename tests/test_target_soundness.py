@@ -128,3 +128,15 @@ def test_proved_clauses_hold_on_every_run():
 def test_long_sweep():
     for example in _sample(1, 150, cells=(1, 2)):
         _check(example)
+
+
+@pytest.mark.parametrize(
+    "clause, proved",
+    [("a[k] == k", True), ("a[k] == k + 1", False), ("i == n", True), ("i == n + 1", False)],
+)
+def test_tracked_arrays_the_clause_does_not_read(clause, proved):
+    # b (and in the scalar clauses a too) is tracked but not read: its
+    # cells are pinned where the clause reads a, or at k
+    example = ("fill2", "i", "2 * i", 1, False, clause)
+    assert _check(example) is proved
+    assert ensures_holds(_job(*example)[0], SIZES) is proved
