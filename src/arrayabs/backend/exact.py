@@ -5,11 +5,12 @@ has no flags (a flag is an ordinary variable here), and a program with
 any loop, reachable or not, is rejected before the walk. Each path
 carries a constraint over input copies (bare names) and per-variable
 current versions; assignments mint a new version and the dead one is
-projected out at once, so path constraints stay small. Paths whose
+projected out at once, so path constraints stay small and a finished
+path mentions only inputs and current versions. Paths whose
 constraints go unsatisfiable are pruned at every assume, and past
 `PATH_CAP` paths after a branch merge the analysis gives up. The
-disjunction of the finished path formulas, outputs renamed to primed
-names, is the program's exact input/output relation.
+disjunction of the finished path formulas, current versions renamed to
+primed names, is the program's exact input/output relation.
 """
 
 from __future__ import annotations
@@ -152,11 +153,7 @@ def analyze_loopfree_exact(sp, budget: Budget | None = None) -> ExactResult:
                 frame.append(eq(Lin.var(primed(v)), Lin.var(v)))
             else:
                 env[p_.cur[v]] = primed(v)
-        f = simplify(rename(land(p_.f, *frame), env))
-        names = set(scalars) | {primed(v) for v in scalars}
-        if set(f.free_vars()) - names:
-            f = simplify(project(f, names, budget))
-        outs.append(f)
+        outs.append(simplify(rename(land(p_.f, *frame), env)))
     return ExactResult(
         relation=lor(*outs) if outs else lor(),
         summaries=tuple(outs),

@@ -85,12 +85,12 @@ def cond_to_formula(c: Cond, read: Read | None = None) -> Formula:
 
 
 def formula_to_cond(f: Formula) -> Cond:
-    """Quantifier-free formula as a source condition: the formula
-    printer's text, parsed as a condition.
+    """A formula as a source condition: the formula printer's text,
+    parsed as a condition.
 
-    Divisibility atoms and quantifiers have no source syntax, so they
-    fail to parse and raise BridgeError; callers fall back to the native
-    formula printer.
+    Divisibility atoms, which elimination introduces, have no source
+    syntax, so they fail to parse and raise BridgeError; callers fall
+    back to the native formula printer.
     """
     text = to_str(f)
     try:

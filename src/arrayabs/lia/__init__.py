@@ -15,8 +15,6 @@ from .formula import (
     dvd,
     eq,
     eq0,
-    exists,
-    forall,
     ge0,
     implies,
     land,
@@ -50,8 +48,6 @@ __all__ = [
     "eq",
     "eq0",
     "equivalent",
-    "exists",
-    "forall",
     "ge0",
     "implies",
     "is_sat",

@@ -9,9 +9,11 @@ variables. Two atom kinds exist, and an atom's `kind` names it:
 Everything else is sugar: t <= u becomes u - t >= 0, t == u becomes the
 conjunction u - t >= 0 && t - u >= 0, t < u becomes u - t - 1 >= 0.
 Inequality atoms are gcd-reduced with the constant floored, so syntactic
-equality of atoms is a sound (in)equality test. Formulas are immutable
-trees over atoms with and/or/not and quantifier nodes; every variable,
-free or bound, is an integer.
+equality of atoms is a sound (in)equality test. Formulas are immutable,
+quantifier-free trees over atoms with and/or/not; every variable is a
+free integer. Quantifiers appear only as arguments of elimination:
+`qe.eliminate_quantifiers(f, bound)` is the quantifier-free form of
+exists bound. f, and a universal is its dual, not exists not.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ class Lin:
 # ---------------------------------------------------------------------------
 # Formulas
 
-# Node kinds: "true" "false" "ge" "dvd" "not" "and" "or" "exists" "forall"
+# Node kinds: "true" "false" "ge" "dvd" "not" "and" "or"
 
 
 @dataclass(frozen=True)
@@ -154,15 +156,10 @@ class Formula:
     lin: Lin | None = None
     mod: int = 0
     args: tuple["Formula", ...] = ()
-    bound: tuple[str, ...] = ()  # quantified variables
     _hash: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.kind, self.lin, self.mod, self.args, self.bound)),
-        )
+        object.__setattr__(self, "_hash", hash((self.kind, self.lin, self.mod, self.args)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -174,30 +171,9 @@ class Formula:
             return True
         return self.kind == "not" and self.args[0].kind in ("ge", "dvd")
 
-    def has_quantifier(self) -> bool:
-        if self.kind in ("exists", "forall"):
-            return True
-        return any(a.has_quantifier() for a in self.args)
-
     def free_vars(self) -> tuple[str, ...]:
-        """Free variables in first-occurrence order (deterministic)."""
-        out: list[str] = []
-        seen: set[str] = set()
-
-        def walk(f: Formula, bound: frozenset[str]) -> None:
-            if f.kind in ("ge", "dvd"):
-                for v in f.lin.vars():
-                    if v not in bound and v not in seen:
-                        seen.add(v)
-                        out.append(v)
-            elif f.kind in ("exists", "forall"):
-                walk(f.args[0], bound | set(f.bound))
-            else:
-                for a in f.args:
-                    walk(a, bound)
-
-        walk(self, frozenset())
-        return tuple(out)
+        """Variables in first-occurrence order (deterministic)."""
+        return tuple(dict.fromkeys(v for a in self.atoms() for v in a.lin.vars()))
 
     def walk(self) -> Iterator["Formula"]:
         """Every subformula, preorder."""
@@ -236,9 +212,7 @@ class Formula:
             return not self.args[0].evaluate(model)
         if k == "and":
             return all(a.evaluate(model) for a in self.args)
-        if k == "or":
-            return any(a.evaluate(model) for a in self.args)
-        raise LiaError(f"cannot evaluate quantified formula ({k})")
+        return any(a.evaluate(model) for a in self.args)
 
     def __str__(self) -> str:
         from .printing import to_str
@@ -354,28 +328,6 @@ def implies(a: Formula, b: Formula) -> Formula:
     return lor(lnot(a), b)
 
 
-def exists(vs: Iterable[str], f: Formula) -> Formula:
-    vs = tuple(vs)
-    if not vs:
-        return f
-    if f.kind in ("true", "false"):
-        return f
-    if f.kind == "exists":
-        return Formula("exists", args=f.args, bound=vs + f.bound)
-    return Formula("exists", args=(f,), bound=vs)
-
-
-def forall(vs: Iterable[str], f: Formula) -> Formula:
-    vs = tuple(vs)
-    if not vs:
-        return f
-    if f.kind in ("true", "false"):
-        return f
-    if f.kind == "forall":
-        return Formula("forall", args=f.args, bound=vs + f.bound)
-    return Formula("forall", args=(f,), bound=vs)
-
-
 # comparison sugar over Lin
 
 
@@ -418,17 +370,11 @@ def nnf(f: Formula, neg: bool = False) -> Formula:
     if k == "or":
         parts = tuple(nnf(a, neg) for a in f.args)
         return land(*parts) if neg else lor(*parts)
-    if k == "exists":
-        inner = nnf(f.args[0], neg)
-        return forall(f.bound, inner) if neg else exists(f.bound, inner)
-    if k == "forall":
-        inner = nnf(f.args[0], neg)
-        return exists(f.bound, inner) if neg else forall(f.bound, inner)
     raise LiaError(f"bad node {k}")
 
 
 def subst(f: Formula, env: Mapping[str, Lin]) -> Formula:
-    """Capture-avoiding substitution of terms for free integer variables."""
+    """Substitution of terms for integer variables."""
     if not env:
         return f
     k = f.kind
@@ -444,31 +390,6 @@ def subst(f: Formula, env: Mapping[str, Lin]) -> Formula:
         return land(*(subst(a, env) for a in f.args))
     if k == "or":
         return lor(*(subst(a, env) for a in f.args))
-    if k in ("exists", "forall"):
-        env2 = {v: t for v, t in env.items() if v not in f.bound}
-        if not env2:
-            return f
-        img_vars = {w for t in env2.values() for w in t.vars()}
-        bound = list(f.bound)
-        body = f.args[0]
-        renames: dict[str, Lin] = {}
-        if img_vars.intersection(bound):
-            # a renamed bound variable takes the smallest b#n that no
-            # free variable, image variable or substituted name uses
-            taken = img_vars | set(body.free_vars()) | set(env2)
-            for i, b in enumerate(bound):
-                if b in img_vars:
-                    n = 1
-                    while f"{b}#{n}" in taken:
-                        n += 1
-                    bound[i] = f"{b}#{n}"
-                    taken.add(bound[i])
-                    renames[b] = Lin.var(bound[i])
-        if renames:
-            body = subst(body, renames)
-        body = subst(body, env2)
-        ctor = exists if k == "exists" else forall
-        return ctor(tuple(bound), body)
     raise LiaError(f"bad node {k}")
 
 
@@ -497,11 +418,6 @@ def simplify(f: Formula) -> Formula:
         return f
     if k == "not":
         return lnot(simplify(f.args[0]))
-    if k in ("exists", "forall"):
-        inner = simplify(f.args[0])
-        live = set(inner.free_vars())
-        vs = tuple(v for v in f.bound if v in live)
-        return (exists if k == "exists" else forall)(vs, inner)
     parts = [simplify(a) for a in f.args]
     if k == "and":
         base = land(*parts)

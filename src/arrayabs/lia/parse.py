@@ -1,11 +1,11 @@
 """Formula input: the one condition grammar, read as a formula.
 
 `parse_formula(text)` is `bridge.cond_to_formula(lang.parse_condition(text))`,
-so every formula that `to_str` prints without divisibility atoms or
-quantifiers parses back to an equal formula. That grammar does not read:
+so every formula that `to_str` prints without divisibility atoms
+parses back to an equal formula. That grammar does not read:
 
-- divisibility `m | t` or `forall`/`exists` prefixes, which the printer
-  still writes; build them with `dvd`, `forall` and `exists`;
+- divisibility `m | t`, the one thing the printer writes that has no
+  source syntax; build it with `dvd`;
 - array reads such as `t[0] >= 1` or `old(t[0]) >= 1` (BridgeError);
 - chained constant factors such as `2*3*x`;
 - the language keywords (`int`, `old`, `var`, ...) as variable names.

@@ -70,9 +70,5 @@ def to_str(f: Formula, prec: int = 0) -> str:
                 i += 1
         s = " && ".join(parts)
         return f"({s})" if prec > 1 else s
-    if k == "or":
-        s = " || ".join(to_str(a, 1) for a in f.args)
-        return f"({s})" if prec > 0 else s
-    quant = "forall" if k == "forall" else "exists"
-    s = f"{quant} {', '.join(f.bound)}: {to_str(f.args[0], 0)}"
+    s = " || ".join(to_str(a, 1) for a in f.args)
     return f"({s})" if prec > 0 else s

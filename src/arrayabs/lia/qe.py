@@ -11,10 +11,13 @@ l | x. Then, with D the lcm of the moduli of divisibility atoms on x:
 where lows collects the terms b of lower-bound atoms x >= b and
 phi_minusinf replaces lower bounds by false and upper bounds by true.
 The mirror image (plus-infinity, upper boundary terms) is used instead
-whenever it has fewer boundary terms. Universal quantifiers go through
-the usual double negation. The formula tree is never converted to DNF;
-substitution happens on the whole tree, which keeps the blowup at
-|boundaries| * D copies per eliminated variable.
+whenever it has fewer boundary terms. Formulas carry no quantifiers:
+the caller names the variables to eliminate, either as the bound block
+of `eliminate_quantifiers` or as the complement of `project`'s keep
+list. A universal block is eliminated as its dual, not exists not. The
+formula tree is never converted to DNF; substitution happens on the
+whole tree, which keeps the blowup at |boundaries| * D copies per
+eliminated variable.
 
 A conjunction that pins x to an exact term (x >= t and x <= t both
 present) short-circuits to a plain substitution.
@@ -32,7 +35,6 @@ from .formula import (
     Formula,
     Lin,
     conj_literals,
-    exists,
     land,
     lnot,
     lor,
@@ -54,25 +56,22 @@ class Budget:
             raise BudgetError("lia work budget exceeded")
 
 
-def eliminate_quantifiers(f: Formula, budget: Budget | None = None) -> Formula:
-    """Equivalent quantifier-free formula (free variables unchanged)."""
-    return _elim(nnf(f), budget or Budget())
+def eliminate_quantifiers(f: Formula, bound: Iterable[str], budget: Budget | None = None) -> Formula:
+    """The quantifier-free form of exists `bound`. f; every other
+    variable stays free."""
+    return _eliminate(f, tuple(bound), budget)
 
 
-def _elim(f: Formula, budget: Budget) -> Formula:
-    k = f.kind
-    if k in ("true", "false", "ge", "dvd", "not"):
-        return f
-    if k == "and":
-        return land(*(_elim(a, budget) for a in f.args))
-    if k == "or":
-        return lor(*(_elim(a, budget) for a in f.args))
-    body = _elim(f.args[0], budget)
-    if k == "forall":
-        inner = nnf(lnot(body))
-        inner = _elim_block(f.bound, inner, budget)
-        return simplify(nnf(lnot(inner)))
-    return simplify(_elim_block(f.bound, body, budget))
+def project(f: Formula, keep: Iterable[str], budget: Budget | None = None) -> Formula:
+    """Eliminate every variable of f not in `keep`."""
+    keepset = set(keep)
+    return _eliminate(f, tuple(v for v in f.free_vars() if v not in keepset), budget)
+
+
+def _eliminate(f: Formula, bound: tuple[str, ...], budget: Budget | None) -> Formula:
+    # neither entry point calls the other, so a traced call of either
+    # is one elimination
+    return simplify(_elim_block(bound, nnf(f), budget or Budget()))
 
 
 def _elim_block(bound: tuple[str, ...], f: Formula, budget: Budget) -> Formula:
@@ -93,13 +92,6 @@ def _elim_block(bound: tuple[str, ...], f: Formula, budget: Budget) -> Formula:
         v = pending.pop(0)
         f = elim_exists(v, f, budget)
     return f
-
-
-def project(f: Formula, keep: Iterable[str], budget: Budget | None = None) -> Formula:
-    """Existentially eliminate every free variable not in `keep`."""
-    keepset = set(keep)
-    drop = [v for v in f.free_vars() if v not in keepset]
-    return _elim(exists(drop, nnf(f)), budget or Budget())
 
 
 def elim_exists(x: str, f: Formula, budget: Budget) -> Formula:

@@ -29,19 +29,14 @@ from .formula import (
     simplify,
     subst,
 )
-from .qe import Budget, elim_exists, eliminate_quantifiers, pinned_value
+from .qe import Budget, elim_exists, pinned_value
 
 Model = dict[str, int]
 
 
 def is_sat(f: Formula, budget: Budget | None = None) -> Model | None:
-    """A satisfying model, or None when unsatisfiable.
-
-    f must be quantifier-free. Returned models assign every free
-    variable.
-    """
-    if f.has_quantifier():
-        raise LiaError("is_sat expects a quantifier-free formula")
+    """A satisfying model, or None when unsatisfiable. Returned models
+    assign every variable of f."""
     budget = budget or Budget()
     all_vars = f.free_vars()
     f = simplify(nnf(f))
@@ -56,12 +51,8 @@ def is_sat(f: Formula, budget: Budget | None = None) -> Model | None:
 
 
 def entails(gamma: Formula, psi: Formula, budget: Budget | None = None) -> bool:
-    """True iff every model of gamma satisfies psi (quantifiers allowed)."""
-    budget = budget or Budget()
-    f = land(gamma, lnot(psi))
-    if f.has_quantifier():
-        f = eliminate_quantifiers(f, budget)
-    return is_sat(f, budget) is None
+    """True iff every model of gamma satisfies psi."""
+    return is_sat(land(gamma, lnot(psi)), budget) is None
 
 
 def equivalent(a: Formula, b: Formula, budget: Budget | None = None) -> bool:
@@ -89,12 +80,9 @@ def _quick_model(f: Formula) -> Model | None:
                 m = dict(base)
                 m[v] = c
                 candidates.append(m)
-    try:
-        for m in candidates:
-            if f.evaluate(m):
-                return m
-    except LiaError:
-        return None
+    for m in candidates:
+        if f.evaluate(m):
+            return m
     return None
 
 

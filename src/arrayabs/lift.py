@@ -39,12 +39,11 @@ from .lia import (
     Formula,
     Lin,
     eliminate_quantifiers,
-    exists,
-    forall,
     implies,
     is_sat,
     land,
     lnot,
+    nnf,
     rename,
     simplify,
     subst,
@@ -253,9 +252,13 @@ def reduce_dual(phi: Formula, sp: ScalarProgram, *, budget: Budget | None = None
 
     removes the tuples that fail this, which is exactly the
     information a convex or disjunctive scalar domain loses about
-    non-adjacent positions. Runs of phi through this are decreasing
-    and idempotent; if elimination exceeds the budget, phi comes back
-    unchanged (which is always sound) with a warning.
+    non-adjacent positions. Formulas have no quantifiers, so the
+    universal is eliminated as its dual. With fits = QE(exists va. U ->
+    phi), hole = QE(exists a. not fits) holds of the tuples that have a
+    position no value fits, and the conjunct is not hole.
+    Runs of phi through this are decreasing and idempotent; if
+    elimination exceeds the budget, phi comes back unchanged (which is
+    always sound) with a warning.
     """
     name = _dual_array(sp)
     left, right = sp.cells[name]
@@ -269,9 +272,11 @@ def reduce_dual(phi: Formula, sp: ScalarProgram, *, budget: Budget | None = None
             return phi
 
     vals = [left.value] + ([left.init] if left.init else [])
-    q = forall((left.index[0],), exists(vals, implies(sp.universe, phi)))
+    budget = budget or Budget()
     try:
-        return simplify(land(phi, eliminate_quantifiers(q, budget or Budget())))
+        fits = eliminate_quantifiers(implies(sp.universe, phi), vals, budget)
+        hole = eliminate_quantifiers(lnot(fits), (left.index[0],), budget)
+        return simplify(land(phi, simplify(nnf(lnot(hole)))))
     except BudgetError:
         warnings.warn("pair reduction ran out of budget; keeping the invariant as is", stacklevel=2)
         return phi

@@ -28,6 +28,7 @@ from arrayabs.backend import (
     analyze_loopfree_exact,
     analyze_scalar,
 )
+from arrayabs.backend import exact
 from arrayabs.backend.abstract import PARTITION_CAP, Interpreter
 from arrayabs.backend.affine import _rref
 from arrayabs.backend.octagon import INF
@@ -818,6 +819,17 @@ class TestWalker:
     def test_exact_analysis_rejects_an_unreachable_loop(self):
         sp = transform_program(parse_program(DEAD_LOOP), IndexConfig())
         with pytest.raises(ExactError, match="line 4: loop"):
+            analyze_loopfree_exact(sp)
+
+    def test_exact_analysis_gives_up_past_the_path_cap(self, monkeypatch):
+        # three independent branches: 8 live paths after the last merge
+        src = "proc p(a: int, b: int, c: int) {\n  var r: int;\n"
+        src += "".join(f"  if ({v} > 0) {{\n    r = r + 1;\n  }}\n" for v in "abc") + "}\n"
+        sp = transform_program(parse_program(src), IndexConfig())
+        monkeypatch.setattr(exact, "PATH_CAP", 8)
+        assert len(analyze_loopfree_exact(sp).summaries) == 8
+        monkeypatch.setattr(exact, "PATH_CAP", 7)
+        with pytest.raises(ExactError, match="path count 8 exceeds cap 7"):
             analyze_loopfree_exact(sp)
 
     def test_havoc_of_a_flag_is_rejected(self):

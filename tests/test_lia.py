@@ -25,8 +25,6 @@ from arrayabs.lia import (
     eq,
     eq0,
     equivalent,
-    exists,
-    forall,
     ge0,
     implies,
     is_sat,
@@ -48,6 +46,11 @@ from arrayabs.lia import (
 from helpers import box_sat, rand_formula
 
 x, y, z = Lin.var("x"), Lin.var("y"), Lin.var("z")
+
+
+def eliminate_forall(f, bound):
+    """Quantifier-free form of forall `bound`. f, as not exists not."""
+    return simplify(nnf(lnot(eliminate_quantifiers(lnot(f), bound))))
 
 
 # ---------------------------------------------------------------- Lin
@@ -119,10 +122,6 @@ class TestConstructors:
         m = is_sat(ne(x, x))
         assert m is None
 
-    def test_quantifier_block_merge(self):
-        f = exists(["x"], exists(["y"], ge0(x + y)))
-        assert f.kind == "exists" and set(f.bound) == {"x", "y"}
-
     def test_nnf_pushes_negation(self):
         f = lnot(land(ge0(x), lnot(dvd(2, y))))
         g = nnf(f)
@@ -138,20 +137,9 @@ class TestConstructors:
     def test_simplify_detects_empty_interval(self):
         assert simplify(land(ge0(x - 5), ge0(-x + 2))) is FALSE
 
-    def test_subst_capture_avoidance(self):
-        f = exists(["y"], eq(x, y))  # exists y. x == y
-        g = subst(f, {"x": Lin.var("y")})
-        # the free y must not be captured; result still a tautology witness
-        assert g.kind == "exists" and "y" in g.free_vars()
-        assert eliminate_quantifiers(g) is TRUE
-
-    def test_subst_renames_bound_variable_apart_and_repeatably(self):
-        # forall x. x + x#1 >= y  with y := x: the renamed bound x must
-        # capture neither the free x#1 nor the incoming x
-        f = forall(["x"], ge0(x + Lin.var("x#1") - y))
-        g = subst(f, {"y": x})
-        assert g == forall(["x#2"], ge0(Lin.var("x#2") + Lin.var("x#1") - x))
-        assert subst(f, {"y": x}) == g
+    def test_subst_reaches_every_atom(self):
+        f = land(ge0(x), lor(dvd(2, x + y), ge0(z - x)))
+        assert subst(f, {"x": y + 1}) == land(ge0(y + 1), lor(dvd(2, 2 * y + 1), ge0(z - y - 1)))
 
     def test_rename(self):
         f = land(ge0(x), dvd(2, y))
@@ -178,10 +166,10 @@ class TestParser:
                 parse_formula(bad)
 
     def test_quantifiers_and_implication(self):
+        # forall i. 0 <= i ==> exists j. j == i + 1
         i, j = Lin.var("i"), Lin.var("j")
-        f = forall(["i"], implies(le(Lin.of(0), i), exists(["j"], eq(j, i + 1))))
-        assert f.kind == "forall"
-        assert eliminate_quantifiers(f) is TRUE
+        some = eliminate_quantifiers(eq(j, i + 1), ["j"])
+        assert eliminate_forall(implies(le(Lin.of(0), i), some), ["i"]) is TRUE
 
     def test_implication_right_assoc(self):
         f = parse_formula("x >= 0 ==> x >= 1 ==> x >= 2")
@@ -238,6 +226,23 @@ class TestSat:
         m = is_sat(f)
         assert m is not None and m["x"] == 1
 
+    def test_disjunction_split_past_the_quick_model(self):
+        # seven variables, so no quick model is tried on the whole
+        # formula; a strict cycle is unsatisfiable, but only elimination
+        # shows it, so the first disjunct must be refuted before the
+        # second one is solved
+        a, b, c, d, e, f, g = (Lin.var(v) for v in "abcdefg")
+
+        def cycle(*vs):
+            return land(*(lt(u, v) for u, v in zip(vs, vs[1:] + vs[:1])))
+
+        sat = land(lt(d, e), le(Lin.of(3), f), eq(g, d + f))
+        formula = lor(land(cycle(a, b, c), ge0(g)), sat)
+        assert simplify(nnf(formula)).kind == "or"
+        m = is_sat(formula)
+        assert m is not None and formula.evaluate(m) and sat.evaluate(m)
+        assert is_sat(lor(cycle(a, b, c), cycle(d, e, f, g))) is None
+
     def test_all_free_vars_assigned(self):
         f = lor(ge0(x), ge0(y))
         m = is_sat(f)
@@ -254,7 +259,7 @@ class TestSat:
 
     def test_entails_with_quantified_goal(self):
         gamma = ge0(x - 1)
-        psi = exists(["y"], land(eq(x, 2 * y), dvd(2, x)))
+        psi = eliminate_quantifiers(land(eq(x, 2 * y), dvd(2, x)), ["y"])
         assert not entails(gamma, psi)
         assert entails(land(gamma, dvd(2, x)), psi)
 
@@ -286,46 +291,38 @@ class TestSat:
 
 class TestQE:
     def test_interval_projection(self):
-        f = exists(["x"], land(ge0(x - Lin.var("a")), ge0(Lin.var("b") - x)))
-        g = eliminate_quantifiers(f)
+        f = land(ge0(x - Lin.var("a")), ge0(Lin.var("b") - x))
+        g = eliminate_quantifiers(f, ["x"])
         assert equivalent(g, ge0(Lin.var("b") - Lin.var("a")))
 
     def test_forall_tautology(self):
-        f = forall(["x"], implies(ge0(x - 1), ge0(x)))
-        assert eliminate_quantifiers(f) is TRUE
+        assert eliminate_forall(implies(ge0(x - 1), ge0(x)), ["x"]) is TRUE
 
     def test_forall_false(self):
-        f = forall(["x"], ge0(x))
-        assert eliminate_quantifiers(f) is FALSE
+        assert eliminate_forall(ge0(x), ["x"]) is FALSE
 
     def test_divisibility_projection(self):
         # exists x. y == 2x  is  2 | y
-        f = exists(["x"], eq(Lin.var("y"), 2 * x))
-        g = eliminate_quantifiers(f)
+        g = eliminate_quantifiers(eq(Lin.var("y"), 2 * x), ["x"])
         assert equivalent(g, dvd(2, Lin.var("y")))
 
     def test_alternation(self):
         # forall x. exists y. y >= x  holds over Z
-        f = forall(["x"], exists(["y"], ge0(y - x)))
-        assert eliminate_quantifiers(f) is TRUE
+        assert eliminate_forall(eliminate_quantifiers(ge0(y - x), ["y"]), ["x"]) is TRUE
         # exists y. forall x. y >= x  does not
-        g = exists(["y"], forall(["x"], ge0(y - x)))
-        assert eliminate_quantifiers(g) is FALSE
+        assert eliminate_quantifiers(eliminate_forall(ge0(y - x), ["x"]), ["y"]) is FALSE
 
     def test_pinned_variable_shortcut(self):
-        f = exists(["x"], land(eq(x, y + 3), dvd(5, x)))
-        g = eliminate_quantifiers(f)
+        g = eliminate_quantifiers(land(eq(x, y + 3), dvd(5, x)), ["x"])
         assert equivalent(g, dvd(5, y + 3))
 
     def test_result_quantifier_free_and_free_vars_subset(self):
-        f = exists(["x"], land(ge0(x - y), ge0(z - x)))
-        g = eliminate_quantifiers(f)
-        assert not g.has_quantifier()
+        g = eliminate_quantifiers(land(ge0(x - y), ge0(z - x)), ["x"])
         assert set(g.free_vars()) <= {"y", "z"}
 
     def test_eliminate_exists_list(self):
         f = land(ge0(x - 1), ge0(y - x - 1), ge0(z - y - 1))
-        g = eliminate_quantifiers(exists(["x", "y"], f))
+        g = eliminate_quantifiers(f, ["x", "y"])
         assert equivalent(g, ge0(z - 3))
 
     def test_project(self):
@@ -343,12 +340,14 @@ class TestQE:
         qv = rng.sample(names, rng.randint(1, nv - 1))
         bounds = [land(ge0(Lin.var(v) + 4), ge0(-Lin.var(v) + 4)) for v in qv]
         body = land(inner, *bounds)
-        g = eliminate_quantifiers(exists(qv, body))
+        g = eliminate_quantifiers(body, qv)
+        h = eliminate_forall(implies(land(*bounds), inner), qv)
         free = [v for v in names if v not in qv]
         for vals in itertools.product(range(-4, 5), repeat=len(free)):
             env = dict(zip(free, vals))
-            want = any(
-                body.evaluate({**env, **dict(zip(qv, qvals))})
+            inside = [
+                inner.evaluate({**env, **dict(zip(qv, qvals))})
                 for qvals in itertools.product(range(-4, 5), repeat=len(qv))
-            )
-            assert g.evaluate(env) == want
+            ]
+            assert g.evaluate(env) == any(inside)
+            assert h.evaluate(env) == all(inside)

@@ -195,6 +195,11 @@ def index_program(cells: ArrayCells):
     return transform_program(parse_program(INDEX_ARR), IndexConfig(arrays={"t": cells}))
 
 
+def test_quantify_rejects_an_unknown_variable():
+    with pytest.raises(LiftError, match="invariant mentions unknown variables: z"):
+        quantify(parse_formula("i >= 0 && z >= i"), index_program(ArrayCells(1)))
+
+
 def test_pair_reduction_rules_out_a_right_cell_with_no_left_neighbours():
     # every position left of t$1$x0 must be able to hold the left cell,
     # and phi puts the left cell below 2, so t$1$x0 <= 2

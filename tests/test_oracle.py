@@ -81,6 +81,18 @@ def test_completeness_with_one_cell_per_access(seed):
 
 
 @pytest.mark.parametrize("seed", range(1, 10))
+def test_exact_summaries_mention_only_inputs_and_outputs(seed):
+    # dead versions are projected out as the paths go, so renaming the
+    # current versions leaves bare (input) and primed (output) scalars
+    p, cfg = random_loopfree_program(random.Random(seed))
+    sp = transform_program(p, cfg)
+    scalars = sp.program.scalars()
+    names = set(scalars) | {primed(v) for v in scalars}
+    for f in analyze_loopfree_exact(sp).summaries:
+        assert set(f.free_vars()) <= names
+
+
+@pytest.mark.parametrize("seed", range(1, 10))
 def test_exact_relation_admits_every_final_state(seed):
     p, cfg = random_loopfree_program(random.Random(seed))
     sp = transform_program(p, cfg)

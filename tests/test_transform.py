@@ -1,9 +1,10 @@
-"""Array-to-scalar translation: emitted text and observer validation."""
+"""Array-to-scalar translation: emitted text, and observer and layout validation."""
 
 import pytest
 
 from arrayabs.backend import AnalysisError, analyze_scalar
 from arrayabs.lang import CheckError, decompose_accesses, parse_condition, parse_program, to_source
+from arrayabs.lia import Lin, dvd, parse_formula
 from arrayabs.transform import ArrayCells, IndexConfig, ObserverSpec, ObsFlag, TransformError, transform_program
 
 INIT = """
@@ -144,6 +145,47 @@ def test_observer_errors(flags, case):
     error, message = OBSERVER_ERRORS[case]
     with pytest.raises(error, match=message):
         transform(INIT, flags)
+
+
+GRID = """
+proc grid(n: int) {
+  array g[n][n]: int;
+  var i: int;
+  g[i][i] = 0;
+}
+"""
+
+# each layout fault, by its label: the program, the layout, and the
+# message of the TransformError it raises
+LAYOUT_ERRORS = {
+    "unknown array": (
+        INIT,
+        IndexConfig(arrays={"t": ArrayCells(1), "u": ArrayCells(1)}),
+        "config names unknown arrays: u",
+    ),
+    "ordered cells on a 2-D array": (
+        GRID,
+        IndexConfig(arrays={"g": ArrayCells(2, ordered=True)}),
+        "ordered cells need a 1-dimensional array, g has 2",
+    ),
+    "focus on a local": (
+        INIT,
+        IndexConfig(arrays={"t": ArrayCells(1)}, focus=parse_formula("t$0$x0 < i")),
+        "focus mentions non-index, non-parameter variables: i",
+    ),
+    "focus with divisibility": (
+        INIT,
+        IndexConfig(arrays={"t": ArrayCells(1)}, focus=dvd(2, Lin.var("t$0$x0"))),
+        "focus has no source form",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LAYOUT_ERRORS))
+def test_layout_errors(case):
+    src, cfg, message = LAYOUT_ERRORS[case]
+    with pytest.raises(TransformError, match=message):
+        transform_program(parse_program(src), cfg)
 
 
 def test_flags_on_program_without_array_access():
