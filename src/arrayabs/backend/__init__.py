@@ -8,6 +8,15 @@ Both run one statement walker, `abstract.Interpreter`, over a state with
 collapses the partitions past `PARTITION_CAP` (after each If, and at
 loop heads). The exact path set raises `ExactError` past `PATH_CAP`
 paths after an If, and on any loop before the walk.
+
+The walker records the asserts it meets with the states that reached
+them, and each analysis resolves them with `entails` once the walk is
+done. A loop records one walk of its body from its head: the round that
+found the head when that round left it unchanged, else, when the body
+holds an assert, one more walk from the head. So no body is walked
+twice from the same head, and the
+verdicts are those of a check pass from the head, which is sound
+because the head covers every reachable state of the loop.
 """
 
 from .abstract import (

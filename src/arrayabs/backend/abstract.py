@@ -5,11 +5,16 @@ walker over scalar statements.
 `is_empty()`, `assign(var, lin)`, `forget(var)` (havoc), `guard(f)`,
 `assume(g)`, `entails(g)` (a sound yes), `join(other)` and `bounded()`
 (the state after a branch merge, within its cap). Once the state is
-empty it skips the rest of the block, so dead code records no assert
-verdicts. `AbstractState` and the path set of `exact.py` implement it.
-Only `AbstractState` has loops (`loop` needs its `widen`, `leq` and
+empty it skips the rest of the block, so dead code records no assert.
+`AbstractState` and the path set of `exact.py` implement it. Only
+`AbstractState` has loops (`loop` needs its `widen`, `leq` and
 `collapse`) and flags; its `bounded` collapses the flag partitions past
 `PARTITION_CAP`, which each loop head checks too.
+
+A walk decides no assert. It records each assert it meets, with the
+state that reached it, in the list its caller hands in. Once the whole
+program is walked, each analysis asks `entails` of each record, in
+walk order, and that answer is the assert's verdict.
 
 Guard normal forms live in the walker. `guard(f)` turns the formula of
 a condition into the pair (condition, negation) in the form that the
@@ -36,9 +41,26 @@ loop head is that last ascending iterate nxt; there is no narrowing
 operator. It is sound because inv is then a post-fixpoint: nxt
 over-approximates F(gamma(inv)), which contains the least fixpoint, and
 nxt <= inv makes it one finite decreasing step (Cousot and Cousot,
-"Abstract interpretation frameworks", JLC 1992). Assertion checks
-happen in one final pass over the head, so verdicts never depend on
-intermediate iterates.
+"Abstract interpretation frameworks", JLC 1992).
+
+The asserts a loop records are those of one walk of its body from the
+head. Every round records the walk it makes and keeps only its own
+record. When the last round left the head as it found it (nxt == inv,
+tested as inv <= nxt), that round walked the body from the head
+itself, and its record becomes the loop's: the walk closes and reduces
+the head before anything else, and from there depends only on the
+value of each state, not on how it is stored, so a second walk from an
+equal head would record the same asserts with equal states. When the
+head shrank on the last round (nxt < inv), and only if the body holds
+an assert, the body is walked once more, from nxt. So no body is
+walked twice from the same head, and every verdict is the one a
+separate check pass from the head would give. Verdicts read at the
+head are sound because the head covers every reachable state of the
+loop; the last round's record alone would be sound too, since inv is a
+post-fixpoint, and an iteration strategy may choose where it reads its
+results (Bourdoncle, "Efficient chaotic iteration strategies with
+widenings", FMPA 1993), but from the larger inv it proves less.
+Verdicts never depend on the iterates before the last round.
 
 Widened elements are stored unreduced; guard assumes reduce their own
 copies. Reducing the stored head element could re-tighten what the
@@ -62,6 +84,7 @@ from ..lang.ast import (
     Num,
     Stmt,
     While,
+    walk_stmts,
 )
 from ..lia import Formula, Lin, lor, nnf
 from .product import Product
@@ -166,6 +189,16 @@ class AbstractState:
         return lor(*(el.reduce().to_formula() for _, el in parts))
 
 
+class _Met(NamedTuple):
+    """An assert met on a walk, with the state's guard of its condition
+    and the state that reached it; its verdict is `state.entails(guard)`."""
+
+    line: int
+    formula: Formula
+    guard: object
+    state: object
+
+
 @dataclass(frozen=True)
 class AssertVerdict:
     line: int
@@ -184,14 +217,15 @@ class AnalysisResult:
 
 @dataclass
 class Interpreter:
-    """The walker over scalar statements (module docstring). Asserts
-    met with `check` set append their verdicts to `asserts`. Each
-    condition is translated and guarded once: loop rounds and the check
-    pass meet the same nodes again."""
+    """The walker over scalar statements (module docstring). `block`,
+    `stmt` and `loop` decide no assert: they append each assert a walk
+    meets to the list `met` they are handed, in walk order, and the
+    analysis resolves the list once the program is walked. Each
+    condition is translated and guarded once: loop rounds meet the same
+    nodes again."""
 
     numeric: tuple[str, ...]
     flags: tuple[str, ...] = ()
-    asserts: list[AssertVerdict] = field(default_factory=list)
     # id of a condition node -> (the node, its formula, the state's
     # guard of it and of its negation); holding the node keeps its id
     # from being reused while the entry lives
@@ -224,14 +258,14 @@ class Interpreter:
             if v not in self.numeric:
                 raise AnalysisError(f"unknown variable {v}")
 
-    def block(self, stmts: Iterable[Stmt], st, check: bool):
+    def block(self, stmts: Iterable[Stmt], st, met: list[_Met]):
         for s in stmts:
             if st.is_empty():
                 break
-            st = self.stmt(s, st, check)
+            st = self.stmt(s, st, met)
         return st
 
-    def stmt(self, s: Stmt, st, check: bool):
+    def stmt(self, s: Stmt, st, met: list[_Met]):
         if isinstance(s, Assign):
             if s.var not in self.flags:
                 return st.assign(s.var, self._lin(s.expr))
@@ -248,19 +282,22 @@ class Interpreter:
             return st.assume(g)
         if isinstance(s, Assert):
             f, g, _ = self._cond(s.cond, st)
-            if check:
-                self.asserts.append(AssertVerdict(s.line, f, st.entails(g)))
+            met.append(_Met(s.line, f, g, st))
             return st.assume(g)
         if isinstance(s, If):
             _, g, not_g = self._cond(s.cond, st)
-            a = self.block(s.then, st.assume(g), check)
-            b = self.block(s.els, st.assume(not_g), check)
+            a = self.block(s.then, st.assume(g), met)
+            b = self.block(s.els, st.assume(not_g), met)
             return a.join(b).bounded()
         if isinstance(s, While):
-            return self.loop(s, st, check)
+            return self.loop(s, st, met)
         raise AnalysisError(f"array statement reached the analysis: {s!r}")
 
-    def loop(self, s: While, st: AbstractState, check: bool) -> AbstractState:
+    def loop(self, s: While, st: AbstractState, met: list[_Met]) -> AbstractState:
+        """The exit state of the loop. To `met` go the asserts of one
+        walk of the body from the head: the last round's record when
+        that round left the head unchanged, else that of one more walk,
+        made only when the body holds an assert (module docstring)."""
         _, g, not_g = self._cond(s.cond, st)
         # A head that collapsed once stays collapsed: later iterates are
         # merged into its one key too. Otherwise they bring back keys
@@ -268,27 +305,32 @@ class Interpreter:
         # need not stabilise.
         collapsed = False
 
-        def step(head: AbstractState) -> AbstractState:
-            nxt = st.join(self.block(s.body, head.assume(g), False))
+        def step(head: AbstractState, rec: list[_Met]) -> AbstractState:
+            nxt = st.join(self.block(s.body, head.assume(g), rec))
             return nxt.collapse() if collapsed else nxt
 
         inv = st
         rounds = 0
         while True:
-            nxt = step(inv)
+            rec: list[_Met] = []
+            nxt = step(inv, rec)
             if nxt.leq(inv):
-                # inv is a post-fixpoint, so nxt = F#(inv) still covers
-                # every reachable head state: the head is nxt, which
-                # recovers bounds the widening threw away
-                inv = nxt
                 break
             rounds += 1
             inv = inv.join(nxt) if rounds <= WIDENING_DELAY else inv.widen(nxt)
             if len(inv.parts) > PARTITION_CAP:
                 inv, collapsed = inv.collapse(), True
-        if check:
-            self.block(s.body, inv.assume(g), True)
-        return inv.assume(not_g)
+        # inv is a post-fixpoint, so nxt = F#(inv) still covers every
+        # reachable head state: the head is nxt, which recovers bounds
+        # the widening threw away. rec is the walk from inv, which is
+        # the walk from the head unless the head shrank. Given nxt <= inv,
+        # they are equal when inv <= nxt; that order compares closed
+        # matrices pack by pack, where == would build dense ones.
+        if not inv.leq(nxt) and any(isinstance(x, Assert) for x in walk_stmts(s.body)):
+            rec = []
+            self.block(s.body, nxt.assume(g), rec)
+        met += rec
+        return nxt.assume(not_g)
 
 
 def analyze_scalar(sp) -> AnalysisResult:
@@ -305,6 +347,7 @@ def analyze_scalar(sp) -> AnalysisResult:
         if v not in flags:
             el = el.assign(v, Lin.of(0))
     entry = AbstractState(flags, {(0,) * len(flags): el})
-    interp = Interpreter(numeric, flags)
-    exit_state = interp.block(program.body, entry, True)
-    return AnalysisResult(exit=exit_state, asserts=tuple(interp.asserts))
+    met: list[_Met] = []
+    exit_state = Interpreter(numeric, flags).block(program.body, entry, met)
+    asserts = tuple(AssertVerdict(m.line, m.formula, m.state.entails(m.guard)) for m in met)
+    return AnalysisResult(exit=exit_state, asserts=asserts)

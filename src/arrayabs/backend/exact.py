@@ -142,9 +142,9 @@ def analyze_loopfree_exact(sp, budget: Budget | None = None) -> ExactResult:
     budget = budget or Budget()
     scalars = prog.scalars()
     start = land(*(eq(Lin.var(v), Lin.of(0)) for v in prog.locals))
-    interp = Interpreter(scalars)
     entry = _Paths([_Path(start, {v: v for v in scalars})], budget, frozenset(scalars), itertools.count(1))
-    paths = interp.block(prog.body, entry, True).paths
+    met: list = []
+    paths = Interpreter(scalars).block(prog.body, entry, met).paths
     outs: list[Formula] = []
     for p_ in paths:
         env, frame = {}, []
@@ -157,5 +157,5 @@ def analyze_loopfree_exact(sp, budget: Budget | None = None) -> ExactResult:
     return ExactResult(
         relation=lor(*outs) if outs else lor(),
         summaries=tuple(outs),
-        asserts=tuple((a.line, a.proven) for a in interp.asserts),
+        asserts=tuple((m.line, m.state.entails(m.guard)) for m in met),
     )

@@ -3,8 +3,8 @@
 Brute-force evaluation of formulas over integer boxes, both pointwise
 and vectorized over the whole grid, plus small random generators used
 by the differential tests, and the references that the backend's
-differential tests compare with: a dense octagon and the full
-reduction of the product.
+differential tests compare with: a dense octagon, the full reduction
+of the product, and the loop with a separate check pass.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from arrayabs.backend import Product
+from arrayabs.backend import Product, abstract, analyze_scalar
+from arrayabs.backend.abstract import PARTITION_CAP, WIDENING_DELAY, Interpreter
 from arrayabs.lia import FALSE, TRUE, Formula, Lin, dvd, ge0, land, lnot, lor
 
 
@@ -278,3 +279,50 @@ def full_reduce(p):
             a = a.add_eq(Lin.make(coeffs, -k))
         if a == before:
             return Product(o, a)
+
+
+# ------------------------------------------- loop with a check pass
+
+class _Discard(list):
+    """The record of a walk that only computes states: its asserts are
+    never resolved."""
+
+
+class CheckPassInterpreter(Interpreter):
+    """Reference for `Interpreter.loop`: every round walks the body with
+    a record that is thrown away, and once the head is found, a separate
+    check pass walks the body from it and records its asserts. A loop
+    met on a walk whose record is thrown away makes no check pass, so
+    the walk count of each body is the reference's too."""
+
+    def loop(self, s, st, met):
+        _, g, not_g = self._cond(s.cond, st)
+        collapsed = False
+
+        def step(head):
+            nxt = st.join(self.block(s.body, head.assume(g), _Discard()))
+            return nxt.collapse() if collapsed else nxt
+
+        inv = st
+        rounds = 0
+        while True:
+            nxt = step(inv)
+            if nxt.leq(inv):
+                inv = nxt
+                break
+            rounds += 1
+            inv = inv.join(nxt) if rounds <= WIDENING_DELAY else inv.widen(nxt)
+            if len(inv.parts) > PARTITION_CAP:
+                inv, collapsed = inv.collapse(), True
+        if not isinstance(met, _Discard):
+            self.block(s.body, inv.assume(g), met)
+        return inv.assume(not_g)
+
+
+def analyze_with_check_pass(sp):
+    """`analyze_scalar` with the loop of `CheckPassInterpreter`."""
+    saved, abstract.Interpreter = abstract.Interpreter, CheckPassInterpreter
+    try:
+        return analyze_scalar(sp)
+    finally:
+        abstract.Interpreter = saved

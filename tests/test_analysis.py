@@ -270,8 +270,8 @@ def assert_sound(sp, exit_formula):
 
 
 def test_each_condition_is_translated_once(monkeypatch):
-    # the loop guard is met in every round and in the check pass, the
-    # assert once: two condition nodes, two translations
+    # the loop guard is met in every round, the assert once: two
+    # condition nodes, two translations
     met = []
     translate = abstract.cond_to_formula
     monkeypatch.setattr(abstract, "cond_to_formula", lambda c: met.append(c) or translate(c))

@@ -753,6 +753,21 @@ class TestReduction:
         assert bare == p and hash(bare) == hash(p)
         assert full_reduce(bare) == p
 
+    def test_join_of_reduced_elements_need_not_be_reduced(self):
+        # the affine hull of the two sides has the octagonal row
+        # a - b == -1, but each side has it only as a combination of
+        # three-variable rows, so neither octagon holds it: only a full
+        # exchange after the join pushes it, and `join` keeps no memo
+        a, b, c, d = (Lin.var(v) for v in "abcd")
+        top = Product.top(("a", "b", "c", "d"))
+        left = top.assume(nnf(land(eq0(a - c - d + 1), eq0(b - c - d)))).reduce()
+        right = top.assume(nnf(land(eq0(a - c + d + 1), eq0(b - c + d)))).reduce()
+        j = left.join(right)
+        row = ({"a": 1, "b": -1}, -1)
+        assert row not in list(j.oct.close().constraints())
+        assert row in list(full_reduce(j).oct.constraints())
+        assert j.reduce() == full_reduce(j) != j
+
 
 class TestProductLaws:
     @settings(max_examples=25, deadline=None)
@@ -835,7 +850,7 @@ class TestWalker:
     def test_havoc_of_a_flag_is_rejected(self):
         st0 = AbstractState(("f",), {(0,): Product.top(("x",))})
         with pytest.raises(AnalysisError, match="observer flag f havocked"):
-            Interpreter(("x",), ("f",)).block((Havoc("f"),), st0, True)
+            Interpreter(("x",), ("f",)).block((Havoc("f"),), st0, [])
 
 
 class TestExactAsserts:

@@ -77,6 +77,11 @@ def job_hash(job: Job, deadline_s: float) -> str | None:
     return hashlib.sha256("\0".join(parts).encode()).hexdigest()[:16]
 
 
+def digest(lines: list[str]) -> str:
+    """One hash over the `workload job hash` lines of the hashed jobs."""
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
@@ -93,7 +98,7 @@ def main() -> None:
                 lines.append(f"{name} {job.id} {h}")
             print(f"{name} {job.id} {h or 'timeout'}", flush=True)
     print(f"timed out: {' '.join(timed_out) or '-'}")
-    print(f"digest {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()[:16]}")
+    print(f"digest {digest(lines)}")
 
 
 if __name__ == "__main__":
