@@ -95,7 +95,9 @@ Row = tuple[int | float, ...]  # a stored row, shared between elements
 FREE = ((0, INF), (INF, 0))  # matrix of a variable with no constraint
 
 
-def _octagonal(coeffs: dict[str, int]) -> bool:
+def octagonal(coeffs: dict[str, int]) -> bool:
+    """Whether sum(coeffs) <= k is an octagon constraint: one or two
+    variables, unit coefficients."""
     return 1 <= len(coeffs) <= 2 and all(abs(c) == 1 for c in coeffs.values())
 
 
@@ -386,18 +388,35 @@ class Octagon:
         return tuple(tuple(None if x == INF else x for x in r) for r in view)
 
     def __eq__(self, other: object) -> bool:
+        """Equality of the closed forms, which is equality of the
+        integer point sets. Over one partition the packs are compared
+        matrix by matrix, a shared pack or row at the cost of an
+        identity test; only closed forms partitioned differently are
+        compared in the dense view."""
         if self is other:
             return True
         if not isinstance(other, Octagon):
             return NotImplemented
-        return (
-            self.vars == other.vars
-            and self.empty == other.empty
-            and (self.packs == other.packs or self.m == other.m)
-        )
+        if self.vars != other.vars:
+            return False
+        a, b = self.close(), other.close()
+        if a.empty or b.empty:
+            return a.empty == b.empty
+        if all(p is q or p.vars == q.vars for p, q in zip(a.packs, b.packs)):
+            return all(p is q or p.m == q.m for p, q in zip(a._distinct(), b._distinct()))
+        return a.m == b.m
 
     def __hash__(self) -> int:
-        return hash((self.vars, self.empty, self.m))
+        """From the unary bounds of the closed form, which equal closed
+        forms share whatever their partition."""
+        a = self.close()
+        if a.empty:
+            return hash((a.vars, True))
+        units = []
+        for i, p in enumerate(a.packs):
+            q = 2 * p.vars.index(i)
+            units += (p.m[q][q + 1], p.m[q + 1][q])
+        return hash((a.vars, tuple(units)))
 
     # -- canonical form
 
@@ -521,7 +540,7 @@ class Octagon:
         """Meet with sum(coeffs)*vars <= k: one or two variables, unit
         coefficients. The result is tightly closed; an unclosed element
         meets its closed form."""
-        if not _octagonal(coeffs):
+        if not octagonal(coeffs):
             raise ValueError(f"not an octagon constraint: {coeffs}")
         return self._add(coeffs, k)
 
@@ -565,7 +584,7 @@ class Octagon:
         if self.empty:
             return self
         coeffs = dict(lin.coeffs)
-        if _octagonal(coeffs):
+        if octagonal(coeffs):
             # lin >= 0  <=>  -lin <= const
             return self._add({v: -c for v, c in coeffs.items()}, lin.const)
         return self

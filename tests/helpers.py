@@ -144,6 +144,14 @@ class DenseOctagon:
     def _node(self, v, sign):
         return 2 * self.vars.index(v) + (sign < 0)
 
+    def __eq__(self, other):
+        a, b = self.close(), other.close()
+        return (a.vars, a.empty, a.m) == (b.vars, b.empty, b.m)
+
+    def __hash__(self):
+        c = self.close()
+        return hash((c.vars, c.empty, c.m))
+
     def close(self):
         if self.empty or self.closed:
             return self

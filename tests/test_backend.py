@@ -4,13 +4,13 @@ walker that both scalar analyses share.
 Properties compare an element's formula with the constraints it was
 built from, point by point over a small integer box (helpers.truth_table).
 The packed octagon is checked against the dense reference of
-helpers.DenseOctagon step by step, incremental closure and the `closed`
-mark against the full closure of its dense view, the packs and rows an
-octagon operation shares with its input by object identity, the lattice
-operations against entrywise references, and the affine shortcuts
-against the full reduction. The product's semi-naive reduction is
-checked against helpers.full_reduce after every step of random
-sequences.
+helpers.DenseOctagon step by step, equality and hash included,
+incremental closure and the `closed` mark against the full closure of
+its dense view, the packs and rows an octagon operation shares with
+its input by object identity, the lattice operations against entrywise
+references, and the affine shortcuts against the full reduction. The
+product's semi-naive reduction is checked against helpers.full_reduce
+after every step of random sequences.
 """
 
 import itertools
@@ -432,7 +432,7 @@ def put_in_boxes(o, d, bs):
 def run_against_dense(names, ops):
     """Each operation on a packed element and on the dense reference;
     after every step the dense view of the one is the matrix of the
-    other, and the formulas read the same."""
+    other, and the formulas read the same. Returns every state pair."""
     states = [(Octagon.top(names), DenseOctagon.top(names))]
     o, d = states[0]
     for op, *args in ops:
@@ -463,6 +463,7 @@ def run_against_dense(names, ops):
         assert o.m == d.m, op
         assert str(o.to_formula()) == str(d.to_formula()), op
         states.append((o, d))
+    return states
 
 
 NAMES8 = tuple(f"v{i}" for i in range(8))
@@ -495,6 +496,36 @@ class TestPackedAgainstDense:
         for op in ("join", "widen"):
             assert getattr(a, op)(b).m == getattr(da, op)(db).m, op
             assert getattr(b, op)(a).m == getattr(db, op)(da).m, op
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: against_dense(NAMES8[:n], 2, 10)), st.randoms(use_true_random=False))
+    def test_equality_and_hash_agree_with_the_dense_reference(self, ops, rnd):
+        """Every two states of a run, and each of the last ones with a
+        copy rebuilt from its constraints in shuffled order, which may
+        partition them otherwise, are equal exactly when their dense
+        twins are; equal states hash alike."""
+        states = run_against_dense(NAMES8, ops)
+        for o, d in states[-3:]:
+            cs = list(o.constraints())
+            rnd.shuffle(cs)
+            states.append((Octagon.bottom(NAMES8) if o.is_empty() else octagon(cs, NAMES8), d))
+        for (a, da), (b, db) in itertools.combinations(states, 2):
+            assert (a == b) == (da == db)
+            assert hash(a) == hash(b) or da != db
+
+    def test_equal_states_packed_apart_compare_in_the_dense_view(self):
+        """x = 0 and y = 0 in two packs, or in one through x == y:
+        the same points, so equal, and hashed alike; an unclosed
+        widening result is compared by its closed form."""
+        apart = octagon([({"x": 1}, 0), ({"x": -1}, 0), ({"y": 1}, 0), ({"y": -1}, 0)], ("x", "y"))
+        linked = octagon([({"x": 1, "y": -1}, 0), ({"x": -1, "y": 1}, 0), ({"x": 1}, 0), ({"x": -1}, 0)], ("x", "y"))
+        assert apart.packs[0] is not apart.packs[1] and linked.packs[0] is linked.packs[1]
+        assert apart == linked and hash(apart) == hash(linked)
+        assert apart != octagon([({"x": 1}, 0), ({"x": -1}, 0)], ("x", "y"))
+        same = [({"x": 1, "y": -1}, 0), ({"x": -1, "y": 1}, 0), ({"x": -1}, 0)]
+        wide = octagon([*same, ({"x": 1}, 1)], ("x", "y")).widen(octagon([*same, ({"x": 1}, 2)], ("x", "y")))
+        ray = octagon(same, ("x", "y"))
+        assert not wide.closed and wide == ray and hash(wide) == hash(ray)
 
     def test_join_merges_packs_whose_bounds_move_apart(self):
         """{x = 0, y = 1} join {x = 1, y = 0} holds x + y == 1, which no

@@ -1,15 +1,23 @@
-"""Lifting scalar invariants to array facts, checking ensures clauses, and
-the pair reduction of ordered two-cell invariants."""
+"""Lifting scalar invariants to array facts, checking ensures clauses,
+the octagon split of the target check against `lia.is_sat`, and the
+pair reduction of ordered two-cell invariants."""
 
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arrayabs.backend import analyze_scalar
 from arrayabs.lang import Cmp, Expr, Num, Target, decompose_accesses, parse_condition, parse_program
-from arrayabs.lia import TRUE, Budget, entails, equivalent, is_sat, land, parse_formula
-from arrayabs.lift import LiftError, QuantifiedInvariant, check_target, quantify, reduce_dual
+from arrayabs.lia import TRUE, Budget, Lin, dvd, entails, equivalent, ge0, is_sat, land, lnot, lor, parse_formula
+from arrayabs import lift as lift_module
+from arrayabs.lift import LiftError, QuantifiedInvariant, _refuted, check_target, quantify, reduce_dual
 from arrayabs.transform import ArrayCells, Cell, IndexConfig, ObserverSpec, ObsFlag, transform_program
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from reference import ensures_holds  # noqa: E402
 
 FILL = """
 proc fill(n: int) {
@@ -135,6 +143,141 @@ def test_target_check_out_of_budget_is_undecided():
     inv, target = lift(fill("0", "t[k] == 0"))
     assert check_target(inv, target, budget=Budget(0)) is None
     assert check_target(inv, target) is True
+
+
+# t[x] gets n - x: the cell's value, its position and n make one
+# affine row of three variables, which no octagon holds
+COUNTDOWN = """
+proc countdown(n: int) {
+  array t[n]: int;
+  var i: int;
+  var j: int;
+  i = 0;
+  j = n;
+  while (i < n) {
+    t[i] = j;
+    i = i + 1;
+    j = j - 1;
+  }
+} ensures forall k: 0 <= k && k < n ==> %s;
+"""
+
+
+@pytest.mark.parametrize("clause, expected", [("t[k] == n - k", True), ("t[k] == n - k - 1", False)])
+def test_non_octagonal_invariant_is_decided_by_the_fallback(monkeypatch, clause, expected):
+    calls = []
+    monkeypatch.setattr(lift_module, "is_sat", lambda f, budget: calls.append(f) or is_sat(f, budget))
+    assert proved(COUNTDOWN % clause) is expected
+    assert calls and all(any(len(a.lin.coeffs) == 3 for a in f.atoms()) for f in calls)
+
+
+def test_conflicting_literals_outside_the_octagon_cut_the_split(monkeypatch):
+    # x + y both even and odd, above ten disjunctions: refuted at the
+    # root by one is_sat call, not at each of 2**10 leaves
+    calls = []
+    monkeypatch.setattr(lift_module, "is_sat", lambda f, budget: calls.append(f) or is_sat(f, budget))
+    x, y = Lin.var("x"), Lin.var("y")
+    q = land(dvd(2, x + y), dvd(2, x + y + 1), *(lor(ge0(x - k), ge0(y - k)) for k in range(10)))
+    assert _refuted(q, Budget()) and len(calls) == 1
+
+
+def test_budget_run_out_inside_the_split_is_undecided():
+    inv, target = lift(fill("0", "t[k] == 0"))
+    used = Budget()
+    assert check_target(inv, target, budget=used) is True
+    steps = Budget().left - used.left
+    # one step for the one binding, every other for a node of the split
+    assert steps > 2
+    for left in range(2, steps):
+        assert check_target(inv, target, budget=Budget(left)) is None
+    assert check_target(inv, target, budget=Budget(steps)) is True
+
+
+# -------------------------------------------------- the split against LIA
+
+SPLIT_VARS = ("x", "y", "z", "w")
+
+
+def split_atoms(names, hard):
+    """Octagonal atoms; with `hard`, also the kinds the split hands to
+    `is_sat`: a non-unit coefficient, three variables, dvd and not dvd."""
+    v, sign, k = st.sampled_from(names), st.sampled_from((1, -1)), st.integers(-2, 2)
+    atoms = [
+        st.builds(lambda a, s, c: ge0(Lin.var(a, s) + c), v, sign, k),
+        st.builds(lambda a, b, s, t, c: ge0(Lin.make({a: s, b: t}, c)), v, v, sign, sign, k),
+    ]
+    if hard:
+        dvds = st.builds(lambda m, a, b, c: dvd(m, Lin.make({a: 1, b: 1}, c)), st.sampled_from((2, 3)), v, v, k)
+        atoms += [
+            st.builds(lambda a, b, c: ge0(Lin.make({a: 2, b: -1}, c)), v, v, k),
+            st.builds(lambda c: ge0(Lin.make(dict.fromkeys(names[:3], 1), c)), k),
+            dvds,
+            dvds.map(lnot),
+        ]
+    return st.one_of(*atoms)
+
+
+def nnf_formulas(names, hard, trees, leaves):
+    """A conjunction of 3 to `trees` nested and/or trees, so that some
+    of them are unsatisfiable."""
+    tree = st.recursive(
+        split_atoms(names, hard),
+        lambda kids: st.builds(lambda op, fs: op(*fs), st.sampled_from((land, lor)), st.lists(kids, min_size=2, max_size=3)),
+        max_leaves=leaves,
+    )
+    return st.lists(tree, min_size=3, max_size=trees).map(lambda fs: land(*fs))
+
+
+def split_queries(trees, leaves):
+    """`nnf_formulas` over 2, 3 or 4 variables, octagonal or mixed."""
+    return st.one_of(*(nnf_formulas(SPLIT_VARS[:n], hard, trees, leaves) for n in (2, 3, 4) for hard in (False, True)))
+
+
+def split_agrees_with_lia(q):
+    assert _refuted(q, Budget()) is (is_sat(q) is None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_queries(6, 5))
+def test_split_agrees_with_lia(q):
+    split_agrees_with_lia(q)
+
+
+@pytest.mark.slow
+@settings(max_examples=1500, deadline=None)
+@given(split_queries(8, 10))
+def test_long_sweep_of_the_split_against_lia(q):
+    split_agrees_with_lia(q)
+
+
+FILL2 = """
+proc fill2(n: int) {
+  array a[n]: int;
+  array b[n]: int;
+  var i: int;
+  i = 0;
+  while (i < n) {
+    a[i] = i;
+    b[i] = 2 * i;
+    i = i + 1;
+  }
+} ensures n >= 0 ==> i == n;
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="with n = 0 no position is admissible, so the lifted invariant says nothing of i")
+def test_scalar_clause_with_arrays_tracked():
+    # one cell per array, the flag pair at each write; the clause holds
+    # on every run, and no premise speaks of i when n = 0
+    p = parse_program(FILL2)
+    assert ensures_holds(p, (0, 1, 2, 3))
+    flags = tuple(
+        ObsFlag(site, f"{name}{site}", parse_condition(f"{x}$0$x0 {op} i"))
+        for site, x in enumerate("ab")
+        for name, op in (("lt", "<"), ("at", "=="))
+    )
+    sp = transform_program(p, IndexConfig(arrays={x: ArrayCells(1) for x in "ab"}, observers=ObserverSpec(flags)))
+    assert check_target(quantify(analyze_scalar(sp).exit.to_formula(), sp), sp.target) is True
 
 
 def _two_arrays(cells: int, terms: int):

@@ -14,7 +14,7 @@ LIA budget per job, and its hash covers:
   it), `render()` of the lifted invariant and the `check_target`
   answer, or for a bounds job whether every assert holds;
 - exact analysis: the relation, the path count and the assert verdicts;
-- the LIA budget steps the job used.
+- the budget steps the job used (split nodes and LIA steps).
 
 It prints one line per job, `workload job hash` with a timed-out job
 as `timeout` and not hashed, then the timed-out job ids and one digest
