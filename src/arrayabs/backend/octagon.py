@@ -389,10 +389,7 @@ class Octagon:
 
     def __eq__(self, other: object) -> bool:
         """Equality of the closed forms, which is equality of the
-        integer point sets. Over one partition the packs are compared
-        matrix by matrix, a shared pack or row at the cost of an
-        identity test; only closed forms partitioned differently are
-        compared in the dense view."""
+        integer point sets, read in the dense view."""
         if self is other:
             return True
         if not isinstance(other, Octagon):
@@ -400,23 +397,11 @@ class Octagon:
         if self.vars != other.vars:
             return False
         a, b = self.close(), other.close()
-        if a.empty or b.empty:
-            return a.empty == b.empty
-        if all(p is q or p.vars == q.vars for p, q in zip(a.packs, b.packs)):
-            return all(p is q or p.m == q.m for p, q in zip(a._distinct(), b._distinct()))
-        return a.m == b.m
+        return a.empty == b.empty and a.m == b.m
 
     def __hash__(self) -> int:
-        """From the unary bounds of the closed form, which equal closed
-        forms share whatever their partition."""
         a = self.close()
-        if a.empty:
-            return hash((a.vars, True))
-        units = []
-        for i, p in enumerate(a.packs):
-            q = 2 * p.vars.index(i)
-            units += (p.m[q][q + 1], p.m[q + 1][q])
-        return hash((a.vars, tuple(units)))
+        return hash((a.vars, a.empty, a.m))
 
     # -- canonical form
 

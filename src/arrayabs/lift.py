@@ -22,28 +22,23 @@ that left a position free could never change the verdict, and observer
 flags never reach the invariant; `check_target` says why.
 
 The instantiated query is decided by a depth-first split whose
-conjunctions are integer octagons. Its literals are mostly octagonal,
-±x ±y >= c, since the invariant comes from the octagon × affine domain
-and clauses compare positions and values by unit differences; every
-paper-corpus query has only such literals, but an affine row of three
-variables is not one. The split meets each octagonal literal with
-`Octagon.assume`, which closes incrementally, and refutes a branch as
-soon as its octagon is empty; `and` nodes join the pending conjuncts,
-`or` nodes branch in argument order. A leaf whose literals are all
-octagonal has a model: a tightly closed octagon that is not empty has
-an integer point (Bagnara, Hill and Zaffanella, "An improved tight
-closure algorithm for integer octagonal constraints", VMCAI 2008;
-Lahiri and Musuvathi, "An efficient decision procedure for UTVPI
-constraints", FroCoS 2005). Any other literal, a non-unit coefficient,
-three or more variables, or a divisibility, is kept aside. A leaf that
-holds such literals, and a node that meets new ones while a
-disjunction is left to split, goes to `lia.is_sat` with them and the
-octagon's formula; the inner nodes' calls let a conflict among them
-cut the branch early, as the solver's own split would. The closed
-octagon has exactly the integer points of the octagonal literals met,
-so each call decides its conjunction exactly. The split lives
-here, next to its one caller, because `lia` is the exact core that the
-backend is built on: it does not import the backend's domains.
+conjunctions are integer octagons. Its literals are octagonal,
+±x ±y >= c, whenever the invariant is: the invariant comes from the
+octagon × affine domain and clauses compare positions and values by
+unit differences, so every paper-corpus query is of that kind. The
+split meets each literal with `Octagon.assume`, which closes
+incrementally, and refutes a branch as soon as its octagon is empty;
+`and` nodes join the pending conjuncts, `or` nodes branch in argument
+order. A leaf whose octagon is not empty has a model: a tightly closed
+octagon that is not empty has an integer point (Bagnara, Hill and
+Zaffanella, "An improved tight closure algorithm for integer octagonal
+constraints", VMCAI 2008; Lahiri and Musuvathi, "An efficient decision
+procedure for UTVPI constraints", FroCoS 2005). A query with any other
+atom, a non-unit coefficient, three or more variables, or a
+divisibility, goes whole to `lia.is_sat`, which decides it exactly.
+The split lives here, next to its one caller, because `lia` is the
+exact core that the backend is built on: it does not import the
+backend's domains.
 """
 
 from __future__ import annotations
@@ -216,13 +211,11 @@ def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | N
     existential over the flags, which every part of the exit state
     satisfies.
 
-    The query (the premises and the negated clause, in negation normal
-    form) goes to the octagon split of the module docstring, which is
-    exact: an all-octagonal leaf with a non-empty closed octagon is a
-    model, and a conjunction with other literals is decided by `is_sat`
-    on those literals and the octagon's formula. `budget` pays one step
-    per binding, one per node of the split, and the steps of those
-    `is_sat` calls; running out gives None, never False.
+    The query (the premises and the negated clause) is decided
+    exactly: by the octagon split of the module docstring when all its
+    atoms are octagonal, by `is_sat` otherwise. `budget` pays one step
+    per binding, one per node of the split, and the steps of `is_sat`;
+    running out gives None, never False.
     """
     taken = set(inv.matrix.free_vars()) | set(inv.universe.free_vars()) | set(inv.indices)
     for cs in inv.cells.values():
@@ -253,21 +246,21 @@ def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | N
     try:
         indices = tuple(Lin.var(index_map[k]) for k in target.indices)
         premises = [subst(base, env) for env in _cell_bindings(inv, accesses, indices, budget)]
-        return _refuted(simplify(nnf(land(*premises, lnot(goal)))), budget)
+        return _refuted(land(*premises, lnot(goal)), budget)
     except BudgetError:
         return None
 
 
-def _refuted(q: Formula, budget: Budget) -> bool:
-    """Whether the NNF formula q has no integer model, by a depth-first
-    split whose conjunctions are integer octagons (module docstring).
-    Each node of the split costs one step of `budget`, and each call of
-    `is_sat` its own steps."""
+def _refuted(query: Formula, budget: Budget) -> bool:
+    """Whether the query has no integer model: the octagon split of the
+    module docstring when every atom is octagonal, each node costing
+    one step of `budget`, else `is_sat` on the query as given."""
+    if not all(a.kind == "ge" and octagonal(dict(a.lin.coeffs)) for a in query.atoms()):
+        return is_sat(query, budget) is None
 
-    def split(o: Octagon, todo: list[Formula], hard: tuple[Formula, ...]) -> bool:
+    def split(o: Octagon, todo: list[Formula]) -> bool:
         # todo is a stack: the next conjunct to meet is last
         budget.tick()
-        known = len(hard)
         ors = []
         while todo:
             f = todo.pop()
@@ -277,21 +270,17 @@ def _refuted(q: Formula, budget: Budget) -> bool:
                 ors.append(f)
             elif f.kind == "false":
                 return True
-            elif f.kind == "ge" and octagonal(dict(f.lin.coeffs)):
+            elif f.kind == "ge":
                 o = o.assume(f.lin)
                 if o.empty:
                     return True
-            elif f.kind != "true":
-                hard += (f,)
-        # a leaf, or a node that met literals the octagon cannot hold
-        if hard and (len(hard) > known or not ors) and is_sat(land(o.to_formula(), *hard), budget) is None:
-            return True
         if not ors:
             return False
         first, *rest = ors
-        return all(split(o, [*reversed(rest), d], hard) for d in first.args)
+        return all(split(o, [*reversed(rest), d]) for d in first.args)
 
-    return split(Octagon.top(q.free_vars()), [q], ())
+    q = simplify(nnf(query))
+    return split(Octagon.top(q.free_vars()), [q])
 
 
 # ---------------------------------------------------------- reduce_dual

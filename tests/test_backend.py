@@ -516,16 +516,19 @@ class TestPackedAgainstDense:
     def test_equal_states_packed_apart_compare_in_the_dense_view(self):
         """x = 0 and y = 0 in two packs, or in one through x == y:
         the same points, so equal, and hashed alike; an unclosed
-        widening result is compared by its closed form."""
+        widening result, whose stored form lacks a bound its closure
+        holds, is compared and hashed by its closed form."""
         apart = octagon([({"x": 1}, 0), ({"x": -1}, 0), ({"y": 1}, 0), ({"y": -1}, 0)], ("x", "y"))
         linked = octagon([({"x": 1, "y": -1}, 0), ({"x": -1, "y": 1}, 0), ({"x": 1}, 0), ({"x": -1}, 0)], ("x", "y"))
         assert apart.packs[0] is not apart.packs[1] and linked.packs[0] is linked.packs[1]
         assert apart == linked and hash(apart) == hash(linked)
         assert apart != octagon([({"x": 1}, 0), ({"x": -1}, 0)], ("x", "y"))
-        same = [({"x": 1, "y": -1}, 0), ({"x": -1, "y": 1}, 0), ({"x": -1}, 0)]
-        wide = octagon([*same, ({"x": 1}, 1)], ("x", "y")).widen(octagon([*same, ({"x": 1}, 2)], ("x", "y")))
-        ray = octagon(same, ("x", "y"))
-        assert not wide.closed and wide == ray and hash(wide) == hash(ray)
+        a = octagon([({"y": -1}, 2), ({"y": 1}, 2), ({"x": -1, "y": 1}, -1)], ("x", "y"))
+        wide = a.widen(a.join(octagon([({"x": -1}, 0), ({"x": 1, "y": 1}, 1)], ("x", "y"))))
+        # stored: x >= -1, y <= 2; the closure adds y - x <= 3
+        assert not wide.closed and wide.m != wide.close().m
+        ray = octagon([({"x": -1}, 1), ({"y": 1}, 2)], ("x", "y"))
+        assert wide == ray and hash(wide) == hash(ray)
 
     def test_join_merges_packs_whose_bounds_move_apart(self):
         """{x = 0, y = 1} join {x = 1, y = 0} holds x + y == 1, which no

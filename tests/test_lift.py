@@ -164,21 +164,18 @@ proc countdown(n: int) {
 
 
 @pytest.mark.parametrize("clause, expected", [("t[k] == n - k", True), ("t[k] == n - k - 1", False)])
-def test_non_octagonal_invariant_is_decided_by_the_fallback(monkeypatch, clause, expected):
+def test_non_octagonal_invariant_is_decided_by_lia(monkeypatch, clause, expected):
     calls = []
     monkeypatch.setattr(lift_module, "is_sat", lambda f, budget: calls.append(f) or is_sat(f, budget))
     assert proved(COUNTDOWN % clause) is expected
-    assert calls and all(any(len(a.lin.coeffs) == 3 for a in f.atoms()) for f in calls)
+    # the whole query, once, as at the parent
+    assert len(calls) == 1 and any(len(a.lin.coeffs) == 3 for a in calls[0].atoms())
 
 
-def test_conflicting_literals_outside_the_octagon_cut_the_split(monkeypatch):
-    # x + y both even and odd, above ten disjunctions: refuted at the
-    # root by one is_sat call, not at each of 2**10 leaves
-    calls = []
-    monkeypatch.setattr(lift_module, "is_sat", lambda f, budget: calls.append(f) or is_sat(f, budget))
-    x, y = Lin.var("x"), Lin.var("y")
-    q = land(dvd(2, x + y), dvd(2, x + y + 1), *(lor(ge0(x - k), ge0(y - k)) for k in range(10)))
-    assert _refuted(q, Budget()) and len(calls) == 1
+def test_octagonal_query_never_reaches_lia(monkeypatch):
+    monkeypatch.setattr(lift_module, "is_sat", lambda f, budget: pytest.fail("is_sat called"))
+    assert proved(fill("0", "t[k] == 0")) is True
+    assert proved(fill("0", "t[k] == 1")) is False
 
 
 def test_budget_run_out_inside_the_split_is_undecided():
@@ -199,7 +196,7 @@ SPLIT_VARS = ("x", "y", "z", "w")
 
 
 def split_atoms(names, hard):
-    """Octagonal atoms; with `hard`, also the kinds the split hands to
+    """Octagonal atoms; with `hard`, also the kinds that send a query to
     `is_sat`: a non-unit coefficient, three variables, dvd and not dvd."""
     v, sign, k = st.sampled_from(names), st.sampled_from((1, -1)), st.integers(-2, 2)
     atoms = [
