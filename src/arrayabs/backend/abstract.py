@@ -186,7 +186,7 @@ class AbstractState:
         """Disjunction of the buckets' numeric descriptions. Flags are
         partition keys only and never reach the formula."""
         parts = sorted(self.parts.items(), key=lambda kv: str(kv[0]))
-        return lor(*(el.reduce().to_formula() for _, el in parts))
+        return lor(*(el.to_formula() for _, el in parts))
 
 
 class _Met(NamedTuple):

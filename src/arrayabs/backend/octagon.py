@@ -30,10 +30,17 @@ packs, so no shortest path crosses between them and the entry is
 of the halves on it, and nothing lowers it further, because the
 integer points are the product of the packs' point sets and the largest
 value of (signed a) - (signed b) over a product is the sum of the two
-largest values. `m` materializes the dense view, and `constraints()`
-and `to_formula()` read it, so every output is that of the dense
-domain. The partition comes from the constraints alone: it is never
-configured.
+largest values. `m` materializes the dense view, which `==` and the
+hash compare. The partition comes from the constraints alone: it is
+never configured.
+
+`to_formula()` writes a subset of the closed form with the same integer
+points. Between packs it writes nothing: those entries are half-sums,
+which the unary bounds imply. Inside a pack it writes the entries
+`_irredundant` keeps, which imply every other entry of the pack
+through 2-paths and half-sums of kept entries, so their tight closure
+is the pack's matrix. A closed 6-variable pack holds up to 72 entries;
+an analysis's exit packs keep about a third of them.
 
 How the operations keep the invariant:
 - `add` merges the packs of its one or two variables (the entries
@@ -226,6 +233,46 @@ def _tighten(d: list[Row | list[int | float]], moved: Sequence[int]) -> tuple[Ro
     if any(d[i][i] < 0 for i in range(n)):
         return None
     return tuple(map(tuple, d))  # tuple() hands a shared row on as is
+
+
+def _irredundant(m: Sequence[Row]) -> list[tuple[int, int]]:
+    """The entries (a, b), a <= b^1 and a != b, of the tightly closed
+    matrix m that imply all the others, ascending. Each finite entry is
+    visited once, the largest first, ties by index, and dropped when
+    entries still kept witness it: a 2-path a -> k -> b with
+    m[a][k] + m[k][b] <= m[a][b], or the two unary bounds whose
+    half-sum is at most m[a][b]. Each entry stands for its coherent
+    mirror too.
+
+    The witnesses are looked for among the kept entries only, never the
+    whole matrix. So by induction on the visits, last first, every
+    dropped entry follows from the final set, and that set has the
+    points of m: its tight closure is m. This matters on zero cycles:
+    with x == y == z, each difference bounded by 0 is the sum of two
+    others, and checking against the whole matrix would drop all six;
+    against the kept set, a drop takes away the witnesses that need
+    the dropped entry, and a cycle through the three stays."""
+    n = len(m)
+    on = [[x != INF for x in r] for r in m]
+    for a in range(n):
+        on[a][a] = False
+    order = sorted(
+        ((m[a][b], a, b) for a in range(n) for b in range(n) if on[a][b] and a <= b ^ 1),
+        key=lambda e: (-e[0], e[1], e[2]),
+    )
+    for c, a, b in order:
+        on_a, row_a = on[a], m[a]
+        witnessed = any(
+            on_a[k] and on[k][b] and row_a[k] + m[k][b] <= c
+            for k in range(n) if k != a and k != b
+        ) or (
+            b != a ^ 1
+            and on_a[a ^ 1] and on[b ^ 1][b]
+            and row_a[a ^ 1] // 2 + m[b ^ 1][b] // 2 <= c
+        )
+        if witnessed:
+            on[a][b] = on[b ^ 1][a ^ 1] = False
+    return [(a, b) for a in range(n) for b in range(n) if on[a][b] and a <= b ^ 1]
 
 
 def _components(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -660,24 +707,6 @@ class Octagon:
             hi = None if (hi is None or thi is None) else hi + c * thi
         return lo, hi
 
-    def constraints(self) -> Iterator[tuple[dict[str, int], int]]:
-        """Yield (coeffs, k) meaning sum(coeffs) <= k, from the dense
-        view of the closed form, half-sums between packs included."""
-        a = self.close()
-        if a.empty:
-            return
-        m = a.m
-        signed = [(v, s) for v in a.vars for s in (1, -1)]  # index i is node i
-        for i, (v, s) in enumerate(signed):
-            for j, (w, t) in enumerate(signed):
-                c = m[i][j]
-                if c is None or i == j or i > (j ^ 1):  # i > j^1: coherent mirror
-                    continue
-                if v == w:  # (s*v) - (-s*v) <= c
-                    yield {v: s}, c // 2
-                else:
-                    yield {v: s, w: -t}, c
-
     def equalities(self, known: Sequence[_Pack] = ()) -> Iterator[tuple[dict[str, int], int]]:
         """Yield (coeffs, k) meaning sum(coeffs) == k, once per equality
         inside a pack of the closed form: +v - (signed w) bounded both
@@ -713,10 +742,22 @@ class Octagon:
                     yield {v: 1, self.vars[p.vars[j // 2]]: 1 if j % 2 else -1}, c
 
     def to_formula(self) -> Formula:
-        if self.is_empty():
+        """The closed form as a conjunction of the entries `_irredundant`
+        keeps in each pack; nothing between packs (module docstring)."""
+        a = self.close()
+        if a.empty:
             return FALSE
+        entries = []
+        for p in a._distinct():
+            node = [2 * i + s for i in p.vars for s in (0, 1)]  # in the dense view
+            entries += [(node[i], node[j], p.m[i][j]) for i, j in _irredundant(p.m)]
         parts = []
-        for coeffs, k in self.constraints():
-            lin = Lin.of(k) - Lin.make(coeffs)
+        for i, j, c in sorted(entries):
+            # (s*v) - (t*w) <= c, written c - s*v + t*w >= 0
+            v, s = a.vars[i // 2], -1 if i % 2 else 1
+            if j == i ^ 1:  # w = v, t = -s: s*v <= c/2
+                lin = Lin.make({v: -s}, c // 2)
+            else:
+                lin = Lin.make({v: -s, a.vars[j // 2]: -1 if j % 2 else 1}, c)
             parts.append(ge0(lin))
         return land(*parts) if parts else TRUE

@@ -35,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..lia import FALSE, Formula, Lin, land
+from ..lia import FALSE, Formula, Lin, eq0, land
 from .affine import AffineEqs
-from .octagon import Octagon
+from .octagon import Octagon, octagonal
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,11 @@ class Product:
     # -- output
 
     def to_formula(self) -> Formula:
-        if self.is_empty():
+        """The reduced element: its octagon, and the affine rows the
+        octagon cannot hold. Reduction has met the octagon with every
+        other row, so writing those again would add nothing."""
+        r = self.reduce()
+        if r.is_empty():
             return FALSE
-        return land(self.oct.close().to_formula(), self.aff.to_formula())
+        rows = [eq0(Lin.make(c, -b)) for c, b in r.aff.equalities() if not octagonal(c)]
+        return land(r.oct.to_formula(), *rows)

@@ -17,7 +17,7 @@ import numpy as np
 
 from arrayabs.backend import Product, abstract, analyze_scalar
 from arrayabs.backend.abstract import PARTITION_CAP, WIDENING_DELAY, Interpreter
-from arrayabs.lia import FALSE, TRUE, Formula, Lin, dvd, ge0, land, lnot, lor
+from arrayabs.lia import FALSE, Formula, Lin, dvd, ge0, land, lnot, lor
 
 
 def box_points(names: Sequence[str], lo: int, hi: int) -> Iterable[dict[str, int]]:
@@ -252,20 +252,33 @@ class DenseOctagon:
             out = out.add({v: -1}, -lo)
         return out
 
-    def to_formula(self):
+    def constraints(self):
+        """(coeffs, k) meaning sum(coeffs) <= k, one per finite entry of
+        the closed matrix and its coherent mirror, in row order."""
         c = self.close()
         if c.empty:
-            return FALSE
+            return
         signed = [(v, s) for v in c.vars for s in (1, -1)]
-        parts = []
         for i, (v, s) in enumerate(signed):
             for j, (w, t) in enumerate(signed):
                 x = c.m[i][j]
                 if x is None or i == j or i > (j ^ 1):
                     continue
-                coeffs, k = ({v: s}, x // 2) if v == w else ({v: s, w: -t}, x)
-                parts.append(ge0(Lin.of(k) - Lin.make(coeffs)))
-        return land(*parts) if parts else TRUE
+                yield ({v: s}, x // 2) if v == w else ({v: s, w: -t}, x)
+
+    def to_formula(self):
+        """Every constraint of the closed form: a superset of the atoms
+        `Octagon.to_formula` keeps."""
+        if self.is_empty():
+            return FALSE
+        return land(*(ge0(Lin.of(k) - Lin.make(coeffs)) for coeffs, k in self.constraints()))
+
+
+def dense_constraints(o):
+    """The constraints of the dense view of an `Octagon`'s closed form,
+    half-sums between packs included."""
+    c = o.close()
+    return [] if c.empty else list(DenseOctagon(c.vars, c.m).constraints())
 
 
 def full_reduce(p):

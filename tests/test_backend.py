@@ -31,12 +31,12 @@ from arrayabs.backend import (
 from arrayabs.backend import exact
 from arrayabs.backend.abstract import PARTITION_CAP, Interpreter
 from arrayabs.backend.affine import _rref
-from arrayabs.backend.octagon import INF
+from arrayabs.backend.octagon import INF, _closure, _irredundant
 from arrayabs.lang import Havoc, parse_program
 from arrayabs.lia import Lin, eq, eq0, ge0, is_sat, land, le, lor, nnf, subst
 from arrayabs.transform import IndexConfig, transform_program
 
-from helpers import DenseOctagon, box_points, dense_close, full_reduce, truth_table
+from helpers import DenseOctagon, box_points, dense_close, dense_constraints, full_reduce, truth_table
 
 NAMES = ("x", "y", "z")
 NAMES4 = (*NAMES, "w")  # for properties that compare matrices, not points
@@ -128,13 +128,27 @@ def paired_constraints(o):
     """Reference for Octagon.equalities: a constraint of the closed form
     whose negation came earlier with the opposite bound."""
     seen = {}
-    for coeffs, k in o.constraints():
+    for coeffs, k in dense_constraints(o):
         key = tuple(sorted(coeffs.items()))
         nkey = tuple(sorted((v, -c) for v, c in coeffs.items()))
         if nkey in seen and seen[nkey] == -k:
             yield coeffs, k
         if key not in seen or seen[key] > k:
             seen[key] = k
+
+
+def from_atoms(f, names=NAMES, rnd=None):
+    """The closed octagon of the conjunction of octagonal atoms f, met
+    atom by atom, in an order shuffled by rnd when given."""
+    if f.kind == "false":
+        return Octagon.bottom(names)
+    atoms = list(f.atoms())
+    if rnd is not None:
+        rnd.shuffle(atoms)
+    o = Octagon.top(names)
+    for a in atoms:
+        o = o.assume(a.lin)
+    return o.close()
 
 
 def node(o, v, sign, pack=None):
@@ -192,7 +206,7 @@ class TestOctagon:
         c = octagon(cs).close()
         f = as_formula(cs)
         assert c.is_empty() == (is_sat(f) is None)
-        for coeffs, k in c.constraints():
+        for coeffs, k in dense_constraints(c):
             assert is_sat(land(f, eq(Lin.make(coeffs), Lin.of(k)))) is not None
 
     @settings(max_examples=100, deadline=None)
@@ -202,7 +216,48 @@ class TestOctagon:
         constraints the closed form reports, gives back the same matrix."""
         c = octagon(cs).close()
         assert c.empty or dense_close(c.m) == c.m
-        assert c.empty or octagon(list(c.constraints())).close() == c
+        assert c.empty or octagon(dense_constraints(c)).close() == c
+
+    @settings(max_examples=150, deadline=None)
+    @given(oct_ops(NAMES4, 10))
+    def test_irredundant_entries_close_to_the_pack(self, ops):
+        """In every pack of a closed element, the kept entries, with
+        their mirrors, close to the pack's matrix, and none of them is
+        witnessed by two other kept ones: neither a 2-path nor the
+        half-sum of two unary bounds is at most its bound."""
+        c = build(ops, NAMES4).close()
+        assume(not c.empty)
+        for p in c._distinct():
+            m, n = p.m, len(p.m)
+            on = {e for a, b in _irredundant(m) for e in ((a, b), (b ^ 1, a ^ 1))}
+            d = [[0 if a == b else INF for b in range(n)] for a in range(n)]
+            for a, b in on:
+                d[a][b] = m[a][b]
+            assert _closure(d) == m
+            for a, b in on:
+                others = on - {(a, b), (b ^ 1, a ^ 1)}
+                assert not any(
+                    (a, k) in others and (k, b) in others and m[a][k] + m[k][b] <= m[a][b] for k in range(n)
+                ), (a, b)
+                assert not (
+                    b != a ^ 1 and {(a, a ^ 1), (b ^ 1, b)} <= others
+                    and m[a][a ^ 1] // 2 + m[b ^ 1][b] // 2 <= m[a][b]
+                ), (a, b)
+
+    def test_zero_cycle_keeps_its_equalities(self):
+        """x == y == z and 0 <= x <= 5: every difference is bounded by 0
+        both ways, and each such entry is the sum of two others, so
+        only a witness still kept may drop one; the formula keeps
+        x == y == z and the bounds."""
+        cs = [
+            ({"x": 1, "y": -1}, 0), ({"x": -1, "y": 1}, 0), ({"y": 1, "z": -1}, 0),
+            ({"y": -1, "z": 1}, 0), ({"x": 1}, 5), ({"x": -1}, 0),
+        ]
+        c = octagon(cs).close()
+        f = c.to_formula()
+        assert from_atoms(f) == c
+        assert (points(f) == points(as_formula(cs))).all()
+        assert len(f.atoms()) < len(dense_constraints(c))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(oct_constraint, max_size=4), st.lists(oct_constraint, max_size=4))
@@ -219,7 +274,7 @@ class TestOctagon:
         c = octagon(cs).close()
         coeffs, _ = extra
         # the closed form's own bound on coeffs, or a looser one
-        bound = max((k for co, k in c.constraints() if co == coeffs), default=None)
+        bound = max((k for co, k in dense_constraints(c) if co == coeffs), default=None)
         if c.empty or bound is None:
             return
         assert c.add(coeffs, bound) is c
@@ -340,8 +395,8 @@ class TestOctagon:
     @given(oct_ops(NAMES))
     def test_equalities(self, ops):
         """Each equality of the closed form once, the set the pairing of
-        constraints() finds but for the ones between two constants in
-        different packs, and each holds on every point."""
+        the dense view's constraints finds but for the ones between two
+        constants in different packs, and each holds on every point."""
         c = build(ops).close()
         got = [up_to_sign(*e) for e in c.equalities()]
         assert len(set(got)) == len(got)
@@ -432,7 +487,9 @@ def put_in_boxes(o, d, bs):
 def run_against_dense(names, ops):
     """Each operation on a packed element and on the dense reference;
     after every step the dense view of the one is the matrix of the
-    other, and the formulas read the same. Returns every state pair."""
+    other, the octagon rebuilt from the packed element's formula closes
+    to that matrix, and each atom of that formula is one of the dense
+    reference's. Returns every state pair."""
     states = [(Octagon.top(names), DenseOctagon.top(names))]
     o, d = states[0]
     for op, *args in ops:
@@ -461,7 +518,9 @@ def run_against_dense(names, ops):
             else:
                 o, d = getattr(o, op)(po), getattr(d, op)(pd)
         assert o.m == d.m, op
-        assert str(o.to_formula()) == str(d.to_formula()), op
+        f = o.to_formula()
+        assert from_atoms(f, names).m == d.close().m, op
+        assert set(f.atoms()) <= set(d.to_formula().atoms()), op
         states.append((o, d))
     return states
 
@@ -501,14 +560,12 @@ class TestPackedAgainstDense:
     @given(st.integers(1, 6).flatmap(lambda n: against_dense(NAMES8[:n], 2, 10)), st.randoms(use_true_random=False))
     def test_equality_and_hash_agree_with_the_dense_reference(self, ops, rnd):
         """Every two states of a run, and each of the last ones with a
-        copy rebuilt from its constraints in shuffled order, which may
-        partition them otherwise, are equal exactly when their dense
-        twins are; equal states hash alike."""
+        copy rebuilt from the atoms of its formula in shuffled order,
+        which may partition them otherwise, are equal exactly when their
+        dense twins are; equal states hash alike."""
         states = run_against_dense(NAMES8, ops)
         for o, d in states[-3:]:
-            cs = list(o.constraints())
-            rnd.shuffle(cs)
-            states.append((Octagon.bottom(NAMES8) if o.is_empty() else octagon(cs, NAMES8), d))
+            states.append((from_atoms(o.to_formula(), NAMES8, rnd), d))
         for (a, da), (b, db) in itertools.combinations(states, 2):
             assert (a == b) == (da == db)
             assert hash(a) == hash(b) or da != db
@@ -539,7 +596,7 @@ class TestPackedAgainstDense:
 
         j = box(0, 0, 1, 1).join(box(1, 1, 0, 0))
         assert j.packs[0] is j.packs[1]
-        assert ({"x": 1, "y": 1}, 1) in list(j.constraints()) and ({"x": -1, "y": -1}, -1) in list(j.constraints())
+        assert ({"x": 1, "y": 1}, 1) in dense_constraints(j) and ({"x": -1, "y": -1}, -1) in dense_constraints(j)
         apart = box(0, 0, 0, 1).join(box(1, 1, 0, 1))
         assert apart.packs[0] is not apart.packs[1]
         assert apart.m == box(0, 1, 0, 1).m
@@ -765,7 +822,7 @@ class TestReduction:
         assert p.oct.bounds("x") == (None, None)
         p = p.assume(eq0(y + z - 1)).reduce()
         assert p.oct.bounds("x") == (2, 2)
-        assert ({"y": 1, "z": 1}, 1) in list(p.oct.constraints())
+        assert ({"y": 1, "z": 1}, 1) in dense_constraints(p.oct)
 
     def test_octagon_equality_that_makes_an_affine_row_octagonal_comes_back(self):
         # x + y == 2 * z in the affine part; y == 1 and z == 2 arrive as
@@ -798,8 +855,8 @@ class TestReduction:
         right = top.assume(nnf(land(eq0(a - c + d + 1), eq0(b - c + d)))).reduce()
         j = left.join(right)
         row = ({"a": 1, "b": -1}, -1)
-        assert row not in list(j.oct.close().constraints())
-        assert row in list(full_reduce(j).oct.constraints())
+        assert row not in dense_constraints(j.oct)
+        assert row in dense_constraints(full_reduce(j).oct)
         assert j.reduce() == full_reduce(j) != j
 
 

@@ -312,16 +312,8 @@ def test_render_of_the_init_invariant():
     assert inv.render() == " || ".join(
         [
             "forall t$0$x0: !(n >= t$0$x0 + 1 && t$0$x0 >= 0)",
-            "n >= i && t$0$x0 + 1 >= i && i >= 1 && i >= n && i + n >= 2"
-            " && i >= t$0$v + 1 && i + t$0$v >= 1 && i >= t$0$x0 + 1 && i + t$0$x0 >= 1"
-            " && t$0$x0 + 1 >= n && n >= 1 && n >= t$0$v + 1 && n + t$0$v >= 1"
-            " && n >= t$0$x0 + 1 && n + t$0$x0 >= 1 && 0 >= t$0$v && t$0$x0 >= t$0$v"
-            " && t$0$v >= 0 && t$0$v + t$0$x0 >= 0 && t$0$x0 >= 0",
-            "n >= i && i >= 2 && i >= n && i + n >= 4"
-            " && i >= t$0$v + 2 && i + t$0$v >= 2 && i >= t$0$x0 + 2 && i + t$0$x0 >= 2"
-            " && n >= 2 && n >= t$0$v + 2 && n + t$0$v >= 2"
-            " && n >= t$0$x0 + 2 && n + t$0$x0 >= 2 && 0 >= t$0$v && t$0$x0 >= t$0$v"
-            " && t$0$v >= 0 && t$0$v + t$0$x0 >= 0 && t$0$x0 >= 0",
+            "t$0$x0 + 1 >= i && i >= 1 && i >= n && n >= 1 && n >= t$0$x0 + 1 && 0 == t$0$v",
+            "n >= i && i >= 2 && i >= n && i >= t$0$x0 + 2 && 0 == t$0$v && t$0$x0 >= 0",
         ]
     )
 

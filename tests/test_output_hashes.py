@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import output_hashes  # noqa: E402
 
 DEADLINE_S = 60.0
-PINNED = {"wide-bounds": "efe5ed5f97cfb9ed", "paper-corpus": "29436e10f1fcfa4b"}
+PINNED = {"wide-bounds": "f1527bd7d94cb1a1", "paper-corpus": "d37f543e3a3e09df"}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
