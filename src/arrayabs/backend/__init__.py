@@ -4,9 +4,10 @@ exact path-based analysis for loop-free programs.
 
 Both run one statement walker, `abstract.Interpreter`, over a state with
 `is_empty`, `assign`, `forget`, `guard`, `assume`, `entails`, `join` and
-`bounded`. `AbstractState` alone has loops and flags; its `bounded`
-collapses the partitions past `PARTITION_CAP` (after each If, and at
-loop heads). The exact path set raises `ExactError` past `PATH_CAP`
+`bounded`; it knows no flags and trusts what `transform_program` checked.
+`AbstractState` alone has loops and flags (its `assign` of a flag moves
+partitions); its `bounded` collapses the partitions past `PARTITION_CAP`
+(after each If, and at loop heads). The exact path set raises `ExactError` past `PATH_CAP`
 paths after an If, and on any loop before the walk.
 
 The walker records the asserts it meets with the states that reached

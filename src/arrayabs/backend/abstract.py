@@ -11,6 +11,10 @@ empty it skips the rest of the block, so dead code records no assert.
 `collapse`) and flags; its `bounded` collapses the flag partitions past
 `PARTITION_CAP`, which each loop head checks too.
 
+The walker knows no flags and trusts its program: `transform_program`
+checked it, and no condition reads a flag. It raises only on a
+statement type it does not know; a flag's assignment goes to `assign`.
+
 A walk decides no assert. It records each assert it meets, with the
 state that reached it, in the list its caller hands in. Once the whole
 program is walked, each analysis asks `entails` of each record, in
@@ -71,17 +75,16 @@ of `product.py`, so the next guard exchanges only the facts it adds.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from ..bridge import BridgeError, cond_to_formula, expr_to_lin
+from ..bridge import cond_to_formula, expr_to_lin
 from ..lang.ast import (
     Assert,
     Assign,
     Assume,
     Havoc,
     If,
-    Num,
     Stmt,
     While,
     walk_stmts,
@@ -152,22 +155,22 @@ class AbstractState:
         return self.map(lambda el: el.assume(g.holds).reduce())
 
     def assign(self, var: str, lin: Lin) -> "AbstractState":
-        return self.map(lambda el: el.assign(var, lin))
+        """Assign a numeric variable in every bucket, or move every bucket
+        to flag = lin (a constant), joining on collision."""
+        if var not in self.flags:
+            return self.map(lambda el: el.assign(var, lin))
+        i = self.flags.index(var)
+        out: dict[Valuation, Product] = {}
+        for k, v in self.parts.items():
+            nk = k[:i] + (lin.const,) + k[i + 1:]
+            out[nk] = out[nk].join(v) if nk in out else v
+        return self._norm(out)
 
     def forget(self, var: str) -> "AbstractState":
         return self.map(lambda el: el.forget(var))
 
     def bounded(self) -> "AbstractState":
         return self.collapse() if len(self.parts) > PARTITION_CAP else self
-
-    def assign_flag(self, flag: str, value: int) -> "AbstractState":
-        """Move every bucket to flag = value, joining on collision."""
-        i = self.flags.index(flag)
-        out: dict[Valuation, Product] = {}
-        for k, v in self.parts.items():
-            nk = k[:i] + (value,) + k[i + 1:]
-            out[nk] = out[nk].join(v) if nk in out else v
-        return self._norm(out)
 
     def collapse(self) -> "AbstractState":
         """Merge every bucket into the all-unknown key; flag values
@@ -179,7 +182,7 @@ class AbstractState:
 
     def entails(self, g: Guard) -> bool:
         """Sound entailment: the negation is unreachable in every bucket.
-        g speaks of numeric variables only (the walker rejects the rest)."""
+        g speaks of numeric variables only: no condition reads a flag."""
         return all(el.assume(g.fails).reduce().is_empty() for el in self.parts.values())
 
     def to_formula(self) -> Formula:
@@ -215,7 +218,6 @@ class AnalysisResult:
         return all(a.proven for a in self.asserts)
 
 
-@dataclass
 class Interpreter:
     """The walker over scalar statements (module docstring). `block`,
     `stmt` and `loop` decide no assert: they append each assert a walk
@@ -224,39 +226,18 @@ class Interpreter:
     condition is translated and guarded once: loop rounds meet the same
     nodes again."""
 
-    numeric: tuple[str, ...]
-    flags: tuple[str, ...] = ()
-    # id of a condition node -> (the node, its formula, the state's
-    # guard of it and of its negation); holding the node keeps its id
-    # from being reused while the entry lives
-    _guards: dict[int, tuple] = field(default_factory=dict, init=False, repr=False)
-
-    def _lin(self, expr) -> Lin:
-        try:
-            lin = expr_to_lin(expr)
-        except BridgeError as e:
-            raise AnalysisError(f"not scalar-linear: {e}") from e
-        self._check_vars(lin.vars())
-        return lin
+    def __init__(self) -> None:
+        # id of a condition node -> (the node, its formula, the state's guard
+        # of it and of its negation); the node keeps its id from reuse
+        self._guards: dict[int, tuple] = {}
 
     def _cond(self, cond, st) -> tuple:
         """The formula of a condition node, then `st.guard` of it."""
         hit = self._guards.get(id(cond))
         if hit is None:
-            try:
-                f = cond_to_formula(cond)
-            except BridgeError as e:
-                raise AnalysisError(f"condition not scalar: {e}") from e
-            self._check_vars(f.free_vars())
+            f = cond_to_formula(cond)
             hit = self._guards[id(cond)] = (cond, f, *st.guard(f))
         return hit[1:]
-
-    def _check_vars(self, vs: Iterable[str]) -> None:
-        for v in vs:
-            if v in self.flags:
-                raise AnalysisError(f"observer flag {v} read by the program")
-            if v not in self.numeric:
-                raise AnalysisError(f"unknown variable {v}")
 
     def block(self, stmts: Iterable[Stmt], st, met: list[_Met]):
         for s in stmts:
@@ -267,15 +248,8 @@ class Interpreter:
 
     def stmt(self, s: Stmt, st, met: list[_Met]):
         if isinstance(s, Assign):
-            if s.var not in self.flags:
-                return st.assign(s.var, self._lin(s.expr))
-            if not isinstance(s.expr, Num):
-                raise AnalysisError("flags may only be assigned constants")
-            return st.assign_flag(s.var, s.expr.value)
+            return st.assign(s.var, expr_to_lin(s.expr))
         if isinstance(s, Havoc):
-            if s.var in self.flags:
-                raise AnalysisError(f"observer flag {s.var} havocked by the program")
-            self._check_vars((s.var,))
             return st.forget(s.var)
         if isinstance(s, Assume):
             _, g, _ = self._cond(s.cond, st)
@@ -291,7 +265,7 @@ class Interpreter:
             return a.join(b).bounded()
         if isinstance(s, While):
             return self.loop(s, st, met)
-        raise AnalysisError(f"array statement reached the analysis: {s!r}")
+        raise AnalysisError(f"not a scalar statement: {s!r}")
 
     def loop(self, s: While, st: AbstractState, met: list[_Met]) -> AbstractState:
         """The exit state of the loop. To `met` go the asserts of one
@@ -348,6 +322,6 @@ def analyze_scalar(sp) -> AnalysisResult:
             el = el.assign(v, Lin.of(0))
     entry = AbstractState(flags, {(0,) * len(flags): el})
     met: list[_Met] = []
-    exit_state = Interpreter(numeric, flags).block(program.body, entry, met)
+    exit_state = Interpreter().block(program.body, entry, met)
     asserts = tuple(AssertVerdict(m.line, m.formula, m.state.entails(m.guard)) for m in met)
     return AnalysisResult(exit=exit_state, asserts=asserts)

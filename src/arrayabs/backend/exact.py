@@ -132,8 +132,8 @@ def analyze_loopfree_exact(sp, budget: Budget | None = None) -> ExactResult:
 
     Scalars appear under their own names for input values and primed
     (trailing apostrophe) for output values. Raises ExactError when the
-    program has a loop or the path cap is exceeded, AnalysisError when
-    a statement does not translate, BudgetError past the work cap.
+    program has a loop or the path cap is exceeded, BudgetError past the
+    work cap.
     """
     prog = sp.program
     for s in walk_stmts(prog.body):
@@ -144,7 +144,7 @@ def analyze_loopfree_exact(sp, budget: Budget | None = None) -> ExactResult:
     start = land(*(eq(Lin.var(v), Lin.of(0)) for v in prog.locals))
     entry = _Paths([_Path(start, {v: v for v in scalars})], budget, frozenset(scalars), itertools.count(1))
     met: list = []
-    paths = Interpreter(scalars).block(prog.body, entry, met).paths
+    paths = Interpreter().block(prog.body, entry, met).paths
     outs: list[Formula] = []
     for p_ in paths:
         env, frame = {}, []

@@ -569,19 +569,13 @@ class Octagon:
     # -- constraints
 
     def add(self, coeffs: dict[str, int], k: int) -> "Octagon":
-        """Meet with sum(coeffs)*vars <= k: one or two variables, unit
-        coefficients. The result is tightly closed; an unclosed element
-        meets its closed form."""
-        if not octagonal(coeffs):
-            raise ValueError(f"not an octagon constraint: {coeffs}")
-        return self._add(coeffs, k)
-
-    def _add(self, coeffs: dict[str, int], k: int) -> "Octagon":
-        """`add` for coefficients known to be octagonal."""
+        """Meet with sum(coeffs)*vars <= k. The coefficients must be
+        octagonal: one or two variables, unit coefficients. The result
+        is tightly closed; an unclosed element meets its closed form."""
         if self.empty:
             return self
         if not self.closed:
-            return self.close()._add(coeffs, k)
+            return self.close().add(coeffs, k)
         (v, s), *rest = coeffs.items()
         i, p, a = self._where(v)
         a += s < 0
@@ -618,7 +612,7 @@ class Octagon:
         coeffs = dict(lin.coeffs)
         if octagonal(coeffs):
             # lin >= 0  <=>  -lin <= const
-            return self._add({v: -c for v, c in coeffs.items()}, lin.const)
+            return self.add({v: -c for v, c in coeffs.items()}, lin.const)
         return self
 
     # -- transfer helpers
@@ -645,7 +639,7 @@ class Octagon:
         k = lin.const
         if not coeffs:
             out = self.forget(v)
-            return out._add({v: 1}, k)._add({v: -1}, -k)
+            return out.add({v: 1}, k).add({v: -1}, -k)
         if len(coeffs) == 1:
             (w, c), = coeffs.items()
             if w == v and c == 1:
@@ -653,15 +647,15 @@ class Octagon:
             if c in (1, -1) and w != v:
                 out = self.forget(v)
                 # v - c*w <= k and c*w - v <= -k
-                out = out._add({v: 1, w: -c}, k)
-                return out._add({v: -1, w: c}, -k)
+                out = out.add({v: 1, w: -c}, k)
+                return out.add({v: -1, w: c}, -k)
         # general affine right side: fall back to interval evaluation
         lo, hi = self.eval_range(lin)
         out = self.forget(v)
         if hi is not None:
-            out = out._add({v: 1}, hi)
+            out = out.add({v: 1}, hi)
         if lo is not None:
-            out = out._add({v: -1}, -lo)
+            out = out.add({v: -1}, -lo)
         return out
 
     def _shift(self, v: str, k: int) -> "Octagon":

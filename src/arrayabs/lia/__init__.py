@@ -31,7 +31,7 @@ from .formula import (
 from .parse import parse_formula
 from .printing import to_str
 from .qe import Budget, eliminate_quantifiers, project
-from .solver import Model, entails, equivalent, is_sat
+from .solver import Model, entails, equivalent, is_sat, split
 
 __all__ = [
     "FALSE",
@@ -62,6 +62,7 @@ __all__ = [
     "project",
     "rename",
     "simplify",
+    "split",
     "subst",
     "to_str",
 ]

@@ -166,11 +166,6 @@ class Formula:
 
     # -- inspectors
 
-    def is_literal(self) -> bool:
-        if self.kind in ("ge", "dvd"):
-            return True
-        return self.kind == "not" and self.args[0].kind in ("ge", "dvd")
-
     def free_vars(self) -> tuple[str, ...]:
         """Variables in first-occurrence order (deterministic)."""
         return tuple(dict.fromkeys(v for a in self.atoms() for v in a.lin.vars()))

@@ -1,14 +1,14 @@
 """Satisfiability and entailment for linear integer arithmetic.
 
-is_sat splits the boolean structure depth first (a small DPLL without
-learning) down to conjunctions of literals, then decides each
-conjunction exactly by eliminating variables one at a time with the
-Cooper engine. Model values are recovered by back substitution: once
-the variables v1..vn have been eliminated in order, the last
-intermediate formula has a single free variable, whose satisfying
-values form a finite union of D-periodic sets anchored at boundary
-terms, so scanning the candidate anchors in ascending order finds the
-least value in that set. The result is deterministic.
+`split` is the one walk over and/or nodes that decides satisfiability,
+depth first (a small DPLL without learning), with the caller's theory
+deciding each conjunction. `is_sat` is `split` with a Cooper meet: it
+decides the literals gathered so far by eliminating variables one at a
+time, and keeps a model. Model values are recovered by back
+substitution: once v1..vn have been eliminated in order, the last
+formula has a single free variable, whose satisfying values form a
+finite union of D-periodic sets anchored at boundary terms, so scanning
+the anchors in ascending order finds the least. It is deterministic.
 
 Budgets bound the total work; exceeding one raises BudgetError instead
 of returning a possibly wrong verdict.
@@ -17,9 +17,10 @@ of returning a possibly wrong verdict.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Callable, Mapping, TypeVar
 
 from .formula import (
+    TRUE,
     Formula,
     LiaError,
     Lin,
@@ -32,6 +33,7 @@ from .formula import (
 from .qe import Budget, elim_exists, pinned_value
 
 Model = dict[str, int]
+_S = TypeVar("_S")  # the state of a split
 
 
 def is_sat(f: Formula, budget: Budget | None = None) -> Model | None:
@@ -57,6 +59,42 @@ def entails(gamma: Formula, psi: Formula, budget: Budget | None = None) -> bool:
 
 def equivalent(a: Formula, b: Formula, budget: Budget | None = None) -> bool:
     return entails(a, b, budget) and entails(b, a, budget)
+
+
+def split(f: Formula, meet: Callable[[_S, list[Formula]], _S | None], state: _S, budget: Budget) -> _S | None:
+    """The state of the first branch of f (in negation normal form) that
+    `meet` accepts, else None; `meet(state, lits)` is the state with
+    `lits` conjoined, None when that is unsatisfiable. Each node of the
+    walk takes one step of `budget`, pops its pending conjuncts off a
+    stack, opening `and` nodes and putting `or` nodes aside, and meets
+    its state with the literals it gathered. Then the first disjunction
+    splits, its arguments tried in order, each pushed above the other
+    disjunctions in a child node."""
+
+    def node(state: _S, todo: list[Formula]) -> _S | None:
+        budget.tick()
+        lits, ors = [], []
+        while todo:
+            g = todo.pop()
+            if g.kind == "and":
+                todo += reversed(g.args)
+            elif g.kind == "or":
+                ors.append(g)
+            elif g.kind == "false":
+                return None
+            elif g.kind != "true":
+                lits.append(g)
+        state = meet(state, lits)
+        if state is None or not ors:
+            return state
+        first, *rest = ors
+        for d in first.args:
+            out = node(state, [*reversed(rest), d])
+            if out is not None:
+                return out
+        return None
+
+    return node(state, [f])
 
 
 # ---------------------------------------------------------------------------
@@ -87,34 +125,15 @@ def _quick_model(f: Formula) -> Model | None:
 
 
 def _sat(f: Formula, budget: Budget) -> Model | None:
-    budget.tick()
-    k = f.kind
-    if k == "true":
-        return {}
-    if k == "false":
-        return None
-    if k == "or":
-        for d in f.args:
-            m = _sat(d, budget)
-            if m is not None:
-                return m
-        return None
-    if k == "and":
-        lits = [a for a in f.args if a.is_literal()]
-        complex_ = [a for a in f.args if not a.is_literal()]
-        if not complex_:
-            return _sat_int_conj(land(*lits), budget)
-        if lits and _sat_int_conj(land(*lits), budget) is None:
-            return None
-        split = complex_[0]
-        rest = [a for a in f.args if a is not split]
-        assert split.kind == "or", split.kind
-        for d in split.args:
-            m = _sat(simplify(land(*rest, d)), budget)
-            if m is not None:
-                return m
-        return None
-    return _sat_int_conj(f, budget)
+    """`split` with a Cooper meet: the literals' conjunction and a model."""
+
+    def meet(state: tuple[Formula, Model], lits: list[Formula]) -> tuple[Formula, Model] | None:
+        conj = land(state[0], *lits)
+        model = _sat_int_conj(conj, budget)
+        return None if model is None else (conj, model)
+
+    out = split(f, meet, (TRUE, {}), budget)
+    return None if out is None else out[1]
 
 
 def _sat_int_conj(f: Formula, budget: Budget) -> Model | None:

@@ -21,24 +21,23 @@ at the index terms the clause reads, all positions at once. A premise
 that left a position free could never change the verdict, and observer
 flags never reach the invariant; `check_target` says why.
 
-The instantiated query is decided by a depth-first split whose
-conjunctions are integer octagons. Its literals are octagonal,
-±x ±y >= c, whenever the invariant is: the invariant comes from the
-octagon × affine domain and clauses compare positions and values by
-unit differences, so every paper-corpus query is of that kind. The
-split meets each literal with `Octagon.assume`, which closes
-incrementally, and refutes a branch as soon as its octagon is empty;
-`and` nodes join the pending conjuncts, `or` nodes branch in argument
-order. A leaf whose octagon is not empty has a model: a tightly closed
-octagon that is not empty has an integer point (Bagnara, Hill and
-Zaffanella, "An improved tight closure algorithm for integer octagonal
-constraints", VMCAI 2008; Lahiri and Musuvathi, "An efficient decision
-procedure for UTVPI constraints", FroCoS 2005). A query with any other
-atom, a non-unit coefficient, three or more variables, or a
-divisibility, goes whole to `lia.is_sat`, which decides it exactly.
-The split lives here, next to its one caller, because `lia` is the
-exact core that the backend is built on: it does not import the
-backend's domains.
+The instantiated query is decided by `lia.split`, the one depth-first
+split of the library, with integer octagons as its conjunctions. Its
+literals are octagonal, ±x ±y >= c, whenever the invariant is: the
+invariant comes from the octagon × affine domain and clauses compare
+positions and values by unit differences, so every paper-corpus query
+is of that kind. The meet conjoins each literal with `Octagon.assume`,
+which closes incrementally, and refutes a branch as soon as its
+octagon is empty. A leaf whose octagon is not empty has a model: a
+tightly closed octagon that is not empty has an integer point
+(Bagnara, Hill and Zaffanella, "An improved tight closure algorithm
+for integer octagonal constraints", VMCAI 2008; Lahiri and Musuvathi,
+"An efficient decision procedure for UTVPI constraints", FroCoS 2005).
+A query with any other atom, a non-unit coefficient, three or more
+variables, or a divisibility, goes whole to `lia.is_sat`, which is the
+same split with a Cooper meet and decides it exactly. The octagon
+meet lives here: `lia`, the exact core under the backend, does not
+import the backend's domains.
 """
 
 from __future__ import annotations
@@ -66,6 +65,7 @@ from .lia import (
     nnf,
     rename,
     simplify,
+    split,
     subst,
     to_str,
 )
@@ -96,9 +96,9 @@ class QuantifiedInvariant:
 
     def render(self) -> str:
         """Condition syntax of the source language where possible."""
-        body = implies(self.universe, self.matrix)
+        body = simplify(implies(self.universe, self.matrix))
         try:
-            text = cond_str(formula_to_cond(simplify(body)))
+            text = cond_str(formula_to_cond(body))
         except BridgeError:
             text = to_str(body)
         quant = f"forall {', '.join(self.indices)}: " if self.indices else ""
@@ -212,10 +212,10 @@ def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | N
     satisfies.
 
     The query (the premises and the negated clause) is decided
-    exactly: by the octagon split of the module docstring when all its
-    atoms are octagonal, by `is_sat` otherwise. `budget` pays one step
-    per binding, one per node of the split, and the steps of `is_sat`;
-    running out gives None, never False.
+    exactly: by `lia.split` with the octagon meet of the module
+    docstring when all its atoms are octagonal, by `is_sat` otherwise.
+    `budget` pays one step per binding, one per node of the split, and
+    the steps of `is_sat`; running out gives None, never False.
     """
     taken = set(inv.matrix.free_vars()) | set(inv.universe.free_vars()) | set(inv.indices)
     for cs in inv.cells.values():
@@ -252,35 +252,21 @@ def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | N
 
 
 def _refuted(query: Formula, budget: Budget) -> bool:
-    """Whether the query has no integer model: the octagon split of the
-    module docstring when every atom is octagonal, each node costing
-    one step of `budget`, else `is_sat` on the query as given."""
+    """Whether the query has no integer model: `lia.split` with an
+    octagon meet when every atom is octagonal, else `is_sat` on the
+    query as given."""
     if not all(a.kind == "ge" and octagonal(dict(a.lin.coeffs)) for a in query.atoms()):
         return is_sat(query, budget) is None
 
-    def split(o: Octagon, todo: list[Formula]) -> bool:
-        # todo is a stack: the next conjunct to meet is last
-        budget.tick()
-        ors = []
-        while todo:
-            f = todo.pop()
-            if f.kind == "and":
-                todo += reversed(f.args)
-            elif f.kind == "or":
-                ors.append(f)
-            elif f.kind == "false":
-                return True
-            elif f.kind == "ge":
-                o = o.assume(f.lin)
-                if o.empty:
-                    return True
-        if not ors:
-            return False
-        first, *rest = ors
-        return all(split(o, [*reversed(rest), d]) for d in first.args)
+    def meet(o: Octagon, lits: list[Formula]) -> Octagon | None:
+        for lit in lits:
+            o = o.assume(lit.lin)
+            if o.empty:
+                return None
+        return o
 
     q = simplify(nnf(query))
-    return split(Octagon.top(q.free_vars()), [q])
+    return split(q, meet, Octagon.top(q.free_vars()), budget) is None
 
 
 # ---------------------------------------------------------- reduce_dual

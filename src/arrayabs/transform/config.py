@@ -40,7 +40,7 @@ class ObsFlag:
     """One write-only boolean: at access site `site`, record whether
     `pred` holds. Predicates range over program scalars and cell
     variables; `check_program` on the translation rejects any other
-    name."""
+    name, and `transform_program` a predicate that reads a flag."""
 
     site: int
     name: str

@@ -17,11 +17,11 @@ again.
 
 Observer flags latch, at one access site each, whether their
 predicate holds when the access executes; they start at 0 and nothing
-in the program reads them, so the analysis can partition on their
-values. The result is a plain Program (so the whole lang toolbox
-applies), checked by `check_program`, which is where a clash of
-generated, flag and program names shows. It comes wrapped with the
-cell layout that lifting invariants and checking targets need.
+in the program, not even a predicate, reads them, so the analysis can
+partition on their values. The result is a plain Program (so the whole
+lang toolbox applies), checked by `check_program`, which is where a
+clash of generated, flag and program names shows. It comes wrapped
+with the cell layout that lifting invariants and checking targets need.
 """
 
 from __future__ import annotations
@@ -166,7 +166,8 @@ def transform_program(p: Program, cfg: IndexConfig) -> ScalarProgram:
     are checked once, by `check_program` on the result: a flag or
     generated name that clashes with another name, or a flag predicate
     over an undeclared name, raises `CheckError`. The layout's own
-    faults raise `TransformError`.
+    faults raise `TransformError`, and so does, once the names pass, a
+    flag predicate that reads a flag.
     """
     p = decompose_accesses(p)
     declared_arrays = {a.name: a for a in p.arrays}
@@ -256,4 +257,8 @@ def transform_program(p: Program, cfg: IndexConfig) -> ScalarProgram:
         tuple(body),
     )
     check_program(prog)
+    for f in flags:
+        read = [v for v in cond_to_formula(f.pred).free_vars() if v in names]
+        if read:
+            raise TransformError(f"predicate of observer flag {f.name} reads the flag {read[0]}")
     return ScalarProgram(prog, p, cfg, cells, universe, names, target=p.target, prologue_len=len(pro))

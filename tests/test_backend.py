@@ -21,7 +21,6 @@ from hypothesis import assume, given, settings, strategies as st
 from arrayabs.backend import (
     AbstractState,
     AffineEqs,
-    AnalysisError,
     ExactError,
     Octagon,
     Product,
@@ -29,10 +28,10 @@ from arrayabs.backend import (
     analyze_scalar,
 )
 from arrayabs.backend import exact
-from arrayabs.backend.abstract import PARTITION_CAP, Interpreter
+from arrayabs.backend.abstract import PARTITION_CAP
 from arrayabs.backend.affine import _rref
 from arrayabs.backend.octagon import INF, _closure, _irredundant
-from arrayabs.lang import Havoc, parse_program
+from arrayabs.lang import parse_program
 from arrayabs.lia import Lin, eq, eq0, ge0, is_sat, land, le, lor, nnf, subst
 from arrayabs.transform import IndexConfig, transform_program
 
@@ -893,6 +892,14 @@ class TestPartitions:
         assert key == (None,) * len(flags)
         assert all(p.leq(merged) for p in parts.values())
 
+    def test_assigning_a_flag_moves_buckets(self):
+        # a flag is a partition key, not a number: its assignment moves
+        # each bucket to the new value, joining those that meet there
+        parts = {(v,): Product.top(("x",)).assume(eq(x, Lin.of(v))) for v in (0, 1)}
+        (key, moved), = AbstractState(("f",), parts).assign("f", Lin.of(1)).parts.items()
+        assert key == (1,)
+        assert moved == parts[(0,)].join(parts[(1,)])
+
 
 # ------------------------------------------------------------------- walker
 
@@ -937,11 +944,6 @@ class TestWalker:
         monkeypatch.setattr(exact, "PATH_CAP", 7)
         with pytest.raises(ExactError, match="path count 8 exceeds cap 7"):
             analyze_loopfree_exact(sp)
-
-    def test_havoc_of_a_flag_is_rejected(self):
-        st0 = AbstractState(("f",), {(0,): Product.top(("x",))})
-        with pytest.raises(AnalysisError, match="observer flag f havocked"):
-            Interpreter(("x",), ("f",)).block((Havoc("f"),), st0, [])
 
 
 class TestExactAsserts:

@@ -39,6 +39,7 @@ from arrayabs.lia import (
     project,
     rename,
     simplify,
+    split,
     subst,
     to_str,
 )
@@ -242,6 +243,22 @@ class TestSat:
         m = is_sat(formula)
         assert m is not None and formula.evaluate(m) and sat.evaluate(m)
         assert is_sat(lor(cycle(a, b, c), cycle(d, e, f, g))) is None
+
+    def test_split_meets_at_every_node_and_splits_nested_disjunctions_first(self):
+        # the theory refutes b and d; the disjunction nested in the
+        # second branch splits before the pending f || g
+        a, b, c, d, e, f, g = (ge0(Lin.var(v)) for v in "abcdefg")
+        met = []
+
+        def meet(state, lits):
+            met.append(lits)
+            return None if b in lits or d in lits else state + tuple(lits)
+
+        budget = Budget(100)
+        q = land(a, lor(b, land(c, lor(d, e))), lor(f, g))
+        assert split(q, meet, (), budget) == (a, c, e, f)
+        assert met == [[a], [b], [c], [d], [e], [f]]
+        assert budget.left == 100 - len(met)  # one step per node
 
     def test_all_free_vars_assigned(self):
         f = lor(ge0(x), ge0(y))

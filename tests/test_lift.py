@@ -318,6 +318,14 @@ def test_render_of_the_init_invariant():
     )
 
 
+def test_render_simplifies_a_body_with_no_source_syntax():
+    # divisibility has no source syntax, so the formula printer writes
+    # the body; it is simplified all the same
+    x = Lin.var("x")
+    inv = QuantifiedInvariant((), TRUE, land(dvd(2, x), ge0(x), ge0(x + 3)), {})
+    assert inv.render() == "x >= 0 && 2 | (x)"
+
+
 # ---------------------------------------------------------- reduce_dual
 
 INDEX_ARR = (Path(__file__).resolve().parent.parent / "perfbench" / "corpus" / "index.arr").read_text()
@@ -355,6 +363,29 @@ def test_pair_reduction_out_of_budget_keeps_the_invariant():
     phi = parse_formula("t$0$x0 < 2")
     with pytest.warns(UserWarning, match="pair reduction ran out of budget"):
         assert reduce_dual(phi, sp, budget=Budget(1)) is phi
+
+
+TWO_ARRAYS = """
+proc two(n: int) {
+  array t[n]: int;
+  array u[n]: int;
+  var i: int;
+  i = 0;
+}
+"""
+
+
+def test_pair_reduction_skips_a_focus_on_another_array():
+    # the focus names a position of u, not only the pair's and the
+    # parameters: the reduction is skipped, soundly, with a warning
+    cfg = IndexConfig(
+        arrays={"t": ArrayCells(2, ordered=True), "u": ArrayCells(1)},
+        focus=parse_formula("t$0$x0 == u$0$x0"),
+    )
+    sp = transform_program(parse_program(TWO_ARRAYS), cfg)
+    phi = parse_formula("t$0$x0 < 2")
+    with pytest.warns(UserWarning, match="focus mentions other tracked positions"):
+        assert reduce_dual(phi, sp) is phi
 
 
 def test_pair_reduction_needs_an_ordered_pair():

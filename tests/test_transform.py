@@ -2,7 +2,6 @@
 
 import pytest
 
-from arrayabs.backend import AnalysisError, analyze_scalar
 from arrayabs.lang import CheckError, decompose_accesses, parse_condition, parse_program, to_source
 from arrayabs.lia import Lin, dvd, parse_formula
 from arrayabs.transform import ArrayCells, IndexConfig, ObserverSpec, ObsFlag, TransformError, transform_program
@@ -127,6 +126,7 @@ OBSERVER_ERRORS = {
     "unknown access 1": (TransformError, "unknown access 1"),
     "unknown names: z": (CheckError, "undeclared identifier z used as a scalar"),
     "unknown names: t": (CheckError, "undeclared identifier t used as a scalar"),
+    "predicate reads a flag": (TransformError, "predicate of observer flag both reads the flag lt"),
 }
 
 
@@ -139,6 +139,7 @@ OBSERVER_ERRORS = {
         ((ObsFlag(1, "f", parse_condition("i < n")),), "unknown access 1"),
         ((ObsFlag(0, "f", parse_condition("z < i")),), "unknown names: z"),
         ((ObsFlag(0, "f", parse_condition("t < i")),), "unknown names: t"),
+        (PAIR + (ObsFlag(0, "both", parse_condition("lt == 1")),), "predicate reads a flag"),
     ],
 )
 def test_observer_errors(flags, case):
@@ -226,10 +227,3 @@ def test_raw_and_decomposed_input_translate_alike():
     assert to_source(raw.source) == to_source(decompose_accesses(p))
     assert raw.flags == pre.flags == ("a", "b")
 
-
-def test_predicate_reading_another_flag_fails_the_analysis():
-    # the translation accepts it (lt is declared); the partitioned
-    # analysis needs write-only flags
-    sp = transform(INIT, PAIR + (ObsFlag(0, "both", parse_condition("lt == 1")),))
-    with pytest.raises(AnalysisError, match="observer flag lt read by the program"):
-        analyze_scalar(sp)
