@@ -10,8 +10,9 @@ cross-multiplies and divides by the row gcd, which keeps entries small
 without fractions. Joins compute the affine hull: the
 implied-equality spaces of both sides are intersected (Zassenhaus
 block trick). Assignments go through a fresh column so invertible
-updates like x = x + 1 stay exact. Chains are finite (each strict join
-drops rank), so no widening is needed.
+updates like x = x + 1 stay exact. Both first take shortcuts that
+return what the long path returns (see each method). Chains are
+finite (each strict join drops rank), so no widening is needed.
 
 Integer semantics: rows with no common integer solution, like 2x = 1,
 or 2x - z = -1 with 2y + z = 0 (together 2x + 2y = -1), mark the
@@ -21,7 +22,7 @@ element empty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from ..lia import FALSE, Formula, Lin, TRUE, eq0, land
@@ -49,27 +50,37 @@ def _eliminate(row: Sequence[int], pivot: Sequence[int], c: int) -> Sequence[int
     return _primitive([a * x - b * y for x, y in zip(row, pivot)])
 
 
-def _rref(rows: list[Sequence[int]], width: int) -> list[Sequence[int]]:
+def _rref(rows: list[Sequence[int]], width: int) -> tuple[list[Sequence[int]], list[int]]:
     """Reduce over the first `width` columns; the remaining columns
-    ride along. Pivot rows come first; of the rest only nonzero rows
-    are kept (with width covering every variable column, those are
-    contradictions 0 = b)."""
-    r = 0
-    for c in range(width):
-        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if sel is None:
+    ride along. Rows go one at a time into a basis keyed by pivot
+    column: a row is reduced by the basis, and if a pivot is left, the
+    basis rows are cleared in its column. Returns the pivot rows in
+    column order, then the rows left nonzero with no pivot (with width
+    covering every variable column, those are contradictions 0 = b),
+    and the pivot columns. With no row left over, the pivot rows are
+    the reduced row echelon form, which is unique: the order of the
+    rows does not change them."""
+    basis: dict[int, Sequence[int]] = {}
+    rest = []
+    for row in rows:
+        for c, pivot in basis.items():
+            if row[c]:
+                row = _eliminate(row, pivot, c)
+        c = next((c for c, x in enumerate(row) if x), len(row))
+        if c >= width:
+            if c < len(row):
+                rest.append(row)
             continue
-        pivot = _primitive(rows[sel])
-        rows[sel] = rows[r]
-        rows[r] = pivot
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                rows[i] = _eliminate(rows[i], pivot, c)
-        r += 1
-    return rows[:r] + [row for row in rows[r:] if any(row)]
+        row = _primitive(row)
+        for d, r in basis.items():
+            if r[c]:
+                basis[d] = _eliminate(r, row, c)
+        basis[c] = row
+    cols = sorted(basis)
+    return [basis[c] for c in cols] + rest, cols
 
 
-def _integral(rows: list[Sequence[int]], n: int) -> bool:
+def _integral(rows: list[Sequence[int]], cols: list[int], n: int) -> bool:
     """Whether reduced rows (no 0 = b row among them) have a common
     integer solution. A row with pivot 1 is solved by its pivot
     variable, which no other row mentions, so only rows with a larger
@@ -77,7 +88,7 @@ def _integral(rows: list[Sequence[int]], n: int) -> bool:
     integer solutions of the ones before, kept as x = x0 + sum t_j u_j
     with t integer: unimodular steps on the u_j leave one u_j that the
     row sees, and the row fixes its t_j or has no integer solution."""
-    hard = [row for row in rows if next(x for x in row if x) != 1]
+    hard = [row for row, c in zip(rows, cols) if row[c] != 1]
     if not hard:
         return True
     x0 = [0] * n
@@ -112,6 +123,12 @@ class AffineEqs:
     vars: tuple[str, ...]
     rows: tuple[Row, ...] = ()
     empty: bool = False
+    # the pivot column of each row, outside `==` and the hash
+    _pivots: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self._pivots is None:
+            object.__setattr__(self, "_pivots", tuple(next(i for i, x in enumerate(r) if x) for r in self.rows))
 
     @staticmethod
     def top(vars: Sequence[str]) -> "AffineEqs":
@@ -123,21 +140,22 @@ class AffineEqs:
 
     def _canon(self, raw: list[Sequence[int]]) -> "AffineEqs":
         n = len(self.vars)
-        rows = _rref(raw, n)
-        # a 0 = b row, if any, comes last
-        if rows and not any(rows[-1][:n]) or not _integral(rows, n):
+        rows, cols = _rref(raw, n)
+        # a row past the pivot rows is a 0 = b row
+        if len(rows) > len(cols) or not _integral(rows, cols, n):
             return AffineEqs.bottom(self.vars)
-        return AffineEqs(self.vars, tuple(map(tuple, rows)))
+        return AffineEqs(self.vars, tuple(map(tuple, rows)), False, tuple(cols))
 
     # -- constraints
 
     def _row_of(self, lin: Lin) -> list[int]:
         """Row for lin = 0."""
-        coeffs = dict(lin.coeffs)
-        unknown = set(coeffs) - set(self.vars)
-        if unknown:
-            raise ValueError(f"unknown variables {sorted(unknown)}")
-        return [*(coeffs.get(v, 0) for v in self.vars), -lin.const]
+        row = [0] * len(self.vars) + [-lin.const]
+        for v, c in lin.coeffs:
+            if v not in self.vars:
+                raise ValueError(f"unknown variable {v}")
+            row[self.vars.index(v)] = c
+        return row
 
     def add_eq(self, lin: Lin) -> "AffineEqs":
         """Meet with lin = 0; an implied row leaves the element as it is."""
@@ -169,16 +187,26 @@ class AffineEqs:
         )
 
     def assign(self, v: str, lin: Lin) -> "AffineEqs":
-        """Exact affine assignment v := lin."""
+        """Exact affine assignment v := lin. When no row mentions v, v
+        is free: v := v + k leaves the element as it is, and a right side
+        without v is the meet with v = lin, the very row and `_canon`
+        call that the temporary column comes to."""
         if self.empty:
             return self
         c = self.vars.index(v)
+        free = not any(r[c] for r in self.rows)
+        if free and lin.coeffs == ((v, 1),):
+            return self
+        new = self._row_of(lin)
+        if free and not new[c]:
+            new[c] = -1
+            return self._canon([*self.rows, new])
         # route the old value of v through a temporary extra column
         rows = [[*r, r[c]] for r in self.rows]
         for r in rows:
             r[c] = 0  # rename v -> tmp
-        new = [*self._row_of(lin), 0]
-        new[-1], new[c] = new[c], -1  # lin - v_new = 0, v in lin meaning the old value
+        new += [new[c]]
+        new[c] = -1  # lin - v_new = 0, v in lin meaning the old value
         rows.append(new)
         # eliminate the temporary column
         pivot = next((r for r in rows if r[-1]), None)
@@ -192,11 +220,9 @@ class AffineEqs:
         return self.empty
 
     def implies_row(self, row: Sequence[int]) -> bool:
-        n = len(self.vars)
-        for r in self.rows:
-            lead = next(i for i in range(n) if r[i])
-            if row[lead]:
-                row = _eliminate(row, r, lead)
+        for r, c in zip(self.rows, self._pivots):
+            if row[c]:
+                row = _eliminate(row, r, c)
         return not any(row)
 
     def leq(self, other: "AffineEqs") -> bool:
@@ -207,13 +233,22 @@ class AffineEqs:
         return all(self.implies_row(r) for r in other.rows)
 
     def join(self, other: "AffineEqs") -> "AffineEqs":
+        """The affine hull. When the canonical rows of one side are
+        among those of the other, every point of the other satisfies
+        them, so the first side contains the other and is the hull; a
+        side with no rows is top. Only other joins build the block."""
         if self.empty:
             return other
-        if other.empty or other == self:
+        if other.empty or other == self or not self.rows:
             return self
+        if not other.rows:
+            return other
+        few, many = (self, other) if len(self.rows) < len(other.rows) else (other, self)
+        if set(many.rows).issuperset(few.rows):
+            return few
         w = len(self.vars) + 1
         block = [[*r, *r] for r in self.rows] + [[*r, *[0] * w] for r in other.rows]
-        inter = [row[w:] for row in _rref(block, 2 * w) if not any(row[:w])]
+        inter = [row[w:] for row in _rref(block, 2 * w)[0] if not any(row[:w])]
         return self._canon(inter)
 
     def widen(self, other: "AffineEqs") -> "AffineEqs":

@@ -30,9 +30,10 @@ packs, so no shortest path crosses between them and the entry is
 of the halves on it, and nothing lowers it further, because the
 integer points are the product of the packs' point sets and the largest
 value of (signed a) - (signed b) over a product is the sum of the two
-largest values. `m` materializes the dense view, which `==` and the
-hash compare. The partition comes from the constraints alone: it is
-never configured.
+largest values. `m` materializes the dense view. `==` compares closed
+forms by inclusion both ways, and the hash reads their unary bounds
+only. The partition comes from the constraints alone: it is never
+configured.
 
 `to_formula()` writes a subset of the closed form with the same integer
 points. Between packs it writes nothing: those entries are half-sums,
@@ -297,21 +298,31 @@ def _split(members: tuple[int, ...], m: tuple[Row, ...], closed: bool) -> list[_
     """The matrix m over members as packs: two variables share a pack
     when some entry between them is not the sum of the halves, or
     through a chain of such pairs. A pack of a closed matrix is closed,
-    being its projection. Coherence makes the entries (2u+s, 2w+t),
-    u < w, enough."""
-    n = len(m)
-    half = [_half(m[a][a ^ 1]) for a in range(n)]
-    col = [half[b ^ 1] for b in range(n)]
-    groups = _components(len(members), (
-        (a // 2, b // 2)
-        for a in range(n - 2)
-        for b in range(a + 2 - a % 2, n)
-        if m[a][b] != half[a] + col[b]
-    ))
-    if len(groups) == 1:
-        return [_Pack(members, m, closed)]
+    being its projection. Coherence makes the four entries
+    (2u+s, 2w+t), u < w, of each pair enough; the pairs join their
+    groups one at a time, and once every variable is in one group, m is
+    one pack."""
+    k = len(members)
+    half = [_half(m[a][a ^ 1]) for a in range(2 * k)]
+    group = list(range(k))
+    apart = k
+    for u in range(k - 1):
+        rp, rn, hp, hn = m[2 * u], m[2 * u + 1], half[2 * u], half[2 * u + 1]
+        for w in range(u + 1, k):
+            c, d = 2 * w, 2 * w + 1
+            if rp[c] == hp + half[d] and rp[d] == hp + half[c] and rn[c] == hn + half[d] and rn[d] == hn + half[c]:
+                continue
+            if group[u] != group[w]:
+                gu, gw = group[u], group[w]
+                group = [gu if g == gw else g for g in group]
+                apart -= 1
+                if apart == 1:
+                    return [_Pack(members, m, closed)]
+    groups: dict[int, list[int]] = {}
+    for u, g in enumerate(group):
+        groups.setdefault(g, []).append(u)
     out = []
-    for us in groups:
+    for us in groups.values():
         nodes = [a for u in us for a in (2 * u, 2 * u + 1)]
         rows = tuple(tuple([m[a][b] for b in nodes]) for a in nodes)
         out.append(_Pack(tuple(members[u] for u in us), rows, closed))
@@ -436,7 +447,8 @@ class Octagon:
 
     def __eq__(self, other: object) -> bool:
         """Equality of the closed forms, which is equality of the
-        integer point sets, read in the dense view."""
+        integer point sets: inclusion both ways, which reads dense views
+        only over the variables of each pack."""
         if self is other:
             return True
         if not isinstance(other, Octagon):
@@ -444,11 +456,18 @@ class Octagon:
         if self.vars != other.vars:
             return False
         a, b = self.close(), other.close()
-        return a.empty == b.empty and a.m == b.m
+        if a.empty or b.empty:
+            return a.empty == b.empty
+        return a.packs == b.packs or a.leq(b) and b.leq(a)
 
     def __hash__(self) -> int:
+        """Of the closed unary bounds, which equal elements share."""
         a = self.close()
-        return hash((a.vars, a.empty, a.m))
+        bounds = []
+        for i, p in enumerate(a.packs):
+            q = 2 * p.vars.index(i)
+            bounds += (p.m[q][q + 1], p.m[q + 1][q])
+        return hash((a.vars, a.empty, *bounds))
 
     # -- canonical form
 
@@ -609,10 +628,10 @@ class Octagon:
         """Meet with lin >= 0 when octagonal, identity otherwise."""
         if self.empty:
             return self
-        coeffs = dict(lin.coeffs)
-        if octagonal(coeffs):
+        cs = lin.coeffs
+        if 1 <= len(cs) <= 2 and all(c in (1, -1) for _, c in cs):
             # lin >= 0  <=>  -lin <= const
-            return self.add({v: -c for v, c in coeffs.items()}, lin.const)
+            return self.add({v: -c for v, c in cs}, lin.const)
         return self
 
     # -- transfer helpers
@@ -710,7 +729,8 @@ class Octagon:
 
         `known` is the `packs` of an element over the same variables
         whose equalities the caller has read: a pack it holds at the
-        same place is skipped."""
+        same place is skipped, and of any other pack, so is an equality
+        that a pack of `known` over its variables holds."""
         a = self.close()
         if a.empty:
             return
@@ -719,7 +739,12 @@ class Octagon:
                 continue
             if p.eqs is None:
                 p.eqs = list(a._pack_equalities(p))
-            yield from p.eqs
+            if not known or not p.eqs:
+                yield from p.eqs
+                continue
+            olds = {id(known[j]): known[j] for j in p.vars}
+            held = [e for q in olds.values() for e in q.eqs or ()]
+            yield from (e for e in p.eqs if e not in held)
 
     def _pack_equalities(self, p: _Pack) -> Iterator[tuple[dict[str, int], int]]:
         m = p.m

@@ -16,8 +16,10 @@ entails, and the packs of the octagon whose equalities its affine part
 already holds. `reduce` hands a reduced element back
 as is, pushes only rows that the remembered affine element does not
 have, and reads equalities only from packs that are not the remembered
-ones (by identity). Pushing an entailed row or adding a held equality
-changes nothing, so the result is that of the full exchange. The memo
+ones (by identity), and of those only the equalities that no
+remembered pack holds (by value), since the affine part holds all of
+theirs. Pushing an entailed row or adding a held equality changes
+nothing, so the result is that of the full exchange. The memo
 stays valid through meets, which alone carry it on: an octagon meet
 only tightens, so it still entails the rows, and an affine meet only
 adds rows, so it still holds the equalities. Every other operation
@@ -82,14 +84,18 @@ class Product:
         while True:
             if o.is_empty() or a.is_empty():
                 return self._as_bottom()
-            # affine rows -> octagon (rows are equalities, push both
-            # sides; the octagon ignores rows it cannot hold)
+            # affine rows -> octagon: each row sum = b that it can hold
+            # (one or two unit coefficients), as sum >= b, then sum <= b
             if a is not pushed:
                 held = set(pushed.rows) if pushed is not None else ()
-                for row, (coeffs, b) in zip(a.rows, a.equalities()):
-                    if row not in held:
-                        lin = Lin.make(coeffs, -b)
-                        o = o.assume(lin).assume(-lin)
+                vs, n = a.vars, len(a.vars)
+                for row in a.rows:
+                    if row in held:
+                        continue
+                    at = [i for i in range(n) if row[i]]
+                    if len(at) <= 2 and all(row[i] in (1, -1) for i in at):
+                        up = {vs[i]: row[i] for i in at}
+                        o = o.add({v: -c for v, c in up.items()}, -row[n]).add(up, row[n])
                 pushed = a
                 if o.is_empty():
                     return self._as_bottom()

@@ -3,8 +3,10 @@
 Brute-force evaluation of formulas over integer boxes, both pointwise
 and vectorized over the whole grid, plus small random generators used
 by the differential tests, and the references that the backend's
-differential tests compare with: a dense octagon, the full reduction
-of the product, and the loop with a separate check pass.
+differential tests compare with: a dense octagon and its pack split by
+a scan of every entry, column-wise row reduction, the affine
+assignment through a temporary column, the full reduction of the
+product, and the loop with a separate check pass.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import numpy as np
 
 from arrayabs.backend import Product, abstract, analyze_scalar
 from arrayabs.backend.abstract import PARTITION_CAP, WIDENING_DELAY, Interpreter
+from arrayabs.backend.affine import _eliminate, _primitive
+from arrayabs.backend.octagon import _components, _half
 from arrayabs.lia import FALSE, Formula, Lin, dvd, ge0, land, lnot, lor
 
 
@@ -279,6 +283,67 @@ def dense_constraints(o):
     half-sums between packs included."""
     c = o.close()
     return [] if c.empty else list(DenseOctagon(c.vars, c.m).constraints())
+
+
+def rref_by_columns(rows, width):
+    """Reference for `affine._rref`'s rows: column by column, the first
+    row with a nonzero entry in the column becomes its pivot and is
+    eliminated from every other row. Pivot rows first, then the rows
+    left nonzero."""
+    rows = list(rows)
+    r = 0
+    for c in range(width):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        pivot = _primitive(rows[sel])
+        rows[sel] = rows[r]
+        rows[r] = pivot
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = _eliminate(rows[i], pivot, c)
+        r += 1
+    return rows[:r] + [row for row in rows[r:] if any(row)]
+
+
+def assign_through_a_column(a, v, lin):
+    """Reference for `AffineEqs.assign` with no shortcut: the old value
+    of v goes through a temporary extra column, which is eliminated."""
+    if a.empty:
+        return a
+    c = a.vars.index(v)
+    rows = [[*r, r[c]] for r in a.rows]
+    for r in rows:
+        r[c] = 0
+    new = [*a._row_of(lin), 0]
+    new[-1], new[c] = new[c], -1
+    rows.append(new)
+    pivot = next((r for r in rows if r[-1]), None)
+    if pivot is not None:
+        rows = [_eliminate(r, pivot, -1) if r[-1] else r for r in rows if r is not pivot]
+    return a._canon([r[:-1] for r in rows])
+
+
+def split_by_entries(members, m, closed):
+    """Reference for `octagon._split`, as (vars, matrix, closed) per
+    pack: every entry between two variables is compared with the sum of
+    the halves, and the variables linked by an entry that differs are
+    grouped."""
+    n = len(m)
+    half = [_half(m[a][a ^ 1]) for a in range(n)]
+    groups = _components(len(members), (
+        (a // 2, b // 2)
+        for a in range(n - 2)
+        for b in range(a + 2 - a % 2, n)
+        if m[a][b] != half[a] + half[b ^ 1]
+    ))
+    if len(groups) == 1:
+        return [(members, m, closed)]
+    out = []
+    for us in groups:
+        nodes = [a for u in us for a in (2 * u, 2 * u + 1)]
+        out.append((tuple(members[u] for u in us), tuple(tuple(m[a][b] for b in nodes) for a in nodes), closed))
+    return out
 
 
 def full_reduce(p):

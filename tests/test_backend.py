@@ -8,15 +8,17 @@ helpers.DenseOctagon step by step, equality and hash included,
 incremental closure and the `closed` mark against the full closure of
 its dense view, the packs and rows an octagon operation shares with
 its input by object identity, the lattice operations against entrywise
-references, and the affine shortcuts against the full reduction. The
-product's semi-naive reduction is checked against helpers.full_reduce
-after every step of random sequences.
+references, and the affine shortcuts against the full reduction. Row
+reduction, the affine assignment and the pack split are checked
+against the helpers' column-wise, temporary-column and every-entry
+references. The product's semi-naive reduction is checked against
+helpers.full_reduce after every step of random sequences.
 """
 
 import itertools
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from arrayabs.backend import (
     AbstractState,
@@ -30,12 +32,22 @@ from arrayabs.backend import (
 from arrayabs.backend import exact
 from arrayabs.backend.abstract import PARTITION_CAP
 from arrayabs.backend.affine import _rref
-from arrayabs.backend.octagon import INF, _closure, _irredundant
+from arrayabs.backend.octagon import INF, _closure, _irredundant, _split
 from arrayabs.lang import parse_program
 from arrayabs.lia import Lin, eq, eq0, ge0, is_sat, land, le, lor, nnf, subst
 from arrayabs.transform import IndexConfig, transform_program
 
-from helpers import DenseOctagon, box_points, dense_close, dense_constraints, full_reduce, truth_table
+from helpers import (
+    DenseOctagon,
+    assign_through_a_column,
+    box_points,
+    dense_close,
+    dense_constraints,
+    full_reduce,
+    rref_by_columns,
+    split_by_entries,
+    truth_table,
+)
 
 NAMES = ("x", "y", "z")
 NAMES4 = (*NAMES, "w")  # for properties that compare matrices, not points
@@ -600,6 +612,37 @@ class TestPackedAgainstDense:
         assert apart.packs[0] is not apart.packs[1]
         assert apart.m == box(0, 1, 0, 1).m
 
+    @settings(max_examples=100, deadline=None)
+    @given(oct_ops(NAMES4), st.lists(oct_ops(NAMES4, 3), min_size=2, max_size=3), st.randoms(use_true_random=False))
+    def test_equality_and_hash_agree_with_the_dense_view(self, base, branches, rnd):
+        """Branches of one state share packs, and a copy rebuilt from
+        the atoms of a branch's formula may be packed otherwise: two of
+        them are equal exactly when their closed dense views are, and
+        equal ones hash alike."""
+        root = build(base, NAMES4)
+        states = [build(ops, NAMES4, root) for ops in branches]
+        states += [from_atoms(o.to_formula(), NAMES4, rnd) for o in states]
+        for a, b in itertools.combinations(states, 2):
+            same = a.close().m == b.close().m
+            assert (a == b) == same
+            assert hash(a) == hash(b) or not same
+
+    @settings(max_examples=100, deadline=None)
+    @given(oct_ops(NAMES4), oct_ops(NAMES4), st.permutations(range(4)))
+    # y <= x in a box: only the entry of -x - (-y) is below its half-sum
+    @example([("add", ({"x": 1}, 3)), ("add", ({"x": -1}, 0)), ("add", ({"y": 1}, 3)), ("add", ({"y": -1}, 0)),
+              ("add", ({"x": -1, "y": 1}, 0))], [], [0, 1, 2, 3])
+    def test_split_matches_the_scan_of_every_entry(self, p, q, order):
+        """The dense view of a state and of a join, which hold both
+        stored entries and half-sums, falls into the packs that a scan of
+        every entry finds."""
+        members = tuple(sorted(order[:3]))
+        for o in (build(p, NAMES4), build(p, NAMES4).join(build(q, NAMES4))):
+            if not o.empty:
+                m = o._view(members)
+                got = [(pk.vars, pk.m, pk.closed) for pk in _split(members, m, True)]
+                assert got == split_by_entries(members, m, True)
+
 
 # ------------------------------------------------------------------- affine
 
@@ -637,10 +680,10 @@ def hull(pts):
 
 def full_join(a, b):
     """Reference for AffineEqs.join with no shortcut: the Zassenhaus
-    block of both sides through _rref, then _canon."""
+    block of both sides through column-wise reduction, then _canon."""
     w = len(a.vars) + 1
     block = [[*r, *r] for r in a.rows] + [[*r, *[0] * w] for r in b.rows]
-    return a._canon([row[w:] for row in _rref(block, 2 * w) if not any(row[:w])])
+    return a._canon([row[w:] for row in rref_by_columns(block, 2 * w) if not any(row[:w])])
 
 
 box_point = st.tuples(*[st.integers(LO, HI)] * len(NAMES))
@@ -723,6 +766,55 @@ class TestAffine:
         lins, shuffled = pair
         assert affine(lins) == affine(shuffled)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1), max_size=5),
+            st.integers(0, 5),
+            st.integers(-3, 3),
+        )),
+        st.booleans(),
+    )
+    def test_rref_matches_the_column_wise_reduction(self, case, every_column):
+        """Over the variable columns with the constant riding along, as
+        `_canon` reduces, or over every column, as the join's block is
+        reduced; a row 0 = b is put in at any place, before later pivots
+        too (b = 0 makes it a zero row). Both keep a row past the pivot rows
+        exactly when the rows contradict each other, and otherwise give
+        the same rows: the reduced form is unique. Contradicting rows
+        may leave different multiples in the constant column."""
+        n, rows, at, b = case
+        rows.insert(at, [0] * n + [b])
+        width = n + every_column
+        got, cols = _rref([list(r) for r in rows], width)
+        ref = rref_by_columns([list(r) for r in rows], width)
+        pivots = [next(c for c, v in enumerate(r) if v) for r in ref if any(r[:width])]
+        assert cols == pivots
+        assert (len(got) > len(cols)) == (len(ref) > len(pivots))
+        if len(ref) == len(pivots):
+            assert list(map(list, got)) == list(map(list, ref))
+
+    @settings(max_examples=100, deadline=None)
+    @given(aff_elem, st.lists(st.booleans(), min_size=3, max_size=3), st.booleans())
+    def test_join_shortcuts_match_the_zassenhaus_join(self, a, keep, top):
+        """One side is top, or has some of the other side's rows: the
+        join, either way round, is that of the Zassenhaus block."""
+        assume(not a.empty)
+        few = AffineEqs.top(a.vars) if top else a._canon([r for r, k in zip(a.rows, keep) if k])
+        assert set(few.rows) <= set(a.rows)
+        assert a.join(few) == full_join(a, few) == few.join(a) == full_join(few, a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(aff_elem, st.sampled_from(NAMES), st.booleans(), aff_lin, st.integers(-3, 3))
+    def test_assign_matches_the_temporary_column(self, a, v, free, lin, k):
+        """v := v + k, a right side without v, and one with v, with v
+        free or not, as the temporary column computes them."""
+        if free:
+            a = a.forget(v)
+        for rhs in (Lin.var(v) + k, lin.drop(v), lin):
+            assert a.assign(v, rhs) == assign_through_a_column(a, v, rhs)
+
 
 # ------------------------------------------------------------------ product
 
@@ -797,6 +889,7 @@ def run_against_full_reduce(names, steps):
         if op in ("assume", "widen"):
             p = p.assume(nnf(args[-1]))
         assert reduced_value(p.reduce()) == reduced_value(full_reduce(Product(p.oct, p.aff))), op
+        assert reduced_value(p.reduce()) == reduced_value(Product(p.oct, p.aff).reduce()), op
         if op in ("assume", "pin", "widen"):
             p = p.reduce()
         states.append(p)
@@ -842,6 +935,19 @@ class TestReduction:
         bare = Product(p.oct, p.aff)
         assert bare == p and hash(bare) == hash(p)
         assert full_reduce(bare) == p
+
+    def test_equalities_the_affine_part_holds_are_not_read_again(self, monkeypatch):
+        # x == y is read once; a bound on x changes the pack of x and y,
+        # whose equality the affine part still holds
+        p = Product.top(NAMES).assume(nnf(eq(x, y))).reduce()
+        q = p.assume(nnf(le(x, Lin.of(3))))
+        assert q.oct.packs[0] is not p.oct.packs[0]
+        read = []
+        add_eq = AffineEqs.add_eq
+        monkeypatch.setattr(AffineEqs, "add_eq", lambda self, lin: read.append(lin) or add_eq(self, lin))
+        r = q.reduce()
+        assert read == []
+        assert r == full_reduce(Product(q.oct, q.aff))
 
     def test_join_of_reduced_elements_need_not_be_reduced(self):
         # the affine hull of the two sides has the octagonal row
