@@ -298,8 +298,7 @@ class Interpreter:
         # reachable head state: the head is nxt, which recovers bounds
         # the widening threw away. rec is the walk from inv, which is
         # the walk from the head unless the head shrank. Given nxt <= inv,
-        # they are equal when inv <= nxt; that order compares closed
-        # matrices pack by pack, where == would build dense ones.
+        # they are equal when inv <= nxt.
         if not inv.leq(nxt) and any(isinstance(x, Assert) for x in walk_stmts(s.body)):
             rec = []
             self.block(s.body, nxt.assume(g), rec)

@@ -187,26 +187,19 @@ class AffineEqs:
         )
 
     def assign(self, v: str, lin: Lin) -> "AffineEqs":
-        """Exact affine assignment v := lin. When no row mentions v, v
-        is free: v := v + k leaves the element as it is, and a right side
-        without v is the meet with v = lin, the very row and `_canon`
-        call that the temporary column comes to."""
+        """Exact affine assignment v := lin. When no row mentions v,
+        v := v + k leaves the element as it is."""
         if self.empty:
             return self
         c = self.vars.index(v)
-        free = not any(r[c] for r in self.rows)
-        if free and lin.coeffs == ((v, 1),):
+        if lin.coeffs == ((v, 1),) and not any(r[c] for r in self.rows):
             return self
-        new = self._row_of(lin)
-        if free and not new[c]:
-            new[c] = -1
-            return self._canon([*self.rows, new])
         # route the old value of v through a temporary extra column
         rows = [[*r, r[c]] for r in self.rows]
         for r in rows:
             r[c] = 0  # rename v -> tmp
-        new += [new[c]]
-        new[c] = -1  # lin - v_new = 0, v in lin meaning the old value
+        new = [*self._row_of(lin), 0]
+        new[-1], new[c] = new[c], -1  # lin - v_new = 0, v in lin meaning the old value
         rows.append(new)
         # eliminate the temporary column
         pivot = next((r for r in rows if r[-1]), None)

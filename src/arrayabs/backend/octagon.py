@@ -90,7 +90,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import le
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from ..lia import FALSE, Formula, Lin, TRUE, ge0, land
 
@@ -103,10 +103,10 @@ Row = tuple[int | float, ...]  # a stored row, shared between elements
 FREE = ((0, INF), (INF, 0))  # matrix of a variable with no constraint
 
 
-def octagonal(coeffs: dict[str, int]) -> bool:
-    """Whether sum(coeffs) <= k is an octagon constraint: one or two
-    variables, unit coefficients."""
-    return 1 <= len(coeffs) <= 2 and all(abs(c) == 1 for c in coeffs.values())
+def octagonal(cs: Collection[int]) -> bool:
+    """Whether a sum with the nonzero coefficients cs, bounded, is an
+    octagon constraint: one or two variables, unit coefficients."""
+    return 1 <= len(cs) <= 2 and all(c in (1, -1) for c in cs)
 
 
 def _half(x: int | float) -> int | float:
@@ -628,10 +628,9 @@ class Octagon:
         """Meet with lin >= 0 when octagonal, identity otherwise."""
         if self.empty:
             return self
-        cs = lin.coeffs
-        if 1 <= len(cs) <= 2 and all(c in (1, -1) for _, c in cs):
+        if octagonal([c for _, c in lin.coeffs]):
             # lin >= 0  <=>  -lin <= const
-            return self.add({v: -c for v, c in cs}, lin.const)
+            return self.add({v: -c for v, c in lin.coeffs}, lin.const)
         return self
 
     # -- transfer helpers

@@ -93,7 +93,7 @@ class Product:
                     if row in held:
                         continue
                     at = [i for i in range(n) if row[i]]
-                    if len(at) <= 2 and all(row[i] in (1, -1) for i in at):
+                    if octagonal([row[i] for i in at]):
                         up = {vs[i]: row[i] for i in at}
                         o = o.add({v: -c for v, c in up.items()}, -row[n]).add(up, row[n])
                 pushed = a
@@ -175,5 +175,5 @@ class Product:
         r = self.reduce()
         if r.is_empty():
             return FALSE
-        rows = [eq0(Lin.make(c, -b)) for c, b in r.aff.equalities() if not octagonal(c)]
+        rows = [eq0(Lin.make(c, -b)) for c, b in r.aff.equalities() if not octagonal(c.values())]
         return land(r.oct.to_formula(), *rows)

@@ -255,7 +255,7 @@ def _refuted(query: Formula, budget: Budget) -> bool:
     """Whether the query has no integer model: `lia.split` with an
     octagon meet when every atom is octagonal, else `is_sat` on the
     query as given."""
-    if not all(a.kind == "ge" and octagonal(dict(a.lin.coeffs)) for a in query.atoms()):
+    if not all(a.kind == "ge" and octagonal([c for _, c in a.lin.coeffs]) for a in query.atoms()):
         return is_sat(query, budget) is None
 
     def meet(o: Octagon, lits: list[Formula]) -> Octagon | None:

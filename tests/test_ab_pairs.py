@@ -29,6 +29,13 @@ def test_too_few_wins_or_a_gain_within_the_spread_is_not():
     assert s["wins"] == 10 and not s["claim"]
 
 
+def test_fewer_than_ten_pairs_are_not_claimable():
+    nine = list(zip(PARENT[:9], [30.7, 31.3, 29.8, 30.1, 30.9, 31.0, 30.2, 30.5, 30.8]))
+    s = ab_pairs.summarize(nine, higher_is_better=True)
+    assert s["wins"] == 9 and s["pairs"] == 9 and not s["claim"]
+    assert not ab_pairs.summarize([(1.0, 2.0)], higher_is_better=True)["claim"]
+
+
 def test_lower_is_better_and_ties_count_for_neither():
     pairs = [(0.036, 0.031), (0.035, 0.035), (0.036, 0.032)]
     s = ab_pairs.summarize(pairs, higher_is_better=False)

@@ -568,18 +568,25 @@ class TestPackedAgainstDense:
             assert getattr(b, op)(a).m == getattr(db, op)(da).m, op
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(1, 6).flatmap(lambda n: against_dense(NAMES8[:n], 2, 10)), st.randoms(use_true_random=False))
-    def test_equality_and_hash_agree_with_the_dense_reference(self, ops, rnd):
-        """Every two states of a run, and each of the last ones with a
-        copy rebuilt from the atoms of its formula in shuffled order,
-        which may partition them otherwise, are equal exactly when their
-        dense twins are; equal states hash alike."""
-        states = run_against_dense(NAMES8, ops)
-        for o, d in states[-3:]:
-            states.append((from_atoms(o.to_formula(), NAMES8, rnd), d))
-        for (a, da), (b, db) in itertools.combinations(states, 2):
-            assert (a == b) == (da == db)
-            assert hash(a) == hash(b) or da != db
+    @given(
+        st.integers(1, 6).flatmap(lambda n: against_dense(NAMES8[:n], 2, 10)),
+        st.lists(oct_ops(NAMES8, 3), max_size=2),
+        st.randoms(use_true_random=False),
+    )
+    def test_equality_and_hash_agree_with_the_dense_reference(self, ops, branches, rnd):
+        """Every two states of a run, branches of its last state, which
+        share its packs, and each of the last ones with a copy rebuilt
+        from the atoms of its formula in shuffled order, which may
+        partition them otherwise, are equal exactly when their closed
+        dense views are (the run checks those against dense twins);
+        equal states hash alike."""
+        states = [o for o, _ in run_against_dense(NAMES8, ops)]
+        states += [build(b, NAMES8, states[-1]) for b in branches]
+        states += [from_atoms(o.to_formula(), NAMES8, rnd) for o in states[-3:]]
+        for a, b in itertools.combinations(states, 2):
+            same = a.close().m == b.close().m
+            assert (a == b) == same
+            assert hash(a) == hash(b) or not same
 
     def test_equal_states_packed_apart_compare_in_the_dense_view(self):
         """x = 0 and y = 0 in two packs, or in one through x == y:
@@ -611,21 +618,6 @@ class TestPackedAgainstDense:
         apart = box(0, 0, 0, 1).join(box(1, 1, 0, 1))
         assert apart.packs[0] is not apart.packs[1]
         assert apart.m == box(0, 1, 0, 1).m
-
-    @settings(max_examples=100, deadline=None)
-    @given(oct_ops(NAMES4), st.lists(oct_ops(NAMES4, 3), min_size=2, max_size=3), st.randoms(use_true_random=False))
-    def test_equality_and_hash_agree_with_the_dense_view(self, base, branches, rnd):
-        """Branches of one state share packs, and a copy rebuilt from
-        the atoms of a branch's formula may be packed otherwise: two of
-        them are equal exactly when their closed dense views are, and
-        equal ones hash alike."""
-        root = build(base, NAMES4)
-        states = [build(ops, NAMES4, root) for ops in branches]
-        states += [from_atoms(o.to_formula(), NAMES4, rnd) for o in states]
-        for a, b in itertools.combinations(states, 2):
-            same = a.close().m == b.close().m
-            assert (a == b) == same
-            assert hash(a) == hash(b) or not same
 
     @settings(max_examples=100, deadline=None)
     @given(oct_ops(NAMES4), oct_ops(NAMES4), st.permutations(range(4)))

@@ -12,9 +12,10 @@ read from the JSON object each run prints last, and its direction
 
 Prints each pair's two values as it goes, then each side's median and
 quartiles, the number of pairs the change won (ties count for
-neither), and whether the change wins at least nine pairs in ten by a
-median that differs from the parent's by more than the distance
-between the parent's quartiles: the rule a claimed gain must meet.
+neither), and whether, over at least ten pairs, the change wins at
+least nine in ten by a median that differs from the parent's by more
+than the distance between the parent's quartiles: the rule a claimed
+gain must meet.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def summarize(pairs: list[tuple[float, float]], higher_is_better: bool) -> dict:
         "change": change,
         "wins": wins,
         "pairs": len(pairs),
-        "claim": wins >= 0.9 * len(pairs) and gain > parent[2] - parent[0],
+        "claim": len(pairs) >= 10 and wins >= 0.9 * len(pairs) and gain > parent[2] - parent[0],
     }
 
 
