@@ -17,10 +17,18 @@ finite (each strict join drops rank), so no widening is needed.
 Integer semantics: rows with no common integer solution, like 2x = 1,
 or 2x - z = -1 with 2y + z = 0 (together 2x + 2y = -1), mark the
 element empty.
+
+Positions. Columns are positions in a `Vars` tuple, which the elements
+of an analysis share with their octagons, and `add_eq` takes a row
+(see `product.py`). Names are resolved only where a name or a `Lin`
+comes in (`_row_of`, `forget`, `assign`), through the tuple's one
+name -> position map, and where a `Formula` goes out.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -32,6 +40,20 @@ Row = tuple[int, ...]  # coefficients per variable, then the constant
 # Rows being worked on are lists, stored rows tuples: short-lived tuples
 # of many lengths would fill the interpreter's per-length tuple free
 # lists and raise the peak memory of a run.
+
+
+class Vars(tuple):
+    """A variable tuple that carries its name -> position map, built on
+    first use. The elements of one analysis share one such tuple, so
+    they share the map, which goes when the tuple does."""
+
+    @staticmethod
+    def of(vars: Sequence[str]) -> "Vars":
+        return vars if isinstance(vars, Vars) else Vars(vars)
+
+    @functools.cached_property
+    def pos(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self)}
 
 
 def _primitive(row: Sequence[int]) -> Sequence[int]:
@@ -120,23 +142,24 @@ def _integral(rows: list[Sequence[int]], cols: list[int], n: int) -> bool:
 
 @dataclass(frozen=True)
 class AffineEqs:
-    vars: tuple[str, ...]
+    vars: Vars
     rows: tuple[Row, ...] = ()
     empty: bool = False
     # the pivot column of each row, outside `==` and the hash
     _pivots: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self._pivots is None:
+        if self._pivots is None:  # built directly, not by an operation
+            object.__setattr__(self, "vars", Vars.of(self.vars))
             object.__setattr__(self, "_pivots", tuple(next(i for i, x in enumerate(r) if x) for r in self.rows))
 
     @staticmethod
     def top(vars: Sequence[str]) -> "AffineEqs":
-        return AffineEqs(tuple(vars))
+        return AffineEqs(Vars.of(vars))
 
     @staticmethod
     def bottom(vars: Sequence[str]) -> "AffineEqs":
-        return AffineEqs(tuple(vars), (), True)
+        return AffineEqs(Vars.of(vars), (), True)
 
     def _canon(self, raw: list[Sequence[int]]) -> "AffineEqs":
         n = len(self.vars)
@@ -150,21 +173,39 @@ class AffineEqs:
 
     def _row_of(self, lin: Lin) -> list[int]:
         """Row for lin = 0."""
+        pos = self.vars.pos
         row = [0] * len(self.vars) + [-lin.const]
         for v, c in lin.coeffs:
-            if v not in self.vars:
+            if v not in pos:
                 raise ValueError(f"unknown variable {v}")
-            row[self.vars.index(v)] = c
+            row[pos[v]] = c
         return row
 
-    def add_eq(self, lin: Lin) -> "AffineEqs":
-        """Meet with lin = 0; an implied row leaves the element as it is."""
+    def add_eq(self, row: Sequence[int]) -> "AffineEqs":
+        """Meet with sum(row[i] * vars[i]) = row[-1], leaving the row as
+        it is. The row is reduced once: an implied one hands back the
+        element, else the other rows are cleared in its new pivot
+        column, which gives the unique reduced form `_canon` computes,
+        and only `_integral` is left to check."""
         if self.empty:
             return self
-        row = self._row_of(lin)
-        if self.implies_row(row):
+        row = self._reduced(row)
+        n = len(self.vars)
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is None:
             return self
-        return self._canon([*self.rows, row])
+        if c == n:  # 0 = b
+            return AffineEqs.bottom(self.vars)
+        row = _primitive(row)
+        # a row with a nonzero entry at c has its pivot left of c, where
+        # the new row is zero, so the pivot stays put
+        rows = [_eliminate(r, row, c) if r[c] else r for r in self.rows]
+        at = bisect.bisect(self._pivots, c)
+        rows.insert(at, row)
+        cols = [*self._pivots[:at], c, *self._pivots[at:]]
+        if not _integral(rows, cols, n):
+            return AffineEqs.bottom(self.vars)
+        return AffineEqs(self.vars, tuple(map(tuple, rows)), False, tuple(cols))
 
     def meet(self, other: "AffineEqs") -> "AffineEqs":
         if self.empty:
@@ -176,9 +217,9 @@ class AffineEqs:
     # -- transfer
 
     def forget(self, v: str) -> "AffineEqs":
-        if self.empty or v not in self.vars:
+        c = self.vars.pos.get(v)
+        if self.empty or c is None:
             return self
-        c = self.vars.index(v)
         pivot = next((r for r in self.rows if r[c]), None)
         if pivot is None:
             return self
@@ -191,7 +232,7 @@ class AffineEqs:
         v := v + k leaves the element as it is."""
         if self.empty:
             return self
-        c = self.vars.index(v)
+        c = self.vars.pos[v]
         if lin.coeffs == ((v, 1),) and not any(r[c] for r in self.rows):
             return self
         # route the old value of v through a temporary extra column
@@ -212,18 +253,19 @@ class AffineEqs:
     def is_empty(self) -> bool:
         return self.empty
 
-    def implies_row(self, row: Sequence[int]) -> bool:
+    def _reduced(self, row: Sequence[int]) -> Sequence[int]:
+        """row with every pivot column cleared: zero when implied."""
         for r, c in zip(self.rows, self._pivots):
             if row[c]:
                 row = _eliminate(row, r, c)
-        return not any(row)
+        return row
 
     def leq(self, other: "AffineEqs") -> bool:
         if self.empty:
             return True
         if other.empty:
             return False
-        return all(self.implies_row(r) for r in other.rows)
+        return all(not any(self._reduced(r)) for r in other.rows)
 
     def join(self, other: "AffineEqs") -> "AffineEqs":
         """The affine hull. When the canonical rows of one side are

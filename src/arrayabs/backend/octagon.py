@@ -78,6 +78,13 @@ pack on its own is their full closure. An unclosed element caches that
 closure the first time it is asked for, and `add` meets the closed form
 incrementally, so a widened loop head is closed once.
 
+Positions. The elements of an analysis share one `affine.Vars` tuple
+and work by position in it: `add` takes (position, sign) terms, and
+`equalities` yields the integer rows `AffineEqs.add_eq` takes. Names
+are resolved only where a name or a `Lin` comes in (`assume`,
+`assign`, `forget`, `bounds`), through the tuple's one name ->
+position map, and where a `Formula` goes out.
+
 Rows are copy-on-write. A pack matrix is a tuple of row tuples, and an
 operation builds a new tuple only for a row in which some entry moves.
 Elements of one analysis share every pack that an operation leaves
@@ -93,6 +100,7 @@ from operator import le
 from typing import Collection, Iterable, Iterator, Sequence
 
 from ..lia import FALSE, Formula, Lin, TRUE, ge0, land
+from .affine import Vars
 
 # +infinity inside a stored matrix. A float, so that sums, min, max and
 # comparisons handle it natively: every finite entry stays an int, and
@@ -355,7 +363,7 @@ def _widen_rows(ra: Sequence[Row], rb: Sequence[Row]) -> tuple[Row, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Octagon:
-    vars: tuple[str, ...]
+    vars: Vars
     packs: tuple[_Pack, ...] = ()  # packs[i] is the pack that holds vars[i]
     empty: bool = False
     closed: bool = False
@@ -368,12 +376,12 @@ class Octagon:
 
     @staticmethod
     def top(vars: Sequence[str]) -> "Octagon":
-        vs = tuple(vars)
+        vs = Vars.of(vars)
         return Octagon(vs, tuple(_Pack((i,), FREE, True) for i in range(len(vs))), False, True)
 
     @staticmethod
     def bottom(vars: Sequence[str]) -> "Octagon":
-        return Octagon(tuple(vars), (), True, True)
+        return Octagon(Vars.of(vars), (), True, True)
 
     def _with(self, new: Sequence[_Pack], closed: bool = True) -> "Octagon":
         """Element with these packs in place of the ones their variables
@@ -387,11 +395,10 @@ class Octagon:
     def _distinct(self) -> list[_Pack]:
         return [p for i, p in enumerate(self.packs) if p.vars[0] == i]
 
-    def _where(self, v: str) -> tuple[int, _Pack, int]:
-        """Index of v, its pack, and the node of +v in that pack."""
-        i = self.vars.index(v)
+    def _node(self, i: int) -> tuple[_Pack, int]:
+        """The pack of vars[i], and the node of +vars[i] in it."""
         p = self.packs[i]
-        return i, p, 2 * p.vars.index(i)
+        return p, 2 * p.vars.index(i)
 
     def _view(self, members: tuple[int, ...]) -> tuple[Row, ...]:
         """The dense matrix over the variables `members` (ascending):
@@ -587,23 +594,30 @@ class Octagon:
 
     # -- constraints
 
-    def add(self, coeffs: dict[str, int], k: int) -> "Octagon":
-        """Meet with sum(coeffs)*vars <= k. The coefficients must be
-        octagonal: one or two variables, unit coefficients. The result
-        is tightly closed; an unclosed element meets its closed form."""
+    def add(self, terms: Sequence[tuple[int, int]], k: int) -> "Octagon":
+        """Meet with sum(s * vars[i] for i, s in terms) <= k: one or two
+        terms (position, sign), each sign 1 or -1. The result is
+        tightly closed; an unclosed element meets its closed form.
+
+        The new edge a -> b of weight k is refuted with no closing when
+        k + m[b][a] < 0. In a tightly closed m every negative cycle it
+        closes shows there: through the edge it weighs at least
+        k + m[b][a], through the edge and its mirror at least
+        2k + m[b][b^1] + m[a^1][a] >= 2(k + m[b][a]). Only
+        integer-parity emptiness is left to `_tighten`."""
         if self.empty:
             return self
         if not self.closed:
-            return self.close().add(coeffs, k)
-        (v, s), *rest = coeffs.items()
-        i, p, a = self._where(v)
+            return self.close().add(terms, k)
+        (i, s), *rest = terms
+        p, a = self._node(i)
         a += s < 0
         members, m = p.vars, p.m
         if not rest:  # s*v <= k  <=>  (s*v) - (-s*v) <= 2k
             b, k = a ^ 1, 2 * k
         else:  # s*v + t*w <= k  <=>  (s*v) - (-t*w) <= k
-            (w, t), = rest
-            j, q, b = self._where(w)
+            (j, t), = rest
+            q, b = self._node(j)
             b = (b + (t < 0)) ^ 1
             if q is not p:
                 # between two packs the entry is the sum of the halves
@@ -614,9 +628,9 @@ class Octagon:
                 a, b = 2 * members.index(i) + (s < 0), (2 * members.index(j) + (t < 0)) ^ 1
         if m[a][b] <= k:
             return self  # implied: keeps the element as it is
+        if k + m[b][a] < 0:
+            return Octagon.bottom(self.vars)
         if len(m) == 2:  # a variable alone: a unary bound, nothing to close
-            if k + m[b][a] < 0:
-                return Octagon.bottom(self.vars)
             rows = ((0, k), m[1]) if a == 0 else (m[0], (k, 0))
             return self._with([_Pack(members, rows, True)])
         rows = _close_with(m, a, b, k)
@@ -630,7 +644,8 @@ class Octagon:
             return self
         if octagonal([c for _, c in lin.coeffs]):
             # lin >= 0  <=>  -lin <= const
-            return self.add({v: -c for v, c in lin.coeffs}, lin.const)
+            pos = self.vars.pos
+            return self.add([(pos[v], -c) for v, c in lin.coeffs], lin.const)
         return self
 
     # -- transfer helpers
@@ -638,10 +653,13 @@ class Octagon:
     def forget(self, v: str) -> "Octagon":
         if self.empty:
             return self
+        return self._forget(self.vars.pos[v])
+
+    def _forget(self, i: int) -> "Octagon":
         a = self.close()
         if a.empty:
             return a
-        i, p, q = a._where(v)
+        p, q = a._node(i)
         alone = _Pack((i,), FREE, True)
         if len(p.vars) == 1:
             return a if p.m == FREE else a._with([alone])
@@ -653,41 +671,45 @@ class Octagon:
     def assign(self, v: str, lin: Lin) -> "Octagon":
         if self.empty:
             return self
-        coeffs = dict(lin.coeffs)
-        k = lin.const
-        if not coeffs:
-            out = self.forget(v)
-            return out.add({v: 1}, k).add({v: -1}, -k)
-        if len(coeffs) == 1:
-            (w, c), = coeffs.items()
-            if w == v and c == 1:
-                return self._shift(v, k)
-            if c in (1, -1) and w != v:
-                out = self.forget(v)
+        pos = self.vars.pos
+        i, k = pos[v], lin.const
+        terms = [(pos[w], c) for w, c in lin.coeffs]
+        if not terms:
+            return self._forget(i).add(((i, 1),), k).add(((i, -1),), -k)
+        if len(terms) == 1:
+            (j, c), = terms
+            if j == i and c == 1:
+                return self._shift(i, k)
+            if c in (1, -1) and j != i:
                 # v - c*w <= k and c*w - v <= -k
-                out = out.add({v: 1, w: -c}, k)
-                return out.add({v: -1, w: c}, -k)
+                return self._forget(i).add(((i, 1), (j, -c)), k).add(((i, -1), (j, c)), -k)
         # general affine right side: fall back to interval evaluation
-        lo, hi = self.eval_range(lin)
-        out = self.forget(v)
+        lo: int | None = k
+        hi: int | None = k
+        for j, c in terms:
+            jlo, jhi = self._bounds(j)
+            tlo, thi = (jlo, jhi) if c > 0 else (jhi, jlo)
+            lo = None if (lo is None or tlo is None) else lo + c * tlo
+            hi = None if (hi is None or thi is None) else hi + c * thi
+        out = self._forget(i)
         if hi is not None:
-            out = out.add({v: 1}, hi)
+            out = out.add(((i, 1),), hi)
         if lo is not None:
-            out = out.add({v: -1}, -lo)
+            out = out.add(((i, -1),), -lo)
         return out
 
-    def _shift(self, v: str, k: int) -> "Octagon":
+    def _shift(self, i: int, k: int) -> "Octagon":
         a = self.close()
         if a.empty:
             return a
-        _, pk, p = a._where(v)
+        pk, p = a._node(i)
         q = p ^ 1
         rows: list[Row] = []
-        for i, row in enumerate(pk.m):
-            if i in (p, q):  # +v - w moves by k, -v - w by -k
-                s = k if i == p else -k
+        for u, row in enumerate(pk.m):
+            if u in (p, q):  # +v - w moves by k, -v - w by -k
+                s = k if u == p else -k
                 r = [x + s for x in row]
-                r[i], r[i ^ 1] = 0, row[i ^ 1] + 2 * s
+                r[u], r[u ^ 1] = 0, row[u ^ 1] + 2 * s
                 rows.append(tuple(r))
             elif row[p] == INF and row[q] == INF:
                 rows.append(row)
@@ -700,31 +722,25 @@ class Octagon:
     # -- queries
 
     def bounds(self, v: str) -> tuple[int | None, int | None]:
+        return self._bounds(self.vars.pos[v])
+
+    def _bounds(self, i: int) -> tuple[int | None, int | None]:
         a = self.close()
         if a.empty:
             return (0, -1)
-        _, p, q = a._where(v)
+        p, q = a._node(i)
         up = p.m[q][q ^ 1]
         lo = p.m[q ^ 1][q]
         return (None if lo == INF else -(lo // 2), None if up == INF else up // 2)
 
-    def eval_range(self, lin: Lin) -> tuple[int | None, int | None]:
-        a = self.close()
-        lo: int | None = lin.const
-        hi: int | None = lin.const
-        for v, c in lin.coeffs:
-            vlo, vhi = a.bounds(v)
-            tlo, thi = (vlo, vhi) if c > 0 else (vhi, vlo)
-            lo = None if (lo is None or tlo is None) else lo + c * tlo
-            hi = None if (hi is None or thi is None) else hi + c * thi
-        return lo, hi
-
-    def equalities(self, known: Sequence[_Pack] = ()) -> Iterator[tuple[dict[str, int], int]]:
-        """Yield (coeffs, k) meaning sum(coeffs) == k, once per equality
-        inside a pack of the closed form: +v - (signed w) bounded both
-        ways by one value. An equality between two packs holds only
-        when both variables are constants, so it follows from the two
-        unary equalities and is left out. Each pack keeps its list.
+    def equalities(self, known: Sequence[_Pack] = ()) -> Iterator[list[int]]:
+        """Yield integer rows over `vars`, coefficients then the
+        constant b, meaning sum == b: once per equality inside a pack
+        of the closed form, +v - (signed w) bounded both ways by one
+        value. An equality between two packs holds only when both
+        variables are constants, so it follows from the two unary
+        equalities and is left out. Each pack keeps its list, so
+        callers only read the rows.
 
         `known` is the `packs` of an element over the same variables
         whose equalities the caller has read: a pack it holds at the
@@ -745,19 +761,21 @@ class Octagon:
             held = [e for q in olds.values() for e in q.eqs or ()]
             yield from (e for e in p.eqs if e not in held)
 
-    def _pack_equalities(self, p: _Pack) -> Iterator[tuple[dict[str, int], int]]:
-        m = p.m
+    def _pack_equalities(self, p: _Pack) -> Iterator[list[int]]:
+        m, n = p.m, len(self.vars)
         for i in range(0, len(m), 2):
-            v = self.vars[p.vars[i // 2]]
             row, mirror = m[i], m[i + 1]  # m[j][i] == m[i^1][j^1]: coherence
             for j in range(i + 1, len(m)):
                 c = row[j]
                 if c == INF or c + mirror[j ^ 1] != 0:
                     continue
+                eq = [0] * (n + 1)
+                eq[p.vars[i // 2]] = 1
                 if j == i + 1:  # +v - (-v) == c
-                    yield {v: 1}, c // 2
+                    eq[n] = c // 2
                 else:  # j even: +v - (+w); j odd: +v - (-w)
-                    yield {v: 1, self.vars[p.vars[j // 2]]: 1 if j % 2 else -1}, c
+                    eq[p.vars[j // 2]], eq[n] = 1 if j % 2 else -1, c
+                yield eq
 
     def to_formula(self) -> Formula:
         """The closed form as a conjunction of the entries `_irredundant`

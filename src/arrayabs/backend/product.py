@@ -1,10 +1,15 @@
 """Reduced product of the octagon and affine-equality domains.
 
-Both components track the same variable tuple. Reduction exchanges
-facts in both directions: affine rows the octagon can hold (unit
-coefficients on one or two variables) become octagon bounds, and the
-equalities of the closed octagon, read off its matrix, become affine
-rows. The exchange repeats until the octagon adds no affine row, when
+Both components share one variable tuple, an `affine.Vars`, and
+reduction works by position in it: no name and no `Lin` passes between
+them. It exchanges facts in both directions: affine rows the octagon
+can hold (unit coefficients on one or two variables) go to
+`Octagon.add` as (position, coefficient) terms, and the equalities of
+the closed octagon, read off its matrix as integer rows, go to
+`AffineEqs.add_eq` as they are. Names are resolved only where a `Lin`
+comes in (`assign`, `forget`, `assume`), through the tuple's one
+name -> position map, and where a `Formula` goes out (`to_formula`).
+The exchange repeats until the octagon adds no affine row, when
 neither side can change again; it terminates because octagon entries
 only tighten and affine rank only grows.
 
@@ -38,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..lia import FALSE, Formula, Lin, eq0, land
-from .affine import AffineEqs
+from .affine import AffineEqs, Vars
 from .octagon import Octagon, octagonal
 
 
@@ -53,11 +58,13 @@ class Product:
 
     @staticmethod
     def top(vars: Sequence[str]) -> "Product":
-        return Product(Octagon.top(vars), AffineEqs.top(vars))
+        vs = Vars.of(vars)
+        return Product(Octagon.top(vs), AffineEqs.top(vs))
 
     @staticmethod
     def bottom(vars: Sequence[str]) -> "Product":
-        return Product(Octagon.bottom(vars), AffineEqs.bottom(vars))
+        vs = Vars.of(vars)
+        return Product(Octagon.bottom(vs), AffineEqs.bottom(vs))
 
     @property
     def vars(self) -> tuple[str, ...]:
@@ -88,22 +95,21 @@ class Product:
             # (one or two unit coefficients), as sum >= b, then sum <= b
             if a is not pushed:
                 held = set(pushed.rows) if pushed is not None else ()
-                vs, n = a.vars, len(a.vars)
+                n = len(a.vars)
                 for row in a.rows:
                     if row in held:
                         continue
-                    at = [i for i in range(n) if row[i]]
-                    if octagonal([row[i] for i in at]):
-                        up = {vs[i]: row[i] for i in at}
-                        o = o.add({v: -c for v, c in up.items()}, -row[n]).add(up, row[n])
+                    up = [(i, row[i]) for i in range(n) if row[i]]
+                    if octagonal([c for _, c in up]):
+                        o = o.add([(i, -c) for i, c in up], -row[n]).add(up, row[n])
                 pushed = a
                 if o.is_empty():
                     return self._as_bottom()
             # equalities of the closed octagon -> affine rows; add_eq
             # hands back the element itself for an implied row
             before = a
-            for coeffs, k in o.equalities(read):
-                a = a.add_eq(Lin.make(coeffs, -k))
+            for row in o.equalities(read):
+                a = a.add_eq(row)
             read = o.packs
             if a is before:
                 return Product(o, a, True, a, read)
@@ -154,9 +160,10 @@ class Product:
                 out = out.assume(g)
             # complementary inequality pairs pin an affine equality
             for i, li in enumerate(atoms):
+                neg = -li
                 for lj in atoms[i + 1:]:
-                    if lj == -li:
-                        out = out._meet(out.oct, out.aff.add_eq(li))
+                    if lj == neg:
+                        out = out._meet(out.oct, out.aff.add_eq(out.aff._row_of(li)))
             return out
         if k == "or":
             parts = [self.assume(g) for g in f.args]

@@ -6,7 +6,9 @@ by the differential tests, and the references that the backend's
 differential tests compare with: a dense octagon and its pack split by
 a scan of every entry, column-wise row reduction, the affine
 assignment through a temporary column, the full reduction of the
-product, and the loop with a separate check pass.
+product, and the loop with a separate check pass. The backend works by
+position in a variable tuple; `add` and `named` translate the names
+the tests write.
 """
 
 from __future__ import annotations
@@ -96,6 +98,21 @@ def rand_formula(rng: random.Random, names: Sequence[str], depth: int = 2) -> Fo
     return f
 
 
+# ------------------------------------------------ names and positions
+
+def add(o, coeffs, k):
+    """o met with sum(coeffs) <= k, coeffs a name -> sign map: the
+    names as the (position, sign) terms of `Octagon.add`, which
+    `DenseOctagon.add` takes too."""
+    return o.add([(o.vars.index(v), s) for v, s in coeffs.items()], k)
+
+
+def named(vars, row):
+    """An integer row over vars (coefficients, then the constant b,
+    meaning sum == b) as (name -> coefficient, b)."""
+    return {v: c for v, c in zip(vars, row) if c}, row[-1]
+
+
 # ------------------------------------------------ dense octagon reference
 
 def _le_inf(a, b):
@@ -165,11 +182,11 @@ class DenseOctagon:
     def is_empty(self):
         return self.close().empty
 
-    def add(self, coeffs, k):
+    def add(self, terms, k):
         c = self.close()
         if c.empty:
             return c
-        nodes = [c._node(v, s) for v, s in coeffs.items()]
+        nodes = [2 * i + (s < 0) for i, s in terms]
         a, b = (nodes[0], nodes[0] ^ 1) if len(nodes) == 1 else (nodes[0], nodes[1] ^ 1)
         k = 2 * k if len(nodes) == 1 else k
         if _le_inf(c.m[a][b], k):
@@ -242,7 +259,7 @@ class DenseOctagon:
             return DenseOctagon(self.vars, rows)
         if len(coeffs) == 1 and v not in coeffs and abs(next(iter(coeffs.values()))) == 1:
             (w, s), = coeffs.items()
-            return self.forget(v).add({v: 1, w: -s}, k).add({v: -1, w: s}, -k)
+            return add(add(self.forget(v), {v: 1, w: -s}, k), {v: -1, w: s}, -k)
         lo = hi = k
         for w, s in lin.coeffs:
             wlo, whi = self.bounds(w)
@@ -251,9 +268,9 @@ class DenseOctagon:
             hi = None if hi is None or thi is None else hi + s * thi
         out = self.forget(v)
         if hi is not None:
-            out = out.add({v: 1}, hi)
+            out = add(out, {v: 1}, hi)
         if lo is not None:
-            out = out.add({v: -1}, -lo)
+            out = add(out, {v: -1}, -lo)
         return out
 
     def constraints(self):
@@ -361,8 +378,8 @@ def full_reduce(p):
         if o.is_empty():
             return Product.bottom(p.vars)
         before = a
-        for coeffs, k in o.equalities():
-            a = a.add_eq(Lin.make(coeffs, -k))
+        for row in o.equalities():
+            a = a.add_eq(row)
         if a == before:
             return Product(o, a)
 

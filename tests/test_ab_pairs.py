@@ -41,3 +41,17 @@ def test_lower_is_better_and_ties_count_for_neither():
     s = ab_pairs.summarize(pairs, higher_is_better=False)
     assert s["wins"] == 2 and not s["claim"]
     assert ab_pairs.summarize([(1.0, 2.0)], higher_is_better=True)["parent"] == (1.0, 1.0, 1.0)
+
+
+def test_a_metric_worse_past_its_bound_is_flagged():
+    # parent median 22.4 MB; a bound of 0.1 allows up to 24.64
+    rss = [(22.3, 24.5), (22.4, 24.6), (22.5, 24.7)]
+    assert not ab_pairs.summarize(rss, higher_is_better=False, bound=0.1)["past_bound"]
+    assert ab_pairs.summarize([(p, c + 0.1) for p, c in rss], higher_is_better=False, bound=0.1)["past_bound"]
+    # 26.75 -> 20.0 is 25.2 % fewer programs per second, past a 0.25 bound
+    slower = [(p, 20.0) for p in PARENT]
+    assert ab_pairs.summarize(slower, higher_is_better=True, bound=0.25)["past_bound"]
+    assert not ab_pairs.summarize(slower, higher_is_better=True, bound=0.3)["past_bound"]
+    # a gain is never past a bound, and no bound given flags nothing
+    assert not ab_pairs.summarize([(p, 30.0) for p in PARENT], higher_is_better=True, bound=0.0)["past_bound"]
+    assert not ab_pairs.summarize(slower, higher_is_better=True)["past_bound"]

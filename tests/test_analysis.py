@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from arrayabs.backend import AffineEqs, abstract, analyze_scalar
+from arrayabs.backend import AffineEqs, abstract, analyze_scalar, octagon
 from arrayabs.lang import Bounds, decompose_accesses, enumerate_executions, parse_condition, parse_program
 from arrayabs.lang.interp import OK
 from arrayabs.lia import parse_formula
@@ -74,14 +74,19 @@ def test_bounds_asserts_of_a_nine_array_chain(cmp, monkeypatch):
     # 21 scalar variables, octagon matrices of 42 x 42. One assert per
     # fill and two per copy; with `<=` the one of the last loop, a fill
     # whose access at i == n is out of bounds, stays unproven. The
-    # affine row reductions are counted, which no machine speed moves:
-    # the Karr shortcuts take them from 276 to 161
+    # affine row reductions and incremental closures are counted, which
+    # no machine speed moves: the Karr shortcuts take the reductions
+    # from 276 to 161, and `add_eq`, which reduces only its own row,
+    # to 84; refuting a constraint before closing takes the closures
+    # from 330 to 291
     canon, reductions = AffineEqs._canon, []
     monkeypatch.setattr(AffineEqs, "_canon", lambda self, raw: reductions.append(raw) or canon(self, raw))
+    close_with, closures = octagon._close_with, []
+    monkeypatch.setattr(octagon, "_close_with", lambda *args: closures.append(args) or close_with(*args))
     p = decompose_accesses(parse_program(wide_chain(9, cmp)))
     cfg = IndexConfig(arrays={f"a{j}": ArrayCells(1) for j in range(9)}, bounds_checks=True)
     res = analyze_scalar(transform_program(p, cfg))
-    assert len(reductions) <= 161
+    assert len(reductions) <= 84 and len(closures) <= 291
     assert [a.proven for a in res.asserts] == [True] * 12 + [cmp == "<"]
     if cmp == "<":
         assert {len(el.vars) for el in res.exit.parts.values()} == {21}

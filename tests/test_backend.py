@@ -29,7 +29,7 @@ from arrayabs.backend import (
     analyze_loopfree_exact,
     analyze_scalar,
 )
-from arrayabs.backend import exact
+from arrayabs.backend import exact, octagon as packed
 from arrayabs.backend.abstract import PARTITION_CAP
 from arrayabs.backend.affine import _rref
 from arrayabs.backend.octagon import INF, _closure, _irredundant, _split
@@ -39,11 +39,13 @@ from arrayabs.transform import IndexConfig, transform_program
 
 from helpers import (
     DenseOctagon,
+    add,
     assign_through_a_column,
     box_points,
     dense_close,
     dense_constraints,
     full_reduce,
+    named,
     rref_by_columns,
     split_by_entries,
     truth_table,
@@ -89,12 +91,18 @@ def assign_rhs(kind, v, w, k):
 
 
 def oct_ops(names, max_size=6):
-    """Transfer and lattice operations, interpreted by `build`."""
+    """Transfer and lattice operations, interpreted by `build`. A wedge
+    puts the variables into one box and relates each pair of a
+    permutation, (first, second), (third, fourth), through one of the
+    four entries between them, the others staying at the sum of the
+    halves: `_split` has to keep such a pair in one pack."""
     c, v = constraint(names), st.sampled_from(names)
+    signs = st.lists(st.sampled_from((1, -1)), min_size=4, max_size=4)
     return st.lists(
         st.one_of(
             st.tuples(st.just("add"), c),
             st.tuples(st.just("eq"), c),  # both sides: pins an equality
+            st.tuples(st.just("wedge"), st.permutations(names), signs, st.integers(-3, 3), st.integers(1, 2)),
             st.tuples(st.just("join"), st.lists(c, max_size=3)),
             st.tuples(st.just("forget"), v),
             st.tuples(st.just("assign"), v, v, st.sampled_from(ASSIGN_RHS), st.integers(-2, 2)),
@@ -107,14 +115,21 @@ def build(ops, names=NAMES, start=None):
     o = Octagon.top(names) if start is None else start
     for op, *args in ops:
         if op == "add":
-            o = o.add(*args[0])
+            o = add(o, *args[0])
         elif op == "eq":
             coeffs, k = args[0]
-            o = o.add(coeffs, k).add({u: -c for u, c in coeffs.items()}, -k)
+            o = add(add(o, coeffs, k), {u: -c for u, c in coeffs.items()}, -k)
         elif op == "join":
             o = o.join(octagon(args[0], names))
         elif op == "forget":
             o = o.forget(args[0])
+        elif op == "wedge":
+            # v, w in [lo, hi] and s*v + t*w one below the sum of its halves
+            perm, signs, lo, width = args
+            hi = lo + width
+            for v, w, s, t in zip(perm[::2], perm[1::2], signs[::2], signs[1::2]):
+                o = meet(o.forget(v).forget(w), [({v: 1}, hi), ({v: -1}, -lo), ({w: 1}, hi), ({w: -1}, -lo)])
+                o = add(o, {v: s, w: t}, (hi if s > 0 else -lo) + (hi if t > 0 else -lo) - 1)
         else:
             v, w, kind, k = args
             o = o.assign(v, assign_rhs(kind, v, w, k))
@@ -123,7 +138,7 @@ def build(ops, names=NAMES, start=None):
 
 def meet(o, constraints):
     for coeffs, k in constraints:
-        o = o.add(coeffs, k)
+        o = add(o, coeffs, k)
     return o
 
 
@@ -170,7 +185,7 @@ def node(o, v, sign, pack=None):
 
 
 def edge(o, coeffs, pack=None):
-    """Nodes (a, b) of the entry that o.add(coeffs, k) sets to k, its
+    """Nodes (a, b) of the entry that add(o, coeffs, k) sets to k, its
     mirror being (b^1, a^1): in the dense view, or in `pack`, which
     holds every variable of coeffs."""
     nodes = [node(o, v, s, pack) for v, s in coeffs.items()]
@@ -288,8 +303,8 @@ class TestOctagon:
         bound = max((k for co, k in dense_constraints(c) if co == coeffs), default=None)
         if c.empty or bound is None:
             return
-        assert c.add(coeffs, bound) is c
-        assert c.add(coeffs, bound + 1) is c
+        assert add(c, coeffs, bound) is c
+        assert add(c, coeffs, bound + 1) is c
 
     @settings(max_examples=100, deadline=None)
     @given(oct_ops(NAMES4), st.lists(constraint(NAMES4), min_size=1, max_size=4))
@@ -301,10 +316,34 @@ class TestOctagon:
         for coeffs, k in cs:
             if c.empty:
                 break
-            got = c.add(coeffs, k)
+            got = add(c, coeffs, k)
             assert got.closed
             assert got.m == (dense_close(with_entry(c, coeffs, k)) or ())
             c = got
+
+    @settings(max_examples=100, deadline=None)
+    @given(oct_ops(NAMES4), st.lists(constraint(NAMES4), min_size=1, max_size=4))
+    # x - y <= 0, then y - x <= -1: the entry back, 0, makes the sum -1
+    @example([("add", ({"x": 1, "y": -1}, 0))], [({"x": -1, "y": 1}, -1)])
+    def test_a_refuted_constraint_is_not_closed(self, ops, cs):
+        """A constraint whose bound k and the dense view's entry back
+        from b to a sum below 0 comes back empty with no call of
+        `_close_with`. Any other meet is empty exactly when the full
+        pass finds it so."""
+        c = build(ops, NAMES4).close()
+        close_with, calls = packed._close_with, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(packed, "_close_with", lambda *args: calls.append(args) or close_with(*args))
+            for coeffs, k in cs:
+                if c.empty:
+                    break
+                a, b = edge(c, coeffs)
+                refuted = c.m[b][a] is not None and (2 * k if b == a ^ 1 else k) + c.m[b][a] < 0
+                calls.clear()
+                got = add(c, coeffs, k)
+                assert got.empty == (dense_close(with_entry(c, coeffs, k)) is None)
+                assert not refuted or got.empty and not calls
+                c = got
 
     @settings(max_examples=100, deadline=None)
     @given(oct_ops(NAMES4), st.lists(constraint(NAMES4), min_size=1, max_size=3))
@@ -317,7 +356,7 @@ class TestOctagon:
         j whose unary bound m[j^1][j] moved."""
         c = build(ops, NAMES4).close()
         for coeffs, k in cs:
-            got = c.add(coeffs, k)
+            got = add(c, coeffs, k)
             if got.empty:
                 break
             touched = {c.vars.index(v) for v in coeffs}
@@ -342,7 +381,7 @@ class TestOctagon:
         the sum of the halves."""
         vs = ("x", "y", "z")
         c = octagon([({"z": 1}, 5), ({"x": 1, "y": -1}, 0)], vs)
-        got = c.add({"x": 1, "y": 1}, 3)
+        got = add(c, {"x": 1, "y": 1}, 3)
         pz, nx = node(c, "z", 1), node(c, "x", -1)
         a, b = edge(c, {"x": 1, "y": 1})
         assert got.m == dense_close(with_entry(c, {"x": 1, "y": 1}, 3))
@@ -409,7 +448,7 @@ class TestOctagon:
         the dense view's constraints finds but for the ones between two
         constants in different packs, and each holds on every point."""
         c = build(ops).close()
-        got = [up_to_sign(*e) for e in c.equalities()]
+        got = [up_to_sign(*named(c.vars, e)) for e in c.equalities()]
         assert len(set(got)) == len(got)
         paired = {up_to_sign(*e) for e in paired_constraints(c)}
         assert set(got) <= paired
@@ -418,7 +457,7 @@ class TestOctagon:
             assert c.packs[c.vars.index(v)] is not c.packs[c.vars.index(w)]
             assert up_to_sign({v: 1}, c.bounds(v)[0]) in got and up_to_sign({w: 1}, c.bounds(w)[0]) in got
         inside = points(c.to_formula())
-        for coeffs, k in c.equalities():
+        for coeffs, k in (named(c.vars, e) for e in c.equalities()):
             assert points(eq(Lin.make(coeffs), Lin.of(k)))[inside].all()
 
     @settings(max_examples=30, deadline=None)
@@ -431,6 +470,8 @@ class TestOctagon:
 
     @settings(max_examples=100, deadline=None)
     @given(oct_ops(NAMES4), oct_ops(NAMES4), st.lists(constraint(NAMES4), max_size=3))
+    # z - w <= 1 is dropped, z + w <= 4 kept: the closure has z - w <= 2
+    @example([("wedge", list(NAMES4), [1, 1, 1, -1], 0, 2)], [("wedge", list(NAMES4), [1, 1, 1, 1], 0, 2)], [])
     def test_add_to_widened_is_the_closure_of_the_meet(self, p, q, cs):
         """A widening result stays unclosed and keeps its closure once
         computed, and `add` meets that closure (the path every widened
@@ -441,7 +482,11 @@ class TestOctagon:
         ref = DenseOctagon(a.vars, a.m, closed=a.empty, empty=a.empty)
         for coeffs, k in cs:
             ref = DenseOctagon(a.vars, with_entry(ref, coeffs, k) if not ref.empty else (), False, ref.empty)
-        assert meet(a, cs).m == ref.close().m
+        # with no constraint the meet is the widening result itself, as
+        # stored: its closure is what equals the reference's
+        got = meet(a, cs)
+        assert got.closed if cs else got is a
+        assert got.close().m == ref.close().m
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -490,8 +535,8 @@ def put_in_boxes(o, d, bs):
     """o and its dense twin d with every v of bs forgotten and put into
     its box."""
     for v, lo, width in bs:
-        o = o.forget(v).add({v: 1}, lo + width).add({v: -1}, -lo)
-        d = d.forget(v).add({v: 1}, lo + width).add({v: -1}, -lo)
+        o = add(add(o.forget(v), {v: 1}, lo + width), {v: -1}, -lo)
+        d = add(add(d.forget(v), {v: 1}, lo + width), {v: -1}, -lo)
     return o, d
 
 
@@ -505,11 +550,11 @@ def run_against_dense(names, ops):
     o, d = states[0]
     for op, *args in ops:
         if op == "add":
-            o, d = o.add(*args[0]), d.add(*args[0])
+            o, d = add(o, *args[0]), add(d, *args[0])
         elif op == "eq":
             (coeffs, k), = args
             back = {u: -c for u, c in coeffs.items()}
-            o, d = o.add(coeffs, k).add(back, -k), d.add(coeffs, k).add(back, -k)
+            o, d = add(add(o, coeffs, k), back, -k), add(add(d, coeffs, k), back, -k)
         elif op == "assign":
             v, w, kind, k = args
             rhs = assign_rhs(kind, v, w, k)
@@ -619,21 +664,22 @@ class TestPackedAgainstDense:
         assert apart.packs[0] is not apart.packs[1]
         assert apart.m == box(0, 1, 0, 1).m
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(oct_ops(NAMES4), oct_ops(NAMES4), st.permutations(range(4)))
     # y <= x in a box: only the entry of -x - (-y) is below its half-sum
     @example([("add", ({"x": 1}, 3)), ("add", ({"x": -1}, 0)), ("add", ({"y": 1}, 3)), ("add", ({"y": -1}, 0)),
               ("add", ({"x": -1, "y": 1}, 0))], [], [0, 1, 2, 3])
     def test_split_matches_the_scan_of_every_entry(self, p, q, order):
         """The dense view of a state and of a join, which hold both
-        stored entries and half-sums, falls into the packs that a scan of
-        every entry finds."""
-        members = tuple(sorted(order[:3]))
+        stored entries and half-sums, over three of the variables and
+        over all four, falls into the packs that a scan of every entry
+        finds."""
         for o in (build(p, NAMES4), build(p, NAMES4).join(build(q, NAMES4))):
-            if not o.empty:
-                m = o._view(members)
-                got = [(pk.vars, pk.m, pk.closed) for pk in _split(members, m, True)]
-                assert got == split_by_entries(members, m, True)
+            for members in (tuple(sorted(order[:3])), tuple(range(4))):
+                if not o.empty:
+                    m = o._view(members)
+                    got = [(pk.vars, pk.m, pk.closed) for pk in _split(members, m, True)]
+                    assert got == split_by_entries(members, m, True)
 
 
 # ------------------------------------------------------------------- affine
@@ -652,7 +698,7 @@ def eliminable(v):
 def affine(lins, names=NAMES):
     e = AffineEqs.top(names)
     for lin in lins:
-        e = e.add_eq(lin)
+        e = e.add_eq(e._row_of(lin))
     return e
 
 
@@ -737,20 +783,33 @@ class TestAffine:
         assert list(e.equalities()) == [({"x": 1, "y": 2}, 1)]
 
     @settings(max_examples=100, deadline=None)
-    @given(aff_elem, aff_elem, st.lists(st.integers(-2, 2), min_size=3, max_size=3), aff_lin)
-    def test_shortcuts_agree_with_the_reduction(self, a, b, mults, lin):
+    @given(aff_elem, aff_elem, st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+    def test_shortcuts_agree_with_the_reduction(self, a, b, mults):
         """add_eq of an implied row, and join with an equal element,
         return the element itself, which is what the full reduction
         returns."""
         implied = sum((Lin.make(c, -k) * m for (c, k), m in zip(a.equalities(), mults)), Lin.of(0))
-        assert a.add_eq(implied) is a
-        for row in (implied, lin):
-            assert a.add_eq(row) == (a if a.empty else a._canon([*a.rows, a._row_of(row)]))
+        assert a.add_eq(a._row_of(implied)) is a
         if a.empty:
             return
         same = AffineEqs(a.vars, a.rows)
         assert a.join(same) is a and a == full_join(a, same)
         assert b.empty or a.join(b) == full_join(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(aff_elem, aff_lin)
+    def test_add_eq_inserts_its_row_with_no_canon(self, a, lin):
+        """add_eq reduces its one row and inserts it into the echelon
+        form, with no `_canon` call: the rows and pivots that `_canon`
+        gives for the old rows and the new one. The row it is handed
+        stays as it was."""
+        row = a._row_of(lin)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(AffineEqs, "_canon", lambda *args: pytest.fail("add_eq called _canon"))
+            got = a.add_eq(row)
+        assert row == a._row_of(lin)
+        want = a if a.empty else a._canon([*a.rows, row])
+        assert got == want and got._pivots == want._pivots
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(aff_lin, max_size=4).flatmap(lambda ls: st.tuples(st.just(ls), st.permutations(ls))))
@@ -814,13 +873,13 @@ class TestAffine:
 class TestProduct:
     def test_affine_row_reaches_octagon(self):
         p = Product.top(("x", "y"))
-        p = Product(p.oct, p.aff.add_eq(x - y)).reduce()
-        assert p.oct.leq(Octagon.top(("x", "y")).add({"x": 1, "y": -1}, 0).add({"x": -1, "y": 1}, 0))
+        p = Product(p.oct, p.aff.add_eq([1, -1, 0])).reduce()
+        assert p.oct.leq(octagon([({"x": 1, "y": -1}, 0), ({"x": -1, "y": 1}, 0)], ("x", "y")))
 
     def test_octagon_pair_reaches_affine(self):
         p = Product.top(("x", "y"))
-        p = Product(p.oct.add({"x": 1}, 3).add({"x": -1}, -3), p.aff).reduce()
-        assert p.aff == AffineEqs.top(("x", "y")).add_eq(x - 3)
+        p = Product(meet(p.oct, [({"x": 1}, 3), ({"x": -1}, -3)]), p.aff).reduce()
+        assert p.aff == AffineEqs.top(("x", "y")).add_eq([1, 0, 3])
 
 
 def product(ops, lins):
@@ -936,7 +995,7 @@ class TestReduction:
         assert q.oct.packs[0] is not p.oct.packs[0]
         read = []
         add_eq = AffineEqs.add_eq
-        monkeypatch.setattr(AffineEqs, "add_eq", lambda self, lin: read.append(lin) or add_eq(self, lin))
+        monkeypatch.setattr(AffineEqs, "add_eq", lambda self, row: read.append(row) or add_eq(self, row))
         r = q.reduce()
         assert read == []
         assert r == full_reduce(Product(q.oct, q.aff))
