@@ -3,7 +3,7 @@ octagon x affine-equality product partitioned on boolean flags, and an
 exact path-based analysis for loop-free programs.
 
 Both run one statement walker, `abstract.Interpreter`, over a state with
-`is_empty`, `assign`, `forget`, `guard`, `assume`, `entails`, `join` and
+`is_empty`, `assign`, `forget`, `guard`, `assume`, `refutes`, `join` and
 `bounded`; it knows no flags and trusts what `transform_program` checked.
 `AbstractState` alone has loops and flags (its `assign` of a flag moves
 partitions); its `bounded` collapses the partitions past `PARTITION_CAP`
@@ -11,13 +11,13 @@ partitions); its `bounded` collapses the partitions past `PARTITION_CAP`
 paths after an If, and on any loop before the walk.
 
 The walker records the asserts it meets with the states that reached
-them, and each analysis resolves them with `entails` once the walk is
-done. A loop records one walk of its body from its head: the round that
-found the head when that round left it unchanged, else, when the body
-holds an assert, one more walk from the head. So no body is walked
-twice from the same head, and the
-verdicts are those of a check pass from the head, which is sound
-because the head covers every reachable state of the loop.
+them, and each analysis resolves them with `assert_verdicts` once the
+walk is done. A loop records one walk of its body from its head: the
+round that found the head when that round left it unchanged, else,
+when the body holds an assert, one more walk from the head. So no body
+is walked twice from the same head, and the verdicts are those of a
+check pass from the head, which is sound because the head covers every
+reachable state of the loop.
 """
 
 from .abstract import (

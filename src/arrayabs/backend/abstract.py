@@ -3,9 +3,10 @@ walker over scalar statements.
 
 `Interpreter` walks an array-free program over any state with
 `is_empty()`, `assign(var, lin)`, `forget(var)` (havoc), `guard(f)`,
-`assume(g)`, `entails(g)` (a sound yes), `join(other)` and `bounded()`
-(the state after a branch merge, within its cap). Once the state is
-empty it skips the rest of the block, so dead code records no assert.
+`assume(g)`, `refutes(g)` (a sound "no state satisfies g"),
+`join(other)` and `bounded()` (the state after a branch merge, within
+its cap). Once the state is empty it skips the rest of the block, so
+dead code records no assert.
 `AbstractState` and the path set of `exact.py` implement it. Only
 `AbstractState` has loops (`loop` needs its `widen`, `leq` and
 `collapse`) and flags; its `bounded` collapses the flag partitions past
@@ -16,17 +17,18 @@ checked it, and no condition reads a flag. It raises only on a
 statement type it does not know; a flag's assignment goes to `assign`.
 
 A walk decides no assert. It records each assert it meets, with the
-state that reached it, in the list its caller hands in. Once the whole
-program is walked, each analysis asks `entails` of each record, in
-walk order, and that answer is the assert's verdict.
+negation of its condition and the state that reached it, in the list
+its caller hands in. Once the whole program is walked, each analysis
+hands the list to `assert_verdicts`, which asks each state, in walk
+order, to refute the negation: that answer is the assert's verdict.
 
-Guard normal forms live in the walker. `guard(f)` turns the formula of
-a condition into the pair (condition, negation) in the form that the
-state's `assume` and `entails` take. The walker makes that pair once
-per condition node and keeps it for its run only, so no cache outlives
-an analysis. `AbstractState` takes a `Guard`, both formulas in negation
-normal form, so each guard and its negation are normalised once per
-analysis; the path set of `exact.py` takes the formulas as they are.
+The normal forms of guards live in the walker. `guard(f)` turns the
+formula of a condition into the pair (condition, negation) in the form
+that the state's `assume` and `refutes` take. The walker makes that
+pair once per condition node and keeps it for its run only, so no cache
+outlives an analysis. `AbstractState` puts both formulas in negation normal
+form, so each guard and its negation are normalised once per analysis;
+the path set of `exact.py` takes the formula and its `lnot`.
 
 The abstract state is a map from flag valuations to product-domain
 elements. Flags are write-only booleans assigned constants by
@@ -102,14 +104,6 @@ class AnalysisError(ValueError):
     pass
 
 
-class Guard(NamedTuple):
-    """A condition as `AbstractState` takes it: the condition and its
-    negation, each in negation normal form."""
-
-    holds: Formula
-    fails: Formula
-
-
 @dataclass(frozen=True)
 class AbstractState:
     """Disjunction over flag valuations of product elements."""
@@ -146,13 +140,12 @@ class AbstractState:
         )
 
     @staticmethod
-    def guard(f: Formula) -> tuple[Guard, Guard]:
-        """f and its negation, as `assume` and `entails` take them."""
-        g = Guard(nnf(f), nnf(f, True))
-        return g, Guard(g.fails, g.holds)
+    def guard(f: Formula) -> tuple[Formula, Formula]:
+        """f and its negation, in negation normal form."""
+        return nnf(f), nnf(f, True)
 
-    def assume(self, g: Guard) -> "AbstractState":
-        return self.map(lambda el: el.assume(g.holds).reduce())
+    def assume(self, g: Formula) -> "AbstractState":
+        return self.map(lambda el: el.assume(g).reduce())
 
     def assign(self, var: str, lin: Lin) -> "AbstractState":
         """Assign a numeric variable in every bucket, or move every bucket
@@ -180,10 +173,10 @@ class AbstractState:
         el = functools.reduce(Product.join, self.parts.values())
         return AbstractState(self.flags, {(None,) * len(self.flags): el})
 
-    def entails(self, g: Guard) -> bool:
-        """Sound entailment: the negation is unreachable in every bucket.
-        g speaks of numeric variables only: no condition reads a flag."""
-        return all(el.assume(g.fails).reduce().is_empty() for el in self.parts.values())
+    def refutes(self, g: Formula) -> bool:
+        """Sound refutation: g is unreachable in every bucket. g speaks
+        of numeric variables only: no condition reads a flag."""
+        return all(el.assume(g).reduce().is_empty() for el in self.parts.values())
 
     def to_formula(self) -> Formula:
         """Disjunction of the buckets' numeric descriptions. Flags are
@@ -193,12 +186,13 @@ class AbstractState:
 
 
 class _Met(NamedTuple):
-    """An assert met on a walk, with the state's guard of its condition
-    and the state that reached it; its verdict is `state.entails(guard)`."""
+    """An assert met on a walk, with the state's guard of its negated
+    condition and the state that reached it; its verdict is
+    `state.refutes(fails)`."""
 
     line: int
     formula: Formula
-    guard: object
+    fails: object
     state: object
 
 
@@ -207,6 +201,11 @@ class AssertVerdict:
     line: int
     formula: Formula
     proven: bool
+
+
+def assert_verdicts(met: list[_Met]) -> tuple[AssertVerdict, ...]:
+    """The verdicts of the asserts a walk met, in walk order."""
+    return tuple(AssertVerdict(m.line, m.formula, m.state.refutes(m.fails)) for m in met)
 
 
 @dataclass
@@ -255,8 +254,8 @@ class Interpreter:
             _, g, _ = self._cond(s.cond, st)
             return st.assume(g)
         if isinstance(s, Assert):
-            f, g, _ = self._cond(s.cond, st)
-            met.append(_Met(s.line, f, g, st))
+            f, g, not_g = self._cond(s.cond, st)
+            met.append(_Met(s.line, f, not_g, st))
             return st.assume(g)
         if isinstance(s, If):
             _, g, not_g = self._cond(s.cond, st)
@@ -322,5 +321,4 @@ def analyze_scalar(sp) -> AnalysisResult:
     entry = AbstractState(flags, {(0,) * len(flags): el})
     met: list[_Met] = []
     exit_state = Interpreter().block(program.body, entry, met)
-    asserts = tuple(AssertVerdict(m.line, m.formula, m.state.entails(m.guard)) for m in met)
-    return AnalysisResult(exit=exit_state, asserts=asserts)
+    return AnalysisResult(exit=exit_state, asserts=assert_verdicts(met))

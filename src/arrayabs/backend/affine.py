@@ -31,9 +31,9 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from ..lia import FALSE, Formula, Lin, TRUE, eq0, land
+from ..lia import FALSE, Formula, Lin, eq0, land
 
 Row = tuple[int, ...]  # coefficients per variable, then the constant
 
@@ -292,16 +292,7 @@ class AffineEqs:
 
     # -- queries
 
-    def equalities(self) -> Iterator[tuple[dict[str, int], int]]:
-        """Rows as (coeffs, b) meaning sum = b."""
-        for r in self.rows:
-            coeffs = {v: c for v, c in zip(self.vars, r) if c != 0}
-            yield coeffs, r[-1]
-
     def to_formula(self) -> Formula:
         if self.empty:
             return FALSE
-        parts = []
-        for coeffs, b in self.equalities():
-            parts.append(eq0(Lin.make(coeffs) - Lin.of(b)))
-        return land(*parts) if parts else TRUE
+        return land(*(eq0(Lin.make(zip(self.vars, r), -r[-1])) for r in self.rows))

@@ -10,7 +10,9 @@ path mentions only inputs and current versions. Paths whose
 constraints go unsatisfiable are pruned at every assume, and past
 `PATH_CAP` paths after a branch merge the analysis gives up. The
 disjunction of the finished path formulas, current versions renamed to
-primed names, is the program's exact input/output relation.
+primed names, is the program's exact input/output relation. Versions
+(`x#3`) and primed names (`x'`) are generated names: no program
+declares a name with `#` or `'`, so they never meet a program name.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from ..lia import (
     simplify,
     subst,
 )
-from .abstract import AnalysisError, Interpreter
+from .abstract import AnalysisError, AssertVerdict, Interpreter, assert_verdicts
 
 
 class ExactError(AnalysisError):
@@ -105,10 +107,10 @@ class _Paths:
                 out.append(_Path(f, p.cur))
         return replace(self, paths=out)
 
-    def entails(self, g: Formula) -> bool:
+    def refutes(self, g: Formula) -> bool:
         # every path is checked, with no early exit, so the budget an
         # assert costs does not depend on where a failing path sits
-        failing = [is_sat(land(p.f, lnot(p.ground(g))), self.budget) is not None for p in self.paths]
+        failing = [is_sat(land(p.f, p.ground(g)), self.budget) is not None for p in self.paths]
         return not any(failing)
 
     def join(self, other: "_Paths") -> "_Paths":
@@ -124,7 +126,7 @@ class _Paths:
 class ExactResult:
     relation: Formula  # over inputs (bare) and outputs (primed)
     summaries: tuple[Formula, ...]  # one per surviving path; lor = relation
-    asserts: tuple[tuple[int, bool], ...]  # (line, proven on every path), program order
+    asserts: tuple[AssertVerdict, ...]  # proven on every path, program order
 
 
 def analyze_loopfree_exact(sp, budget: Budget | None = None) -> ExactResult:
@@ -157,5 +159,5 @@ def analyze_loopfree_exact(sp, budget: Budget | None = None) -> ExactResult:
     return ExactResult(
         relation=lor(*outs) if outs else lor(),
         summaries=tuple(outs),
-        asserts=tuple((m.line, m.state.entails(m.guard)) for m in met),
+        asserts=assert_verdicts(met),
     )

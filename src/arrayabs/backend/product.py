@@ -182,5 +182,6 @@ class Product:
         r = self.reduce()
         if r.is_empty():
             return FALSE
-        rows = [eq0(Lin.make(c, -b)) for c, b in r.aff.equalities() if not octagonal(c.values())]
+        lins = (Lin.make(zip(r.aff.vars, row), -row[-1]) for row in r.aff.rows)
+        rows = [eq0(lin) for lin in lins if not octagonal([c for _, c in lin.coeffs])]
         return land(r.oct.to_formula(), *rows)

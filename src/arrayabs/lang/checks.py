@@ -1,4 +1,19 @@
-"""Static well-formedness checks for programs."""
+"""Static well-formedness checks for programs.
+
+Each layer that mints names keeps them apart from declared ones:
+
+- the transform: cells and snapshots with `$` (`t$0$x0`, `t$0$v`,
+  `t$0$init`); a declared name equal to one fails `check_program` on
+  the transformed program as a duplicate;
+- access decomposition: temporaries `tmpN`, skipping declared names;
+- the target check: `@`, clause index `k` as `k@` and array reads as
+  symbols such as `t@final0`;
+- the exact analysis: `'` and `#`, `x'` the output value of `x` and
+  `x#3` one of its versions on a path.
+
+`@` and `'` are reserved: `check_program` rejects a declared name or
+ensures index that holds one. The tokenizer reads no `#`.
+"""
 
 from __future__ import annotations
 
@@ -33,16 +48,24 @@ class CheckError(ValueError):
     pass
 
 
+RESERVED = "@'"  # characters of generated names only (module docstring)
+
+
 def check_program(p: Program) -> None:
     """Raise CheckError on the first well-formedness violation.
 
     Declarations must be unique, scalar and array namespaces disjoint,
     every use declared, access arity must match the declared dimension,
     parameters are immutable, and dimension lengths are parameters or
-    literals. `old()` reads may appear only in the ensures clause.
+    literals. `old()` reads may appear only in the ensures clause. No
+    declared name or ensures index holds a `RESERVED` character.
     """
     scalars = list(p.params) + list(p.locals)
     arrays = {a.name: a for a in p.arrays}
+    indices = p.target.indices if p.target is not None else ()
+    for n in scalars + list(arrays) + list(indices):
+        if any(ch in n for ch in RESERVED):
+            raise CheckError(f"{n}: '@' and \"'\" are reserved for generated names")
     seen: set[str] = set()
     for n in scalars + list(arrays):
         if n in COLOR_VALUES:

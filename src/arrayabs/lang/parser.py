@@ -121,27 +121,19 @@ class _Tokens:
         self.i += 1
         return p
 
-    def accept(self, op: str) -> bool:
+    def accept(self, text: str) -> bool:
+        """Take the next token if its text is `text`. No two token kinds
+        share a text (operators are punctuation, keywords identifiers,
+        integers digits), so the text alone decides."""
         p = self.peek()
-        if p == ("op", op):
+        if p is not None and p[1] == text:
             self.i += 1
             return True
         return False
 
-    def accept_word(self, word: str) -> bool:
-        p = self.peek()
-        if p == ("id", word):
-            self.i += 1
-            return True
-        return False
-
-    def expect(self, op: str) -> None:
-        if not self.accept(op):
-            raise ParseError(f"{self.pos()}: expected {op!r}, got {self.peek()!r}")
-
-    def expect_word(self, word: str) -> None:
-        if not self.accept_word(word):
-            raise ParseError(f"{self.pos()}: expected {word!r}, got {self.peek()!r}")
+    def expect(self, text: str) -> None:
+        if not self.accept(text):
+            raise ParseError(f"{self.pos()}: expected {text!r}, got {self.peek()!r}")
 
     def ident(self) -> str:
         kind, val = self.next()
@@ -153,7 +145,7 @@ class _Tokens:
 def parse_program(text: str) -> Program:
     """Parse and statically check one procedure."""
     t = _Tokens(text)
-    t.expect_word("proc")
+    t.expect("proc")
     name = t.ident()
     t.expect("(")
     params: list[str] = []
@@ -161,7 +153,7 @@ def parse_program(text: str) -> Program:
         while True:
             params.append(t.ident())
             t.expect(":")
-            t.expect_word("int")
+            t.expect("int")
             if not t.accept(","):
                 break
         t.expect(")")
@@ -170,15 +162,15 @@ def parse_program(text: str) -> Program:
     locals_: list[str] = []
     body: list[Stmt] = []
     while not t.accept("}"):
-        if t.accept_word("var"):
+        if t.accept("var"):
             names = [t.ident()]
             while t.accept(","):
                 names.append(t.ident())
             t.expect(":")
-            t.expect_word("int")
+            t.expect("int")
             t.expect(";")
             locals_.extend(names)
-        elif t.accept_word("array"):
+        elif t.accept("array"):
             aname = t.ident()
             dims: list[Expr] = []
             while t.accept("["):
@@ -195,9 +187,9 @@ def parse_program(text: str) -> Program:
         else:
             body.append(_stmt(t))
     target = None
-    if t.accept_word("ensures"):
+    if t.accept("ensures"):
         indices: list[str] = []
-        if t.accept_word("forall"):
+        if t.accept("forall"):
             indices.append(t.ident())
             while t.accept(","):
                 indices.append(t.ident())
@@ -222,32 +214,32 @@ def _block(t: _Tokens) -> tuple[Stmt, ...]:
 
 def _stmt(t: _Tokens) -> Stmt:
     line = t.line()
-    if t.accept_word("havoc"):
+    if t.accept("havoc"):
         v = t.ident()
         t.expect(";")
         return Havoc(v, line=line)
-    if t.accept_word("assume"):
+    if t.accept("assume"):
         t.expect("(")
         c = _cond(t)
         t.expect(")")
         t.expect(";")
         return Assume(c, line=line)
-    if t.accept_word("assert"):
+    if t.accept("assert"):
         t.expect("(")
         c = _cond(t)
         t.expect(")")
         t.expect(";")
         return Assert(c, line=line)
-    if t.accept_word("if"):
+    if t.accept("if"):
         t.expect("(")
         c = _cond(t)
         t.expect(")")
         then = _block(t)
         els: tuple[Stmt, ...] = ()
-        if t.accept_word("else"):
+        if t.accept("else"):
             els = _block(t)
         return If(c, then, els, line=line)
-    if t.accept_word("while"):
+    if t.accept("while"):
         t.expect("(")
         c = _cond(t)
         t.expect(")")
@@ -310,9 +302,9 @@ def _conj(t: _Tokens) -> Cond:
 def _cunary(t: _Tokens) -> Cond:
     if t.accept("!"):
         return CondNot(_cunary(t))
-    if t.accept_word("true"):
+    if t.accept("true"):
         return BoolConst(True)
-    if t.accept_word("false"):
+    if t.accept("false"):
         return BoolConst(False)
     if t.peek() == ("op", "("):
         save = t.i

@@ -10,8 +10,10 @@ parses back to an equal formula. That grammar does not read:
 - chained constant factors such as `2*3*x`;
 - the language keywords (`int`, `old`, `var`, ...) as variable names.
 
-`BLUE`, `WHITE` and `RED` read as 0, 1 and 2. Errors are
-`lang.ParseError` or BridgeError, both ValueErrors.
+`BLUE`, `WHITE` and `RED` read as 0, 1 and 2. Formula text may name
+the variables the analyses generate, such as `a'` or `t@final0`, though
+no program may declare a name with `@` or `'` (`lang.checks`). Errors
+are `lang.ParseError` or BridgeError, both ValueErrors.
 """
 
 from __future__ import annotations

@@ -17,9 +17,11 @@ ordered two-cell layouts.
 An ensures clause is checked the way the decision procedure for the
 array property fragment does it (Bradley, Manna and Sipma, "What's
 decidable about arrays?", VMCAI 2006): the invariant is instantiated
-at the index terms the clause reads, all positions at once. A premise
-that left a position free could never change the verdict, and observer
-flags never reach the invariant; `check_target` says why.
+at the index terms the clause reads, all positions at once. Clause
+indices `k` become `k@` and array reads symbols such as `t@final0`,
+names no program may declare. A premise that left a position free
+could never change the verdict, and observer flags never reach the
+invariant; `check_target` says why.
 
 The instantiated query is decided by `lia.split`, the one depth-first
 split of the library, with integer octagons as its conjunctions. Its
@@ -123,15 +125,6 @@ def quantify(phi: Formula, sp: ScalarProgram) -> QuantifiedInvariant:
 # --------------------------------------------------------- check_target
 
 
-def _fresh(base: str, taken: set[str]) -> str:
-    if base not in taken:
-        return base
-    n = 0
-    while f"{base}~{n}" in taken:
-        n += 1
-    return f"{base}~{n}"
-
-
 Accesses = dict[tuple[str, bool, tuple[Lin, ...]], str]
 
 
@@ -193,12 +186,13 @@ def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | N
     does, False when the query has a model, None when the budget ran
     out before deciding.
 
-    The clause's indices become fresh constants and its array reads
-    become value symbols. Each premise is the invariant, U -> M,
-    instantiated at one complete binding (`_cell_bindings`); the
-    premises must leave the negated clause unsatisfiable. This is sound
-    by instantiation of the universal, and complete when enough cells
-    track the right spots.
+    Each clause index `k` becomes the constant `k@` and each array read
+    a value symbol such as `t@final0`: `check_program` keeps `@` out of
+    declared names, so neither meets a name of the invariant. Each
+    premise is the invariant, U -> M, instantiated at one complete
+    binding (`_cell_bindings`); the premises must leave the negated
+    clause unsatisfiable. This is sound by instantiation of the
+    universal, and complete when enough cells track the right spots.
 
     No other premise could change the answer. U holds 0 <= x for every
     position x, so a premise that leaves x free is made true by x = -1;
@@ -217,18 +211,7 @@ def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | N
     `budget` pays one step per binding, one per node of the split, and
     the steps of `is_sat`; running out gives None, never False.
     """
-    taken = set(inv.matrix.free_vars()) | set(inv.universe.free_vars()) | set(inv.indices)
-    for cs in inv.cells.values():
-        for c in cs:
-            taken.update(c.index)
-            taken.add(c.value)
-            if c.init:
-                taken.add(c.init)
-    index_map = {}
-    for k in target.indices:
-        nm = _fresh(k, taken)
-        taken.add(nm)
-        index_map[k] = nm
+    index_map = {k: f"{k}@" for k in target.indices}
 
     accesses: Accesses = {}
 

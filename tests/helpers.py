@@ -372,8 +372,8 @@ def full_reduce(p):
     while True:
         if o.is_empty() or a.is_empty():
             return Product.bottom(p.vars)
-        for coeffs, b in a.equalities():
-            lin = Lin.make(coeffs, -b)
+        for row in a.rows:
+            lin = Lin.make(zip(a.vars, row), -row[-1])
             o = o.assume(lin).assume(-lin)
         if o.is_empty():
             return Product.bottom(p.vars)

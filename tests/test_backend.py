@@ -33,7 +33,7 @@ from arrayabs.backend import exact, octagon as packed
 from arrayabs.backend.abstract import PARTITION_CAP
 from arrayabs.backend.affine import _rref
 from arrayabs.backend.octagon import INF, _closure, _irredundant, _split
-from arrayabs.lang import parse_program
+from arrayabs.lang import CheckError, parse_program
 from arrayabs.lia import Lin, eq, eq0, ge0, is_sat, land, le, lor, nnf, subst
 from arrayabs.transform import IndexConfig, transform_program
 
@@ -780,7 +780,7 @@ class TestAffine:
         assert affine([x * 2 - z + 1, y * 2 + z]).is_empty()  # 2x + 2y = -1
         e = affine([x * 2 + y * 4 - 2])
         assert e.rows == ((1, 2, 0, 1),)
-        assert list(e.equalities()) == [({"x": 1, "y": 2}, 1)]
+        assert [named(e.vars, r) for r in e.rows] == [({"x": 1, "y": 2}, 1)]
 
     @settings(max_examples=100, deadline=None)
     @given(aff_elem, aff_elem, st.lists(st.integers(-2, 2), min_size=3, max_size=3))
@@ -788,7 +788,8 @@ class TestAffine:
         """add_eq of an implied row, and join with an equal element,
         return the element itself, which is what the full reduction
         returns."""
-        implied = sum((Lin.make(c, -k) * m for (c, k), m in zip(a.equalities(), mults)), Lin.of(0))
+        rows = (named(a.vars, r) for r in a.rows)
+        implied = sum((Lin.make(c, -k) * m for (c, k), m in zip(rows, mults)), Lin.of(0))
         assert a.add_eq(a._row_of(implied)) is a
         if a.empty:
             return
@@ -1084,7 +1085,7 @@ class TestWalker:
     def test_dead_code_records_no_verdicts(self):
         sp = transform_program(parse_program(DEAD_ASSERTS), IndexConfig())
         assert [(a.line, a.proven) for a in analyze_scalar(sp).asserts] == [(6, True)]
-        assert list(analyze_loopfree_exact(sp).asserts) == [(6, True)]
+        assert [(a.line, a.proven) for a in analyze_loopfree_exact(sp).asserts] == [(6, True)]
 
     def test_exact_analysis_rejects_an_unreachable_loop(self):
         sp = transform_program(parse_program(DEAD_LOOP), IndexConfig())
@@ -1108,5 +1109,14 @@ class TestExactAsserts:
         src = "proc p(x: int) {\n  var y: int;\n  assert(%s); assert(%s);\n}\n"
         for first, second, verdicts in (("x == 0", "y == 0", [False, True]), ("y == 0", "x == 0", [True, False])):
             res = analyze_loopfree_exact(transform_program(parse_program(src % (first, second)), IndexConfig()))
-            assert [ok for _, ok in res.asserts] == verdicts
-            assert len({line for line, _ in res.asserts}) == 1
+            assert [a.proven for a in res.asserts] == verdicts
+            assert len({a.line for a in res.asserts}) == 1
+
+
+class TestExactNames:
+    def test_program_may_not_declare_an_output_name(self):
+        # x' names the output of x in the relation; a declared scalar of
+        # that name would make the relation false, ruling out every run
+        src = "proc p() {\n  var x: int;\n  var x': int;\n  havoc x';\n  x = 1;\n}\n"
+        with pytest.raises(CheckError, match="reserved for generated names"):
+            parse_program(src)

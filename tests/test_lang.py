@@ -216,6 +216,22 @@ class TestChecks:
             """
         )
 
+    @pytest.mark.parametrize("mark", ["@", "'"])
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "proc m(n{0}: int) {{ }}",
+            "proc m(n: int) {{ var i{0}: int; }}",
+            "proc m(n: int) {{ array t{0}[n]: int; }}",
+            "proc m(n: int) {{ array t[n]: int; }} ensures forall k{0}: t[k{0}] == 0;",
+        ],
+        ids=["parameter", "local", "array", "ensures-index"],
+    )
+    def test_generated_name_characters_are_reserved(self, src, mark):
+        parse_program(src.format(""))
+        with pytest.raises(CheckError, match="reserved for generated names"):
+            parse_program(src.format(mark))
+
 
 class TestPrint:
     PROGRAMS = [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arrayabs.backend import analyze_scalar
-from arrayabs.lang import Cmp, Expr, Num, Target, decompose_accesses, parse_condition, parse_program
+from arrayabs.lang import CheckError, Cmp, Expr, Num, Target, decompose_accesses, parse_condition, parse_program
 from arrayabs.lia import TRUE, Budget, Lin, dvd, entails, equivalent, ge0, is_sat, land, lnot, lor, parse_formula
 from arrayabs import lift as lift_module
 from arrayabs.lift import LiftError, QuantifiedInvariant, _refuted, check_target, quantify, reduce_dual
@@ -136,6 +136,20 @@ def test_target_index_named_like_an_observer_flag(clause, expected):
 def test_target_index_named_like_a_program_scalar(clause, expected):
     target = Target(("i",), parse_condition(f"0 <= i && i < n ==> {clause}"))
     assert proved(fill("0", "true"), target) is expected
+
+
+@pytest.mark.parametrize("clause, expected", [("t[t$0$x0] == 0", True), ("t[t$0$x0] == 1", False)])
+def test_target_index_named_like_a_cell_variable(clause, expected):
+    target = Target(("t$0$x0",), parse_condition(f"0 <= t$0$x0 && t$0$x0 < n ==> {clause}"))
+    assert proved(fill("0", "true"), target) is expected
+
+
+def test_program_may_not_declare_an_access_symbol():
+    # the target check reads t[k] through the symbol t@final0; a declared
+    # scalar of that name holding 7 would let a zero fill prove t[k] == 7
+    src = fill("0", "t[k] == 7").replace("var i: int;", "var i: int;\n  var t@final0: int;\n  t@final0 = 7;")
+    with pytest.raises(CheckError, match="reserved for generated names"):
+        parse_program(src)
 
 
 def test_target_check_out_of_budget_is_undecided():
