@@ -10,9 +10,20 @@ Canonical form is the tight integer closure, reached in one pass
 (Bagnara, Hill and Zaffanella, VMCAI 2008): shortest paths, then the
 strengthening step m[a][b] <= floor(m[a][a^1]/2) + floor(m[b^1][b]/2),
 which at b = a^1 also floors each unary bound to an even value.
-Emptiness shows up as a negative diagonal. Tight closure is exact on
-integer octagons: every finite entry is attained by an integer point,
-so two closed matrices of one point set are equal.
+Tight closure is exact on integer octagons: every finite entry is
+attained by an integer point, so two closed matrices of one point set
+are equal.
+
+Emptiness. `empty` is exact, and only two things set it: `bottom`, and
+`add` when it refutes a constraint before closing, k + m[b][a] < 0. No
+closure tests for emptiness, for two reasons. When `add` does not
+refute, the new constraint holds at an integer point of the tightly
+closed matrix: one that attains m[b][a], or, where that entry is
++infinity, one at which (signed b) - (signed a) is at least -k. So the
+meet keeps a point. And every other operation maps a non-empty element
+to a non-empty one: `join`, `forget`, `assign` and `_shift` keep or
+move points, and a widening keeps only constraints of a non-empty
+element.
 
 Packs. An element does not store the dense matrix. It partitions its
 variables into packs (Singh, Puschel and Vechev, "Making numerical
@@ -133,11 +144,12 @@ class _Pack:
         self.vars, self.m, self.closed, self.eqs = vars, m, closed, None
 
 
-# -- closure of one matrix; None stands for an empty one
+# -- closure of one matrix that has an integer point
 
 
-def _closure(m: Sequence[Row]) -> tuple[Row, ...] | None:
-    """Tight integer closure by shortest paths, then `_tighten`."""
+def _closure(m: Sequence[Row]) -> tuple[Row, ...]:
+    """Tight integer closure by shortest paths, then `_tighten`. With
+    no negative cycle, the zero diagonal stays as it is."""
     n = len(m)
     d = [list(r) for r in m]
     for k in range(n):
@@ -151,14 +163,10 @@ def _closure(m: Sequence[Row]) -> tuple[Row, ...] | None:
                 x += dik
                 if x < row_i[j]:
                     row_i[j] = x
-    for i in range(n):
-        if d[i][i] < 0:
-            return None
-        d[i][i] = 0
     return _tighten(d, range(n))
 
 
-def _close_with(m: Sequence[Row], a: int, b: int, k: int) -> tuple[Row, ...] | None:
+def _close_with(m: Sequence[Row], a: int, b: int, k: int) -> tuple[Row, ...]:
     """Tight closure of the closed matrix m plus the edge a -> b of
     weight k and its mirror b^1 -> a^1, in O(n^2) (Chawdhary, Robbins
     and King, FMSD 2019). A shortest path uses each new edge at most
@@ -197,20 +205,18 @@ def _close_with(m: Sequence[Row], a: int, b: int, k: int) -> tuple[Row, ...] | N
         if not changed:
             d.append(row)
             continue
-        if new[i] < 0:  # a negative cycle through the new edge
-            return None
         d.append(new)
         if new[i ^ 1] != row[i ^ 1]:
             moved.append(i)
     return _tighten(d, moved)
 
 
-def _tighten(d: list[Row | list[int | float]], moved: Sequence[int]) -> tuple[Row, ...] | None:
+def _tighten(d: list[Row | list[int | float]], moved: Sequence[int]) -> tuple[Row, ...]:
     """Finish a shortest-path closed matrix d with a zero diagonal:
     strengthening with floored halves,
     d[i][j] <= floor(d[i][i^1]/2) + floor(d[j^1][j]/2), where j = i^1
     floors the unary bound to an even value, which is the integer
-    tightening; then emptiness on the diagonal.
+    tightening.
 
     Each row of d is either a list, changed in place, or a tuple
     shared with a tightly closed matrix, copied only when one of its
@@ -239,8 +245,6 @@ def _tighten(d: list[Row | list[int | float]], moved: Sequence[int]) -> tuple[Ro
                 if isinstance(row, tuple):
                     row = d[i] = list(row)
                 row[j] = s
-    if any(d[i][i] < 0 for i in range(n)):
-        return None
     return tuple(map(tuple, d))  # tuple() hands a shared row on as is
 
 
@@ -479,24 +483,14 @@ class Octagon:
     # -- canonical form
 
     def close(self) -> "Octagon":
-        """Tight integer closure, pack by pack; detects emptiness. An
-        unclosed element keeps its closure for the next call."""
-        if self.empty or self.closed:
+        """Tight integer closure, pack by pack. An unclosed element
+        keeps its closure for the next call."""
+        if self.closed:
             return self
         memo = self._memo_dict()
         if "closed" not in memo:
-            new = []
-            for p in self._distinct():
-                if p.closed:
-                    continue
-                rows = _closure(p.m)
-                if rows is None:
-                    out = Octagon.bottom(self.vars)
-                    break
-                new.append(_Pack(p.vars, rows, True))
-            else:
-                out = self._with(new)
-            memo["closed"] = out
+            new = [_Pack(p.vars, _closure(p.m), True) for p in self._distinct() if not p.closed]
+            memo["closed"] = self._with(new)
         return memo["closed"]
 
     def _memo_dict(self) -> dict:
@@ -507,7 +501,7 @@ class Octagon:
     # -- lattice
 
     def is_empty(self) -> bool:
-        return self.close().empty
+        return self.empty
 
     def leq(self, other: "Octagon") -> bool:
         a = self.close()
@@ -603,8 +597,8 @@ class Octagon:
         k + m[b][a] < 0. In a tightly closed m every negative cycle it
         closes shows there: through the edge it weighs at least
         k + m[b][a], through the edge and its mirror at least
-        2k + m[b][b^1] + m[a^1][a] >= 2(k + m[b][a]). Only
-        integer-parity emptiness is left to `_tighten`."""
+        2k + m[b][b^1] + m[a^1][a] >= 2(k + m[b][a]). Otherwise the
+        result is not empty (module docstring)."""
         if self.empty:
             return self
         if not self.closed:
@@ -633,10 +627,7 @@ class Octagon:
         if len(m) == 2:  # a variable alone: a unary bound, nothing to close
             rows = ((0, k), m[1]) if a == 0 else (m[0], (k, 0))
             return self._with([_Pack(members, rows, True)])
-        rows = _close_with(m, a, b, k)
-        if rows is None:
-            return Octagon.bottom(self.vars)
-        return self._with([_Pack(members, rows, True)])
+        return self._with([_Pack(members, _close_with(m, a, b, k), True)])
 
     def assume(self, lin: Lin) -> "Octagon":
         """Meet with lin >= 0 when octagonal, identity otherwise."""
@@ -657,8 +648,6 @@ class Octagon:
 
     def _forget(self, i: int) -> "Octagon":
         a = self.close()
-        if a.empty:
-            return a
         p, q = a._node(i)
         alone = _Pack((i,), FREE, True)
         if len(p.vars) == 1:
@@ -700,8 +689,6 @@ class Octagon:
 
     def _shift(self, i: int, k: int) -> "Octagon":
         a = self.close()
-        if a.empty:
-            return a
         pk, p = a._node(i)
         q = p ^ 1
         rows: list[Row] = []

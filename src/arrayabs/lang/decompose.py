@@ -6,6 +6,15 @@ a variable or literal. Reads buried in expressions or conditions move
 into fresh temporaries; a while-condition's reads are re-evaluated at
 the end of each iteration, preserving the original semantics exactly.
 Programs that are already in this form come back unchanged.
+
+`&&` and `||` stop at the first operand that decides them, so a read
+after the first operand may not run, and hoisting it in front of the
+statement could read out of bounds where the program does not: in
+`i < n && t[i] == 0`, `t[n]`. Such a condition is computed into a
+fresh 0/1 temporary instead, under `if`s on the operands before each
+read, and the statement tests the temporary. A condition whose reads
+all run, such as one that reads only in its first operand, is hoisted
+as it stands.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from .ast import (
     Sub,
     Var,
     While,
+    cond_reads,
 )
 
 
@@ -81,10 +91,23 @@ class _Decomposer:
             return c
         if isinstance(c, Cmp):
             return Cmp(c.op, self.expr(c.left, out, line), self.expr(c.right, out, line))
-        if isinstance(c, CondAnd):
-            return CondAnd(tuple(self.cond(p, out, line) for p in c.parts))
-        if isinstance(c, CondOr):
-            return CondOr(tuple(self.cond(p, out, line) for p in c.parts))
+        if isinstance(c, (CondAnd, CondOr)):
+            if not any(list(cond_reads(p)) for p in c.parts[1:]):
+                return type(c)(tuple(self.cond(p, out, line) for p in c.parts))
+            # v = 1 when c holds; each operand is evaluated, its reads
+            # included, only where the ones before it did not decide c
+            v, conj = self.fresh(), isinstance(c, CondAnd)
+            parts = []
+            for p in c.parts:
+                pre: list[Stmt] = []
+                parts.append((pre, self.cond(p, pre, line)))
+            inner: list[Stmt] = [Assign(v, Num(int(conj)), line=line)]
+            for pre, q in reversed(parts):
+                rest = tuple(inner)
+                inner = pre + [If(q, rest, line=line) if conj else If(q, (), rest, line=line)]
+            out.append(Assign(v, Num(int(not conj)), line=line))
+            out.extend(inner)
+            return Cmp("==", Var(v), Num(1))
         if isinstance(c, CondNot):
             return CondNot(self.cond(c.arg, out, line))
         raise TypeError(f"not a condition: {c!r}")

@@ -205,9 +205,12 @@ def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | N
     existential over the flags, which every part of the exit state
     satisfies.
 
-    The query (the premises and the negated clause) is decided
-    exactly: by `lia.split` with the octagon meet of the module
-    docstring when all its atoms are octagonal, by `is_sat` otherwise.
+    The query (the premises and the negated clause) is built in
+    negation normal form: U -> M is put in it once, before the
+    bindings, since substitution keeps it, and the clause is negated
+    by `nnf(goal, True)`. It is decided exactly: by `lia.split` with
+    the octagon meet of the module docstring when all its atoms are
+    octagonal, by `is_sat` otherwise.
     `budget` pays one step per binding, one per node of the split, and
     the steps of `is_sat`; running out gives None, never False.
     """
@@ -224,20 +227,20 @@ def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | N
     except BridgeError as e:
         raise LiftError(f"no translation for the target: {e}") from e
 
-    base = implies(inv.universe, inv.matrix)
+    base = nnf(implies(inv.universe, inv.matrix))
     budget = budget or Budget()
     try:
         indices = tuple(Lin.var(index_map[k]) for k in target.indices)
         premises = [subst(base, env) for env in _cell_bindings(inv, accesses, indices, budget)]
-        return _refuted(land(*premises, lnot(goal)), budget)
+        return _refuted(land(*premises, nnf(goal, True)), budget)
     except BudgetError:
         return None
 
 
 def _refuted(query: Formula, budget: Budget) -> bool:
-    """Whether the query has no integer model: `lia.split` with an
-    octagon meet when every atom is octagonal, else `is_sat` on the
-    query as given."""
+    """Whether the query, which arrives in negation normal form, has no
+    integer model: `lia.split` with an octagon meet when every atom is
+    octagonal, else `is_sat` on the query as given."""
     if not all(a.kind == "ge" and octagonal([c for _, c in a.lin.coeffs]) for a in query.atoms()):
         return is_sat(query, budget) is None
 
@@ -248,7 +251,7 @@ def _refuted(query: Formula, budget: Budget) -> bool:
                 return None
         return o
 
-    q = simplify(nnf(query))
+    q = simplify(query)
     return split(q, meet, Octagon.top(q.free_vars()), budget) is None
 
 
@@ -303,7 +306,7 @@ def reduce_dual(phi: Formula, sp: ScalarProgram, *, budget: Budget | None = None
     try:
         fits = eliminate_quantifiers(implies(sp.universe, phi), vals, budget)
         hole = eliminate_quantifiers(lnot(fits), (left.index[0],), budget)
-        return simplify(land(phi, simplify(nnf(lnot(hole)))))
+        return simplify(land(phi, simplify(nnf(hole, True))))
     except BudgetError:
         warnings.warn("pair reduction ran out of budget; keeping the invariant as is", stacklevel=2)
         return phi

@@ -56,6 +56,26 @@ def test_bounds_asserts_of_a_loop_chain(cmp, last_proven):
     assert asserts == [(10, True), (15, True), (16, True), (21, last_proven)]
 
 
+SEARCH = """
+proc search(n: int, x: int) {
+  array t[n]: int;
+  var i: int;
+  i = 0;
+  while (i < n && t[i] != x) {
+    i = i + 1;
+  }
+}
+"""
+
+
+def test_bounds_asserts_of_a_read_after_a_short_circuit():
+    # && reads t[i] only where i < n held, and decomposition keeps that
+    # order, before the loop and at the end of its body: both asserts hold
+    p = decompose_accesses(parse_program(SEARCH))
+    cfg = IndexConfig(arrays={"t": ArrayCells(1)}, bounds_checks=True)
+    assert [a.proven for a in analyze_scalar(transform_program(p, cfg)).asserts] == [True, True]
+
+
 def wide_chain(k, cmp_last):
     """k loops over arrays a0..a<k-1>: even loops fill their array with
     a constant, odd loops copy the array before theirs; the last loop

@@ -345,6 +345,19 @@ class TestOctagon:
                 assert not refuted or got.empty and not calls
                 c = got
 
+    def test_is_empty_of_a_widened_element_closes_nothing(self):
+        """A widening result is left unclosed, and `is_empty()` reads its
+        flag: it calls no `_closure`, which closing the element does."""
+        a = octagon([({"y": -1}, 2), ({"y": 1}, 2), ({"x": -1, "y": 1}, -1)], ("x", "y"))
+        wide = a.widen(a.join(octagon([({"x": -1}, 0), ({"x": 1, "y": 1}, 1)], ("x", "y"))))
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(packed, "_closure", lambda *args: calls.append(args) or _closure(*args))
+            assert not wide.closed and not wide.is_empty()
+            assert not calls
+            wide.close()
+            assert calls
+
     @settings(max_examples=100, deadline=None)
     @given(oct_ops(NAMES4), st.lists(constraint(NAMES4), min_size=1, max_size=3))
     def test_add_to_closed_shares_the_rows_it_leaves(self, ops, cs):
@@ -542,7 +555,8 @@ def put_in_boxes(o, d, bs):
 
 def run_against_dense(names, ops):
     """Each operation on a packed element and on the dense reference;
-    after every step the dense view of the one is the matrix of the
+    after every step the packed element is empty exactly when the
+    closed reference is, the dense view of the one is the matrix of the
     other, the octagon rebuilt from the packed element's formula closes
     to that matrix, and each atom of that formula is one of the dense
     reference's. Returns every state pair."""
@@ -573,6 +587,8 @@ def run_against_dense(names, ops):
                 o, d = getattr(po, op)(o), getattr(pd, op)(d)
             else:
                 o, d = getattr(o, op)(po), getattr(d, op)(pd)
+        # the flag, read before anything closes o, is the emptiness of the closed reference
+        assert o.empty == d.is_empty(), op
         assert o.m == d.m, op
         f = o.to_formula()
         assert from_atoms(f, names).m == d.close().m, op

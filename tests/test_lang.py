@@ -396,6 +396,44 @@ class TestDecompose:
         d = decompose_accesses(p)
         assert decompose_accesses(d) == d
 
+    # a read after an operand of && or || that can decide the condition,
+    # so the original never makes it out of bounds: a loop condition, an
+    # if with ||, an assume with ==> (which parses to ||), and reads
+    # nested on both sides of an ||
+    GUARDED = [
+        ("while (i < n && t[i] != x) { i = i + 1; }", {"x": [0, 1]}),
+        ("if (x < 0 || x >= n || t[x] == 0) { i = 1; } else { i = 2; }", {"x": [-1, 0, 1, 2]}),
+        ("assume(0 <= x && x < n ==> t[x] == 1); i = 1;", {"x": [-1, 0, 1, 2]}),
+        ("assert((x < n && t[x] == 0) || (x + 1 < n && t[x + 1] == 0));", {"x": [0, 1, 2]}),
+    ]
+
+    @pytest.mark.parametrize("body, params", GUARDED)
+    def test_read_after_a_deciding_operand_stays_guarded(self, body, params):
+        p = parse_program(f"proc m(n: int, x: int) {{ array t[n]: int; var i: int; {body} }}")
+        d = decompose_accesses(p)
+        _assert_elementary(d)
+        assert decompose_accesses(d) == d
+        _equiv(p, d, Bounds({"n": [0, 1, 2], **params}, values=(0, 1)))
+
+    @pytest.mark.parametrize(
+        "cond", ["!(t[i] == 0) && true", "t[i] > 0 || false", "!(false || !(t[i] != 1))", "true && t[i] == 0"]
+    )
+    def test_negations_and_constants_around_a_read(self, cond):
+        p = parse_program(
+            f"""
+            proc m(n: int) {{
+              array t[n]: int;
+              var i, r: int;
+              assume(0 <= i && i < n);
+              if ({cond}) {{ r = 1; }}
+              assert(!({cond}) || r == 1);
+            }}
+            """
+        )
+        d = decompose_accesses(p)
+        _assert_elementary(d)
+        _equiv(p, d, Bounds({"n": [1, 2]}, values=(0, 1, 2)))
+
 
 class TestInterp:
     def test_init_forces_zeroes(self):

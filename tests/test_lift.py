@@ -317,6 +317,13 @@ def test_unsupported_target_expression_raises_lift_error():
         check_target(inv, Target(("k",), Cmp("==", Expr(), Num(0))))
 
 
+def test_target_with_the_wrong_number_of_subscripts_raises_lift_error():
+    # the cells of a have one index; the clause reads a with two
+    inv, _ = _two_arrays(cells=1, terms=1)
+    with pytest.raises(LiftError, match="target indexes a with 2 subscripts, cells have 1"):
+        check_target(inv, Target(("k",), parse_condition("a[k][k] == 0")))
+
+
 def test_render_of_the_init_invariant():
     # the universe's negation, then one disjunct per observer outcome
     # of the exit state: the cell was written last (x0 == i - 1) or
