@@ -22,13 +22,16 @@ its caller hands in. Once the whole program is walked, each analysis
 hands the list to `assert_verdicts`, which asks each state, in walk
 order, to refute the negation: that answer is the assert's verdict.
 
-The normal forms of guards live in the walker. `guard(f)` turns the
-formula of a condition into the pair (condition, negation) in the form
-that the state's `assume` and `refutes` take. The walker makes that
-pair once per condition node and keeps it for its run only, so no cache
-outlives an analysis. `AbstractState` puts both formulas in negation normal
-form, so each guard and its negation are normalised once per analysis;
-the path set of `exact.py` takes the formula and its `lnot`.
+The guards live in the walker. `guard(f)` turns the formula of a
+condition into the pair (condition, negation) in the form that the
+state's `assume` and `refutes` take. The walker makes that pair once
+per condition node and keeps it for its run only, so no cache outlives
+an analysis. `AbstractState` compiles both over the positions of the
+`Vars` tuple its parts share (`product.compile`): a tree of octagon
+terms and affine rows that meets exactly as the condition's negation
+normal form would, complement folding included, with no such form
+built. It holds positions of that one tuple, so it is good for one run
+only. The path set of `exact.py` takes the formula and its `lnot`.
 
 The abstract state is a map from flag valuations to product-domain
 elements. Flags are write-only booleans assigned constants by
@@ -91,8 +94,8 @@ from ..lang.ast import (
     While,
     walk_stmts,
 )
-from ..lia import Formula, Lin, lor, nnf
-from .product import Product
+from ..lia import Formula, Lin, lor
+from .product import Guard, Product, compile
 
 Valuation = tuple  # of 0 | 1 | None per flag, None meaning unknown
 
@@ -139,13 +142,15 @@ class AbstractState:
             k in other.parts and v.leq(other.parts[k]) for k, v in self.parts.items()
         )
 
-    @staticmethod
-    def guard(f: Formula) -> tuple[Formula, Formula]:
-        """f and its negation, in negation normal form."""
-        return nnf(f), nnf(f, True)
+    def guard(self, f: Formula) -> tuple[Guard, Guard]:
+        """f and its negation compiled over the variables every part
+        shares; the state has a part, since the walker meets no
+        condition once its state is empty."""
+        vs = next(iter(self.parts.values())).vars
+        return compile(f, vs), compile(f, vs, True)
 
-    def assume(self, g: Formula) -> "AbstractState":
-        return self.map(lambda el: el.assume(g).reduce())
+    def assume(self, g: Guard) -> "AbstractState":
+        return self.map(lambda el: g.meet(el).reduce())
 
     def assign(self, var: str, lin: Lin) -> "AbstractState":
         """Assign a numeric variable in every bucket, or move every bucket
@@ -173,10 +178,10 @@ class AbstractState:
         el = functools.reduce(Product.join, self.parts.values())
         return AbstractState(self.flags, {(None,) * len(self.flags): el})
 
-    def refutes(self, g: Formula) -> bool:
+    def refutes(self, g: Guard) -> bool:
         """Sound refutation: g is unreachable in every bucket. g speaks
         of numeric variables only: no condition reads a flag."""
-        return all(el.assume(g).reduce().is_empty() for el in self.parts.values())
+        return all(g.meet(el).reduce().is_empty() for el in self.parts.values())
 
     def to_formula(self) -> Formula:
         """Disjunction of the buckets' numeric descriptions. Flags are

@@ -94,7 +94,10 @@ and work by position in it: `add` takes (position, sign) terms, and
 `equalities` yields the integer rows `AffineEqs.add_eq` takes. Names
 are resolved only where a name or a `Lin` comes in (`assume`,
 `assign`, `forget`, `bounds`), through the tuple's one name ->
-position map, and where a `Formula` goes out.
+position map, and where a `Formula` goes out. `lower` turns an
+inequality into `add`'s terms, and decides whether it is octagonal:
+`assume`, the guards of `product.py` and the target check of `lift.py`
+all go through it.
 
 Rows are copy-on-write. A pack matrix is a tuple of row tuples, and an
 operation builds a new tuple only for a row in which some entry moves.
@@ -108,7 +111,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import le
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from ..lia import FALSE, Formula, Lin, TRUE, ge0, land
 from .affine import Vars
@@ -126,6 +129,15 @@ def octagonal(cs: Collection[int]) -> bool:
     """Whether a sum with the nonzero coefficients cs, bounded, is an
     octagon constraint: one or two variables, unit coefficients."""
     return 1 <= len(cs) <= 2 and all(c in (1, -1) for c in cs)
+
+
+def lower(lin: Lin, pos: Mapping[str, int]) -> tuple[list[tuple[int, int]], int] | None:
+    """lin >= 0 as the (position, sign) terms and the bound k of
+    `Octagon.add`, -lin <= const, with positions read from pos; None
+    when lin >= 0 is not an octagon constraint."""
+    if not octagonal([c for _, c in lin.coeffs]):
+        return None
+    return [(pos[v], -c) for v, c in lin.coeffs], lin.const
 
 
 def _half(x: int | float) -> int | float:
@@ -633,11 +645,8 @@ class Octagon:
         """Meet with lin >= 0 when octagonal, identity otherwise."""
         if self.empty:
             return self
-        if octagonal([c for _, c in lin.coeffs]):
-            # lin >= 0  <=>  -lin <= const
-            pos = self.vars.pos
-            return self.add([(pos[v], -c) for v, c in lin.coeffs], lin.const)
-        return self
+        low = lower(lin, self.vars.pos)
+        return self if low is None else self.add(*low)
 
     # -- transfer helpers
 

@@ -7,8 +7,9 @@ can hold (unit coefficients on one or two variables) go to
 `Octagon.add` as (position, coefficient) terms, and the equalities of
 the closed octagon, read off its matrix as integer rows, go to
 `AffineEqs.add_eq` as they are. Names are resolved only where a `Lin`
-comes in (`assign`, `forget`, `assume`), through the tuple's one
-name -> position map, and where a `Formula` goes out (`to_formula`).
+or a condition comes in (`assign`, `forget`, `compile`), through the
+tuple's one name -> position map, and where a `Formula` goes out
+(`to_formula`).
 The exchange repeats until the octagon adds no affine row, when
 neither side can change again; it terminates because octagon entries
 only tighten and affine rank only grows.
@@ -32,6 +33,24 @@ adds rows, so it still holds the equalities. Every other operation
 which `reduce` treats with the full exchange. The memo is never part of
 `==` or the hash.
 
+Guards. A condition meets an element as a guard compiled over
+positions: `compile(f, vars, neg)` walks f once, pushing the negation
+down, into a small tree. An octagonal inequality becomes the terms and
+bound of `Octagon.add` (`octagon.lower`); any other inequality, a
+divisibility and its negation meet as top; an "and" meets its parts in
+turn, then adds the row lin = 0 for each pair lin >= 0, -lin >= 0
+among its inequalities, octagonal or not; an "or" joins the meets of
+its parts, each from the same element. The walk flattens, drops
+duplicates and folds constants as `land` and `lor` do, and folds a
+literal that meets its negation (`lnot`) in one junction to false
+under "and" and to true under "or", as they do. So the tree has the
+shape of `nnf(f, neg)` and meets exactly as that formula walked node
+by node would, self handed back included, without the formula being
+built. A guard holds positions of one `Vars` tuple, so it is good for
+the elements of one analysis only; the walker keeps the guards of its
+run and drops them with it (`abstract.py`). `assume` compiles a
+formula it is handed, for callers outside a walk.
+
 Reduction must not run on widening results: re-tightening a widened
 bound can oscillate and break termination, so widen() is purely
 componentwise and callers reduce again only after the chain is stable.
@@ -42,9 +61,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..lia import FALSE, Formula, Lin, eq0, land
+from ..lia import FALSE, Formula, Lin, eq0, ge0, land, lnot
 from .affine import AffineEqs, Vars
-from .octagon import Octagon, octagonal
+from .octagon import Octagon, lower, octagonal
 
 
 @dataclass(frozen=True)
@@ -142,36 +161,12 @@ class Product:
     def forget(self, v: str) -> "Product":
         return Product(self.oct.forget(v), self.aff.forget(v))
 
-    def assume(self, f: Formula) -> "Product":
-        """Meet with an over-approximation of f, which is in negation
-        normal form (`lia.nnf`): any other node, and divisibility, is
-        dropped. A meet that changes nothing hands back self."""
-        k = f.kind
-        if k == "true":
-            return self
-        if k == "false":
-            return self._as_bottom()
-        if k == "ge":
-            return self._meet(self.oct.assume(f.lin), self.aff)
-        if k == "and":
-            out = self
-            atoms = [g.lin for g in f.args if g.kind == "ge"]
-            for g in f.args:
-                out = out.assume(g)
-            # complementary inequality pairs pin an affine equality
-            for i, li in enumerate(atoms):
-                neg = -li
-                for lj in atoms[i + 1:]:
-                    if lj == neg:
-                        out = out._meet(out.oct, out.aff.add_eq(out.aff._row_of(li)))
-            return out
-        if k == "or":
-            parts = [self.assume(g) for g in f.args]
-            out = parts[0]
-            for p in parts[1:]:
-                out = out.join(p)
-            return out
-        return self
+    def assume(self, g: "Guard | Formula") -> "Product":
+        """Meet with a compiled guard (module docstring); a formula is
+        compiled first. A meet that changes nothing hands back self."""
+        if isinstance(g, Formula):
+            g = compile(g, self.vars)
+        return g.meet(self)
 
     # -- output
 
@@ -185,3 +180,139 @@ class Product:
         lins = (Lin.make(zip(r.aff.vars, row), -row[-1]) for row in r.aff.rows)
         rows = [eq0(lin) for lin in lins if not octagonal([c for _, c in lin.coeffs])]
         return land(r.oct.to_formula(), *rows)
+
+
+# -- guards
+
+
+class Guard:
+    """A condition compiled over the positions of one `Vars` tuple;
+    `meet(p)` is `p.assume` of it. This base meets as top."""
+
+    __slots__ = ()
+
+    def meet(self, p: Product) -> Product:
+        return p
+
+
+class _Bottom(Guard):
+    __slots__ = ()
+
+    def meet(self, p: Product) -> Product:
+        return p._as_bottom()
+
+
+class _Atom(Guard):
+    """An octagonal inequality as the terms and bound of `Octagon.add`."""
+
+    __slots__ = ("terms", "k")
+
+    def __init__(self, terms: list[tuple[int, int]], k: int) -> None:
+        self.terms, self.k = terms, k
+
+    def meet(self, p: Product) -> Product:
+        return p._meet(p.oct.add(self.terms, self.k), p.aff)
+
+
+class _And(Guard):
+    """Parts met in turn, then the affine rows of the complementary
+    inequality pairs among the conjuncts."""
+
+    __slots__ = ("parts", "rows")
+
+    def __init__(self, parts: list[Guard], rows: list[tuple[int, ...]]) -> None:
+        self.parts, self.rows = parts, rows
+
+    def meet(self, p: Product) -> Product:
+        for g in self.parts:
+            p = g.meet(p)
+        for row in self.rows:
+            p = p._meet(p.oct, p.aff.add_eq(row))
+        return p
+
+
+class _Or(Guard):
+    """The join of the parts, each met from the same element."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: list[Guard]) -> None:
+        self.parts = parts
+
+    def meet(self, p: Product) -> Product:
+        first, *rest = [g.meet(p) for g in self.parts]
+        for q in rest:
+            first = first.join(q)
+        return first
+
+
+_TOP, _BOTTOM = Guard(), _Bottom()
+
+
+def compile(f: Formula, vars: Sequence[str], neg: bool = False) -> Guard:
+    """The guard of f, or of its negation when neg, over the positions
+    of vars (module docstring)."""
+    return _lowered(_nnf(f, neg), Vars.of(vars).pos)
+
+
+def _nnf(f: Formula, neg: bool):
+    """The shape of `nnf(f, neg)` with no junction built: True, False, a
+    literal, or (op, args) for an "and" or "or" node with args flat,
+    distinct and folded as `land` and `lor` leave them."""
+    k = f.kind
+    if k in ("true", "false"):
+        return (k == "true") != neg
+    if k == "ge":
+        if not neg:
+            return f
+        lit = ge0(-f.lin - 1)
+        return lit if lit.kind == "ge" else lit.kind == "true"
+    if k == "dvd":
+        return Formula("not", args=(f,)) if neg else f
+    if k == "not":
+        return _nnf(f.args[0], not neg)
+    op = "or" if (k == "and") == neg else "and"
+    unit = op == "and"  # the constant the junction drops; the other absorbs
+    flat: list = []
+    seen: set = set()
+    for part in (_nnf(a, neg) for a in f.args):
+        if part is (not unit):
+            return part
+        if part is unit:
+            continue
+        for c in part[1] if isinstance(part, tuple) and part[0] == op else (part,):
+            if c not in seen:
+                seen.add(c)
+                flat.append(c)
+    # a literal beside its negation: land folds to false, lor to true
+    if any(isinstance(c, Formula) and lnot(c) in seen for c in flat):
+        return not unit
+    if not flat:
+        return unit
+    return flat[0] if len(flat) == 1 else (op, tuple(flat))
+
+
+def _lowered(n, pos: dict[str, int]) -> Guard:
+    """The guard of a shape of `_nnf`."""
+    if n is True or n is False:
+        return _TOP if n else _BOTTOM
+    if isinstance(n, Formula):
+        low = lower(n.lin, pos) if n.kind == "ge" else None
+        return _TOP if low is None else _Atom(*low)
+    op, args = n
+    parts = [_lowered(a, pos) for a in args]
+    if op == "or":
+        return _Or(parts)
+    # complementary inequality pairs pin an affine equality, lin = 0
+    lins = [a.lin for a in args if isinstance(a, Formula) and a.kind == "ge"]
+    rows = []
+    for i, li in enumerate(lins):
+        if -li in lins[i + 1:]:
+            row = [0] * len(pos) + [-li.const]
+            for v, c in li.coeffs:
+                row[pos[v]] = c
+            rows.append(tuple(row))
+    parts = [g for g in parts if g is not _TOP]
+    if not rows and len(parts) <= 1:
+        return parts[0] if parts else _TOP
+    return _And(parts, rows)

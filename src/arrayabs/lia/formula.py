@@ -164,6 +164,11 @@ class Formula:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # through the constructor, so that an unpickled formula hashes
+        # with the string hashes of the process that loads it
+        return Formula, (self.kind, self.lin, self.mod, self.args)
+
     # -- inspectors
 
     def free_vars(self) -> tuple[str, ...]:

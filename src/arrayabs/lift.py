@@ -28,13 +28,14 @@ split of the library, with integer octagons as its conjunctions. Its
 literals are octagonal, ±x ±y >= c, whenever the invariant is: the
 invariant comes from the octagon × affine domain and clauses compare
 positions and values by unit differences, so every paper-corpus query
-is of that kind. The meet conjoins each literal with `Octagon.assume`,
-which closes incrementally, and refutes a branch as soon as its
-octagon is empty. A leaf whose octagon is not empty has a model: a
-tightly closed octagon that is not empty has an integer point
-(Bagnara, Hill and Zaffanella, "An improved tight closure algorithm
-for integer octagonal constraints", VMCAI 2008; Lahiri and Musuvathi,
-"An efficient decision procedure for UTVPI constraints", FroCoS 2005).
+is of that kind. The meet conjoins each literal with `Octagon.add`, on
+the terms `octagon.lower` makes of it, which closes incrementally, and
+refutes a branch as soon as its octagon is empty. A leaf whose octagon
+is not empty has a model: a tightly closed octagon that is not empty
+has an integer point (Bagnara, Hill and Zaffanella, "An improved tight
+closure algorithm for integer octagonal constraints", VMCAI 2008;
+Lahiri and Musuvathi, "An efficient decision procedure for UTVPI
+constraints", FroCoS 2005).
 A query with any other atom, a non-unit coefficient, three or more
 variables, or a divisibility, goes whole to `lia.is_sat`, which is the
 same split with a Cooper meet and decides it exactly. The octagon
@@ -50,7 +51,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .backend.octagon import Octagon, octagonal
+from .backend.affine import Vars
+from .backend.octagon import Octagon, lower
 from .bridge import BridgeError, cond_to_formula, formula_to_cond
 from .lang.ast import ArrRead, Target
 from .lang.printer import cond_str
@@ -240,19 +242,22 @@ def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | N
 def _refuted(query: Formula, budget: Budget) -> bool:
     """Whether the query, which arrives in negation normal form, has no
     integer model: `lia.split` with an octagon meet when every atom is
-    octagonal, else `is_sat` on the query as given."""
-    if not all(a.kind == "ge" and octagonal([c for _, c in a.lin.coeffs]) for a in query.atoms()):
+    octagonal, else `is_sat` on the query as given. Each atom is
+    lowered to `Octagon.add` terms once; `simplify` makes no atom the
+    query lacks, so the meet finds every literal it is handed."""
+    vs = Vars.of(query.free_vars())
+    terms = {a: lower(a.lin, vs.pos) if a.kind == "ge" else None for a in query.atoms()}
+    if None in terms.values():
         return is_sat(query, budget) is None
 
     def meet(o: Octagon, lits: list[Formula]) -> Octagon | None:
         for lit in lits:
-            o = o.assume(lit.lin)
+            o = o.add(*terms[lit])
             if o.empty:
                 return None
         return o
 
-    q = simplify(query)
-    return split(q, meet, Octagon.top(q.free_vars()), budget) is None
+    return split(simplify(query), meet, Octagon.top(vs), budget) is None
 
 
 # ---------------------------------------------------------- reduce_dual

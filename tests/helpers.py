@@ -6,7 +6,8 @@ by the differential tests, and the references that the backend's
 differential tests compare with: a dense octagon and its pack split by
 a scan of every entry, column-wise row reduction, the affine
 assignment through a temporary column, the full reduction of the
-product, and the loop with a separate check pass. The backend works by
+product, the product's meet with a formula in negation normal form,
+and the loop with a separate check pass. The backend works by
 position in a variable tuple; `add` and `named` translate the names
 the tests write.
 """
@@ -382,6 +383,37 @@ def full_reduce(p):
             a = a.add_eq(row)
         if a == before:
             return Product(o, a)
+
+
+def assume_nnf(p, f):
+    """Reference for `Product.assume`: the meet with f, in negation
+    normal form, walked as a formula. An "and" meets its arguments in
+    turn, then the equality of each complementary inequality pair among
+    them; an "or" joins the meets of its arguments; divisibility, its
+    negation and a non-octagonal inequality meet as top."""
+    k = f.kind
+    if k == "true":
+        return p
+    if k == "false":
+        return p._as_bottom()
+    if k == "ge":
+        return p._meet(p.oct.assume(f.lin), p.aff)
+    if k == "and":
+        out = p
+        for g in f.args:
+            out = assume_nnf(out, g)
+        atoms = [g.lin for g in f.args if g.kind == "ge"]
+        for i, li in enumerate(atoms):
+            for lj in atoms[i + 1:]:
+                if lj == -li:
+                    out = out._meet(out.oct, out.aff.add_eq(out.aff._row_of(li)))
+        return out
+    if k == "or":
+        first, *rest = [assume_nnf(p, g) for g in f.args]
+        for q in rest:
+            first = first.join(q)
+        return first
+    return p
 
 
 # ------------------------------------------- loop with a check pass

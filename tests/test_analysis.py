@@ -311,12 +311,12 @@ def test_each_condition_is_translated_once(monkeypatch):
 
 
 def test_each_guard_is_normalised_once_per_analysis(monkeypatch):
-    # two condition nodes, each normalised with its negation once: four
-    # normal forms, and four again in a second analysis, which reuses
-    # nothing of the first
+    # two condition nodes, each compiled with its negation once: four
+    # guards, and four again in a second analysis, which reuses nothing
+    # of the first
     met = []
-    normalise = abstract.nnf
-    monkeypatch.setattr(abstract, "nnf", lambda f, neg=False: met.append((f, neg)) or normalise(f, neg))
+    compile_guard = abstract.compile
+    monkeypatch.setattr(abstract, "compile", lambda f, vs, neg=False: met.append((f, neg)) or compile_guard(f, vs, neg))
     sp = transform_program(parse_program(COUNT), IndexConfig())
     for _ in range(2):
         met.clear()

@@ -12,7 +12,9 @@ references, and the affine shortcuts against the full reduction. Row
 reduction, the affine assignment and the pack split are checked
 against the helpers' column-wise, temporary-column and every-entry
 references. The product's semi-naive reduction is checked against
-helpers.full_reduce after every step of random sequences.
+helpers.full_reduce after every step of random sequences, and its meet
+with a compiled guard against helpers.assume_nnf, the meet with the
+negation normal form walked as a formula.
 """
 
 import itertools
@@ -33,13 +35,15 @@ from arrayabs.backend import exact, octagon as packed
 from arrayabs.backend.abstract import PARTITION_CAP
 from arrayabs.backend.affine import _rref
 from arrayabs.backend.octagon import INF, _closure, _irredundant, _split
+from arrayabs.backend.product import compile as compile_guard
 from arrayabs.lang import CheckError, parse_program
-from arrayabs.lia import Lin, eq, eq0, ge0, is_sat, land, le, lor, nnf, subst
+from arrayabs.lia import FALSE, TRUE, Formula, Lin, dvd, eq, eq0, ge0, is_sat, land, le, lor, nnf, subst
 from arrayabs.transform import IndexConfig, transform_program
 
 from helpers import (
     DenseOctagon,
     add,
+    assume_nnf,
     assign_through_a_column,
     box_points,
     dense_close,
@@ -1031,6 +1035,85 @@ class TestReduction:
         assert row not in dense_constraints(j.oct)
         assert row in dense_constraints(full_reduce(j).oct)
         assert j.reduce() == full_reduce(j) != j
+
+
+def guard_formulas(names):
+    """Conditions as the parser never folds them: `not`, divisibility,
+    true and false inside junctions, nested and repeated arguments.
+    Their inequalities are +-(a base term) + c for c in -1..1, over
+    octagonal and non-octagonal bases, so both kinds meet their
+    complement (-b - 1 against b) and their opposite (-b against b)."""
+    v = st.sampled_from(names)
+    base = st.one_of(
+        st.builds(lambda a, s: Lin.var(a, s), v, st.sampled_from((1, -1))),
+        st.builds(lambda a, b, s: Lin.var(a) + Lin.var(b, s), v, v, st.sampled_from((1, -1))),
+        st.builds(lambda a, b: Lin.var(a, 2) - Lin.var(b), v, v),
+        st.just(Lin.make({n: 1 for n in names})),
+    )
+
+    def atoms(b):
+        ge = st.builds(lambda s, c: ge0(b * s + c), st.sampled_from((1, -1)), st.integers(-1, 1))
+        return st.one_of(ge, ge, ge, st.builds(lambda m: dvd(m, b), st.sampled_from((2, 3))))
+
+    def junction(kind):
+        return lambda args: Formula(kind, args=tuple(args))
+
+    def nodes(children):
+        args = st.lists(children, min_size=1, max_size=4)
+        repeated = args.map(lambda a: a + a[:1])
+        return st.one_of(
+            st.one_of(args, repeated).map(junction("and")),
+            st.one_of(args, repeated).map(junction("or")),
+            children.map(lambda c: Formula("not", args=(c,))),
+        )
+
+    return st.lists(base, min_size=1, max_size=3).flatmap(
+        lambda bases: st.recursive(
+            st.one_of(st.sampled_from((TRUE, FALSE)), *(atoms(b) for b in bases)), nodes, max_leaves=8
+        )
+    )
+
+
+def meet_against_nnf(p, f):
+    """The compiled meet of f and of its negation against the reference
+    walk of their negation normal forms: the same value, reduced and
+    not, the same refutation, and self handed back exactly when the
+    reference hands it back, so the reduction memo goes the same way."""
+    for neg in (False, True):
+        got, want = compile_guard(f, p.vars, neg).meet(p), assume_nnf(p, nnf(f, neg))
+        assert got == want and (got is p) == (want is p), (str(f), neg)
+        assert got.reduce() == want.reduce()
+        state = AbstractState((), {(): p})
+        assert state.refutes(compile_guard(f, p.vars, neg)) == want.reduce().is_empty()
+
+
+class TestCompiledGuards:
+    @settings(max_examples=25, deadline=None)
+    @given(oct_ops(NAMES, 4), st.lists(aff_lin, max_size=2), guard_formulas(NAMES))
+    def test_compiled_meet_is_the_meet_with_the_normal_form(self, ops, lins, f):
+        meet_against_nnf(product(ops, lins).reduce(), f)
+
+    @pytest.mark.slow
+    @settings(max_examples=1000, deadline=None)
+    @given(oct_ops(NAMES, 6), st.lists(aff_lin, max_size=3), guard_formulas(NAMES), st.booleans())
+    def test_sweep_against_the_normal_form(self, ops, lins, f, reduced):
+        p = product(ops, lins)
+        meet_against_nnf(p.reduce() if reduced else p, f)
+
+    def test_complements_and_constant_atoms(self):
+        p = Product.top(NAMES).reduce()
+        for f in (
+            land(ge0(x - y), ge0(y - x)),  # octagonal: the octagon pins it too
+            land(ge0(x * 2 - y), ge0(y - x * 2), ge0(z)),  # not octagonal: only the row
+            Formula("and", args=(ge0(x - y), ge0(y - x - 1))),  # a literal and its negation
+            Formula("or", args=(dvd(2, x), Formula("not", args=(dvd(2, x),)))),
+            # built directly, so not folded: negated, each folds to a constant
+            Formula("and", args=(Formula("ge", lin=Lin.of(-1)), ge0(x))),
+            Formula("or", args=(Formula("ge", lin=Lin.of(0)), ge0(x))),
+        ):
+            meet_against_nnf(p, f)
+        pinned = p.assume(land(ge0(x * 2 - y), ge0(y - x * 2)))
+        assert pinned.aff == AffineEqs.top(NAMES).add_eq([2, -1, 0, 0])
 
 
 class TestProductLaws:

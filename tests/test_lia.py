@@ -8,7 +8,11 @@ cases carry explicit box bounds so enumeration decides them exactly.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -44,6 +48,7 @@ from arrayabs.lia import (
     to_str,
 )
 
+import arrayabs
 from helpers import box_sat, rand_formula
 
 x, y, z = Lin.var("x"), Lin.var("y"), Lin.var("z")
@@ -152,6 +157,30 @@ class TestConstructors:
 
 
 # --------------------------------------------------------------- parser
+
+
+class TestPickling:
+    def test_formula_unpickled_under_another_hash_seed_hashes_afresh(self):
+        # pickled under one string-hash seed and loaded under another, a
+        # formula hashes as a fresh copy does there, so land folds the two
+        env = {**os.environ, "PYTHONPATH": str(Path(arrayabs.__file__).resolve().parents[1])}
+        dump = (
+            "import pickle, sys; from arrayabs.lia import parse_formula; "
+            "sys.stdout.buffer.write(pickle.dumps(parse_formula('x - y >= 1')))"
+        )
+        load = (
+            "import pickle, sys; from arrayabs.lia import land, parse_formula; "
+            "f, g = pickle.loads(sys.stdin.buffer.read()), parse_formula('x - y >= 1'); "
+            "print(f == g, hash(f) == hash(g), land(f, g) == g)"
+        )
+
+        def run(code, seed, data=None):
+            return subprocess.run(
+                [sys.executable, "-c", code], input=data, env={**env, "PYTHONHASHSEED": seed},
+                capture_output=True, check=True,
+            ).stdout
+
+        assert run(load, "2", run(dump, "1")).split() == [b"True", b"True", b"True"]
 
 
 class TestParser:
