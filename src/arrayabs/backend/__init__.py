@@ -11,10 +11,11 @@ partitions); its `bounded` collapses the partitions past `PARTITION_CAP`
 paths after an If, and on any loop before the walk.
 
 The walker turns each condition once per run into what the state meets
-(`guard`): `AbstractState` compiles it and its negation into guards over
-the positions its parts share (`product.compile`), which meet exactly
-as the negation normal form would; the exact path set keeps the formula
-and its `lnot`. Guards go with the walker, so none outlives a run.
+(`guard`): `AbstractState` lowers the negation normal forms of it and
+its negation into guards over the positions its parts share
+(`product.compile_guard`), which meet exactly as those forms would;
+the exact path set keeps the formula and its `lnot`. Guards go with
+the walker, so none outlives a run.
 
 The walker records the asserts it meets with the states that reached
 them, and each analysis resolves them with `assert_verdicts` once the

@@ -27,11 +27,11 @@ condition into the pair (condition, negation) in the form that the
 state's `assume` and `refutes` take. The walker makes that pair once
 per condition node and keeps it for its run only, so no cache outlives
 an analysis. `AbstractState` compiles both over the positions of the
-`Vars` tuple its parts share (`product.compile`): a tree of octagon
-terms and affine rows that meets exactly as the condition's negation
-normal form would, complement folding included, with no such form
-built. It holds positions of that one tuple, so it is good for one run
-only. The path set of `exact.py` takes the formula and its `lnot`.
+`Vars` tuple its parts share (`product.compile_guard`): the negation
+normal form lowered once into a tree of octagon terms and affine rows,
+which meets exactly as that formula would, complement folding
+included. It holds positions of that one tuple, so it is good for one
+run only. The path set of `exact.py` takes the formula and its `lnot`.
 
 The abstract state is a map from flag valuations to product-domain
 elements. Flags are write-only booleans assigned constants by
@@ -95,7 +95,7 @@ from ..lang.ast import (
     walk_stmts,
 )
 from ..lia import Formula, Lin, lor
-from .product import Guard, Product, compile
+from .product import Guard, Product, compile_guard
 
 Valuation = tuple  # of 0 | 1 | None per flag, None meaning unknown
 
@@ -147,7 +147,7 @@ class AbstractState:
         shares; the state has a part, since the walker meets no
         condition once its state is empty."""
         vs = next(iter(self.parts.values())).vars
-        return compile(f, vs), compile(f, vs, True)
+        return compile_guard(f, vs), compile_guard(f, vs, True)
 
     def assume(self, g: Guard) -> "AbstractState":
         return self.map(lambda el: g.meet(el).reduce())

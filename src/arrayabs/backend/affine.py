@@ -21,7 +21,7 @@ element empty.
 Positions. Columns are positions in a `Vars` tuple, which the elements
 of an analysis share with their octagons, and `add_eq` takes a row
 (see `product.py`). Names are resolved only where a name or a `Lin`
-comes in (`_row_of`, `forget`, `assign`), through the tuple's one
+comes in (`Vars.row_of`, `forget`, `assign`), through the tuple's one
 name -> position map, and where a `Formula` goes out.
 """
 
@@ -54,6 +54,16 @@ class Vars(tuple):
     @functools.cached_property
     def pos(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self)}
+
+    def row_of(self, lin: Lin) -> list[int]:
+        """The row of lin = 0: coefficients by position, then -const."""
+        pos = self.pos
+        row = [0] * len(self) + [-lin.const]
+        for v, c in lin.coeffs:
+            if v not in pos:
+                raise ValueError(f"unknown variable {v}")
+            row[pos[v]] = c
+        return row
 
 
 def _primitive(row: Sequence[int]) -> Sequence[int]:
@@ -171,16 +181,6 @@ class AffineEqs:
 
     # -- constraints
 
-    def _row_of(self, lin: Lin) -> list[int]:
-        """Row for lin = 0."""
-        pos = self.vars.pos
-        row = [0] * len(self.vars) + [-lin.const]
-        for v, c in lin.coeffs:
-            if v not in pos:
-                raise ValueError(f"unknown variable {v}")
-            row[pos[v]] = c
-        return row
-
     def add_eq(self, row: Sequence[int]) -> "AffineEqs":
         """Meet with sum(row[i] * vars[i]) = row[-1], leaving the row as
         it is. The row is reduced once: an implied one hands back the
@@ -239,7 +239,7 @@ class AffineEqs:
         rows = [[*r, r[c]] for r in self.rows]
         for r in rows:
             r[c] = 0  # rename v -> tmp
-        new = [*self._row_of(lin), 0]
+        new = [*self.vars.row_of(lin), 0]
         new[-1], new[c] = new[c], -1  # lin - v_new = 0, v in lin meaning the old value
         rows.append(new)
         # eliminate the temporary column

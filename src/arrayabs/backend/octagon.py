@@ -92,12 +92,12 @@ incrementally, so a widened loop head is closed once.
 Positions. The elements of an analysis share one `affine.Vars` tuple
 and work by position in it: `add` takes (position, sign) terms, and
 `equalities` yields the integer rows `AffineEqs.add_eq` takes. Names
-are resolved only where a name or a `Lin` comes in (`assume`,
+are resolved only where a name or a `Lin` comes in (`lower`,
 `assign`, `forget`, `bounds`), through the tuple's one name ->
 position map, and where a `Formula` goes out. `lower` turns an
 inequality into `add`'s terms, and decides whether it is octagonal:
-`assume`, the guards of `product.py` and the target check of `lift.py`
-all go through it.
+the guards of `product.py` and the target check of `lift.py` both go
+through it.
 
 Rows are copy-on-write. A pack matrix is a tuple of row tuples, and an
 operation builds a new tuple only for a row in which some entry moves.
@@ -640,13 +640,6 @@ class Octagon:
             rows = ((0, k), m[1]) if a == 0 else (m[0], (k, 0))
             return self._with([_Pack(members, rows, True)])
         return self._with([_Pack(members, _close_with(m, a, b, k), True)])
-
-    def assume(self, lin: Lin) -> "Octagon":
-        """Meet with lin >= 0 when octagonal, identity otherwise."""
-        if self.empty:
-            return self
-        low = lower(lin, self.vars.pos)
-        return self if low is None else self.add(*low)
 
     # -- transfer helpers
 

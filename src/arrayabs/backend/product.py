@@ -7,7 +7,7 @@ can hold (unit coefficients on one or two variables) go to
 `Octagon.add` as (position, coefficient) terms, and the equalities of
 the closed octagon, read off its matrix as integer rows, go to
 `AffineEqs.add_eq` as they are. Names are resolved only where a `Lin`
-or a condition comes in (`assign`, `forget`, `compile`), through the
+or a condition comes in (`assign`, `forget`, `compile_guard`), through the
 tuple's one name -> position map, and where a `Formula` goes out
 (`to_formula`).
 The exchange repeats until the octagon adds no affine row, when
@@ -34,22 +34,22 @@ which `reduce` treats with the full exchange. The memo is never part of
 `==` or the hash.
 
 Guards. A condition meets an element as a guard compiled over
-positions: `compile(f, vars, neg)` walks f once, pushing the negation
-down, into a small tree. An octagonal inequality becomes the terms and
-bound of `Octagon.add` (`octagon.lower`); any other inequality, a
+positions: `compile_guard(f, vars, neg)` lowers `nnf(f, neg)`, node
+for node, into a small tree. An octagonal inequality becomes the terms
+and bound of `Octagon.add` (`octagon.lower`); any other inequality, a
 divisibility and its negation meet as top; an "and" meets its parts in
-turn, then adds the row lin = 0 for each pair lin >= 0, -lin >= 0
-among its inequalities, octagonal or not; an "or" joins the meets of
-its parts, each from the same element. The walk flattens, drops
-duplicates and folds constants as `land` and `lor` do, and folds a
-literal that meets its negation (`lnot`) in one junction to false
-under "and" and to true under "or", as they do. So the tree has the
-shape of `nnf(f, neg)` and meets exactly as that formula walked node
-by node would, self handed back included, without the formula being
-built. A guard holds positions of one `Vars` tuple, so it is good for
-the elements of one analysis only; the walker keeps the guards of its
-run and drops them with it (`abstract.py`). `assume` compiles a
-formula it is handed, for callers outside a walk.
+turn, then adds the row lin = 0 (`Vars.row_of`) for each pair
+lin >= 0, -lin >= 0 among its inequalities, octagonal or not; an "or"
+joins the meets of its parts, each from the same element. The tree has
+the shape of the normal form, which `land` and `lor` have flattened,
+deduplicated and folded (a literal beside its `lnot` folds to false
+under "and" and to true under "or"), so it meets exactly as that
+formula walked node by node would, self handed back included; what it
+saves is reading names and pairing inequalities again at every meet.
+A guard holds positions of one `Vars` tuple, so it is good for the
+elements of one analysis only; the walker compiles each condition once
+per run and drops its guards with it (`abstract.py`). `assume`
+compiles the formula it is handed, for callers outside a walk.
 
 Reduction must not run on widening results: re-tightening a widened
 bound can oscillate and break termination, so widen() is purely
@@ -61,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..lia import FALSE, Formula, Lin, eq0, ge0, land, lnot
+from ..lia import FALSE, Formula, Lin, eq0, land, nnf
 from .affine import AffineEqs, Vars
 from .octagon import Octagon, lower, octagonal
 
@@ -161,12 +161,10 @@ class Product:
     def forget(self, v: str) -> "Product":
         return Product(self.oct.forget(v), self.aff.forget(v))
 
-    def assume(self, g: "Guard | Formula") -> "Product":
-        """Meet with a compiled guard (module docstring); a formula is
-        compiled first. A meet that changes nothing hands back self."""
-        if isinstance(g, Formula):
-            g = compile(g, self.vars)
-        return g.meet(self)
+    def assume(self, f: Formula) -> "Product":
+        """Meet with f, through its guard (module docstring). A meet
+        that changes nothing hands back self."""
+        return compile_guard(f, self.vars).meet(self)
 
     # -- output
 
@@ -249,69 +247,29 @@ class _Or(Guard):
 _TOP, _BOTTOM = Guard(), _Bottom()
 
 
-def compile(f: Formula, vars: Sequence[str], neg: bool = False) -> Guard:
+def compile_guard(f: Formula, vars: Sequence[str], neg: bool = False) -> Guard:
     """The guard of f, or of its negation when neg, over the positions
     of vars (module docstring)."""
-    return _lowered(_nnf(f, neg), Vars.of(vars).pos)
+    return _lowered(nnf(f, neg), Vars.of(vars))
 
 
-def _nnf(f: Formula, neg: bool):
-    """The shape of `nnf(f, neg)` with no junction built: True, False, a
-    literal, or (op, args) for an "and" or "or" node with args flat,
-    distinct and folded as `land` and `lor` leave them."""
+def _lowered(f: Formula, vs: Vars) -> Guard:
+    """The guard of f, a formula in negation normal form: its tree,
+    node for node."""
     k = f.kind
-    if k in ("true", "false"):
-        return (k == "true") != neg
+    if k == "false":
+        return _BOTTOM
     if k == "ge":
-        if not neg:
-            return f
-        lit = ge0(-f.lin - 1)
-        return lit if lit.kind == "ge" else lit.kind == "true"
-    if k == "dvd":
-        return Formula("not", args=(f,)) if neg else f
-    if k == "not":
-        return _nnf(f.args[0], not neg)
-    op = "or" if (k == "and") == neg else "and"
-    unit = op == "and"  # the constant the junction drops; the other absorbs
-    flat: list = []
-    seen: set = set()
-    for part in (_nnf(a, neg) for a in f.args):
-        if part is (not unit):
-            return part
-        if part is unit:
-            continue
-        for c in part[1] if isinstance(part, tuple) and part[0] == op else (part,):
-            if c not in seen:
-                seen.add(c)
-                flat.append(c)
-    # a literal beside its negation: land folds to false, lor to true
-    if any(isinstance(c, Formula) and lnot(c) in seen for c in flat):
-        return not unit
-    if not flat:
-        return unit
-    return flat[0] if len(flat) == 1 else (op, tuple(flat))
-
-
-def _lowered(n, pos: dict[str, int]) -> Guard:
-    """The guard of a shape of `_nnf`."""
-    if n is True or n is False:
-        return _TOP if n else _BOTTOM
-    if isinstance(n, Formula):
-        low = lower(n.lin, pos) if n.kind == "ge" else None
+        low = lower(f.lin, vs.pos)
         return _TOP if low is None else _Atom(*low)
-    op, args = n
-    parts = [_lowered(a, pos) for a in args]
-    if op == "or":
+    if k not in ("and", "or"):  # true, a divisibility or its negation
+        return _TOP
+    parts = [_lowered(a, vs) for a in f.args]
+    if k == "or":
         return _Or(parts)
     # complementary inequality pairs pin an affine equality, lin = 0
-    lins = [a.lin for a in args if isinstance(a, Formula) and a.kind == "ge"]
-    rows = []
-    for i, li in enumerate(lins):
-        if -li in lins[i + 1:]:
-            row = [0] * len(pos) + [-li.const]
-            for v, c in li.coeffs:
-                row[pos[v]] = c
-            rows.append(tuple(row))
+    lins = [a.lin for a in f.args if a.kind == "ge"]
+    rows = [tuple(vs.row_of(li)) for i, li in enumerate(lins) if -li in lins[i + 1:]]
     parts = [g for g in parts if g is not _TOP]
     if not rows and len(parts) <= 1:
         return parts[0] if parts else _TOP

@@ -6,10 +6,10 @@ by the differential tests, and the references that the backend's
 differential tests compare with: a dense octagon and its pack split by
 a scan of every entry, column-wise row reduction, the affine
 assignment through a temporary column, the full reduction of the
-product, the product's meet with a formula in negation normal form,
-and the loop with a separate check pass. The backend works by
-position in a variable tuple; `add` and `named` translate the names
-the tests write.
+product, an octagon's meet with an inequality, the product's meet
+with a formula in negation normal form, and the loop with a separate
+check pass. The backend works by position in a variable tuple; `add`
+and `named` translate the names the tests write.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from arrayabs.backend import Product, abstract, analyze_scalar
 from arrayabs.backend.abstract import PARTITION_CAP, WIDENING_DELAY, Interpreter
 from arrayabs.backend.affine import _eliminate, _primitive
-from arrayabs.backend.octagon import _components, _half
+from arrayabs.backend.octagon import _components, _half, lower
 from arrayabs.lia import FALSE, Formula, Lin, dvd, ge0, land, lnot, lor
 
 
@@ -333,7 +333,7 @@ def assign_through_a_column(a, v, lin):
     rows = [[*r, r[c]] for r in a.rows]
     for r in rows:
         r[c] = 0
-    new = [*a._row_of(lin), 0]
+    new = [*a.vars.row_of(lin), 0]
     new[-1], new[c] = new[c], -1
     rows.append(new)
     pivot = next((r for r in rows if r[-1]), None)
@@ -375,7 +375,7 @@ def full_reduce(p):
             return Product.bottom(p.vars)
         for row in a.rows:
             lin = Lin.make(zip(a.vars, row), -row[-1])
-            o = o.assume(lin).assume(-lin)
+            o = oct_assume(oct_assume(o, lin), -lin)
         if o.is_empty():
             return Product.bottom(p.vars)
         before = a
@@ -383,6 +383,12 @@ def full_reduce(p):
             a = a.add_eq(row)
         if a == before:
             return Product(o, a)
+
+
+def oct_assume(o, lin):
+    """The octagon o met with lin >= 0 when octagonal, o otherwise."""
+    low = lower(lin, o.vars.pos)
+    return o if o.empty or low is None else o.add(*low)
 
 
 def assume_nnf(p, f):
@@ -397,7 +403,7 @@ def assume_nnf(p, f):
     if k == "false":
         return p._as_bottom()
     if k == "ge":
-        return p._meet(p.oct.assume(f.lin), p.aff)
+        return p._meet(oct_assume(p.oct, f.lin), p.aff)
     if k == "and":
         out = p
         for g in f.args:
@@ -406,7 +412,7 @@ def assume_nnf(p, f):
         for i, li in enumerate(atoms):
             for lj in atoms[i + 1:]:
                 if lj == -li:
-                    out = out._meet(out.oct, out.aff.add_eq(out.aff._row_of(li)))
+                    out = out._meet(out.oct, out.aff.add_eq(out.aff.vars.row_of(li)))
         return out
     if k == "or":
         first, *rest = [assume_nnf(p, g) for g in f.args]

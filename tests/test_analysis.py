@@ -315,8 +315,8 @@ def test_each_guard_is_normalised_once_per_analysis(monkeypatch):
     # guards, and four again in a second analysis, which reuses nothing
     # of the first
     met = []
-    compile_guard = abstract.compile
-    monkeypatch.setattr(abstract, "compile", lambda f, vs, neg=False: met.append((f, neg)) or compile_guard(f, vs, neg))
+    compile_guard = abstract.compile_guard
+    monkeypatch.setattr(abstract, "compile_guard", lambda f, vs, neg=False: met.append((f, neg)) or compile_guard(f, vs, neg))
     sp = transform_program(parse_program(COUNT), IndexConfig())
     for _ in range(2):
         met.clear()

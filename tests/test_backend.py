@@ -35,7 +35,7 @@ from arrayabs.backend import exact, octagon as packed
 from arrayabs.backend.abstract import PARTITION_CAP
 from arrayabs.backend.affine import _rref
 from arrayabs.backend.octagon import INF, _closure, _irredundant, _split
-from arrayabs.backend.product import compile as compile_guard
+from arrayabs.backend.product import compile_guard
 from arrayabs.lang import CheckError, parse_program
 from arrayabs.lia import FALSE, TRUE, Formula, Lin, dvd, eq, eq0, ge0, is_sat, land, le, lor, nnf, subst
 from arrayabs.transform import IndexConfig, transform_program
@@ -50,6 +50,7 @@ from helpers import (
     dense_constraints,
     full_reduce,
     named,
+    oct_assume,
     rref_by_columns,
     split_by_entries,
     truth_table,
@@ -177,7 +178,7 @@ def from_atoms(f, names=NAMES, rnd=None):
         rnd.shuffle(atoms)
     o = Octagon.top(names)
     for a in atoms:
-        o = o.assume(a.lin)
+        o = oct_assume(o, a.lin)
     return o.close()
 
 
@@ -718,7 +719,7 @@ def eliminable(v):
 def affine(lins, names=NAMES):
     e = AffineEqs.top(names)
     for lin in lins:
-        e = e.add_eq(e._row_of(lin))
+        e = e.add_eq(e.vars.row_of(lin))
     return e
 
 
@@ -810,7 +811,7 @@ class TestAffine:
         returns."""
         rows = (named(a.vars, r) for r in a.rows)
         implied = sum((Lin.make(c, -k) * m for (c, k), m in zip(rows, mults)), Lin.of(0))
-        assert a.add_eq(a._row_of(implied)) is a
+        assert a.add_eq(a.vars.row_of(implied)) is a
         if a.empty:
             return
         same = AffineEqs(a.vars, a.rows)
@@ -824,11 +825,11 @@ class TestAffine:
         form, with no `_canon` call: the rows and pivots that `_canon`
         gives for the old rows and the new one. The row it is handed
         stays as it was."""
-        row = a._row_of(lin)
+        row = a.vars.row_of(lin)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(AffineEqs, "_canon", lambda *args: pytest.fail("add_eq called _canon"))
             got = a.add_eq(row)
-        assert row == a._row_of(lin)
+        assert row == a.vars.row_of(lin)
         want = a if a.empty else a._canon([*a.rows, row])
         assert got == want and got._pivots == want._pivots
 
