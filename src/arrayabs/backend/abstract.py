@@ -25,13 +25,14 @@ order, to refute the negation: that answer is the assert's verdict.
 The guards live in the walker. `guard(f)` turns the formula of a
 condition into the pair (condition, negation) in the form that the
 state's `assume` and `refutes` take. The walker makes that pair once
-per condition node and keeps it for its run only, so no cache outlives
-an analysis. `AbstractState` compiles both over the positions of the
-`Vars` tuple its parts share (`product.compile_guard`): the negation
-normal form lowered once into a tree of octagon terms and affine rows,
-which meets exactly as that formula would, complement folding
-included. It holds positions of that one tuple, so it is good for one
-run only. The path set of `exact.py` takes the formula and its `lnot`.
+per condition, keyed by its value, so two nodes that hold the same
+condition share it; it keeps the pair for its run only, so no cache
+outlives an analysis. `AbstractState` compiles both over the
+positions of the `Vars` tuple its parts share
+(`product.compile_guard`): the negation normal form lowered once into
+a tree of octagon terms and affine rows, which meets exactly as that
+formula would, complement folding included. It holds positions of
+that one tuple, so it is good for one run only. The path set of `exact.py` takes the formula and its `lnot`.
 
 The abstract state is a map from flag valuations to product-domain
 elements. Flags are write-only booleans assigned constants by
@@ -88,6 +89,7 @@ from ..lang.ast import (
     Assert,
     Assign,
     Assume,
+    Cond,
     Havoc,
     If,
     Stmt,
@@ -227,21 +229,22 @@ class Interpreter:
     `stmt` and `loop` decide no assert: they append each assert a walk
     meets to the list `met` they are handed, in walk order, and the
     analysis resolves the list once the program is walked. Each
-    condition is translated and guarded once: loop rounds meet the same
-    nodes again."""
+    condition is translated and guarded once, whatever node holds it:
+    loop rounds meet the same nodes again, and the transform repeats
+    conditions such as the cell guards at each access."""
 
     def __init__(self) -> None:
-        # id of a condition node -> (the node, its formula, the state's guard
-        # of it and of its negation); the node keeps its id from reuse
-        self._guards: dict[int, tuple] = {}
+        # a condition -> (its formula, the state's guard of it and of
+        # its negation)
+        self._guards: dict[Cond, tuple] = {}
 
-    def _cond(self, cond, st) -> tuple:
-        """The formula of a condition node, then `st.guard` of it."""
-        hit = self._guards.get(id(cond))
+    def _cond(self, cond: Cond, st) -> tuple:
+        """The formula of a condition, then `st.guard` of it."""
+        hit = self._guards.get(cond)
         if hit is None:
             f = cond_to_formula(cond)
-            hit = self._guards[id(cond)] = (cond, f, *st.guard(f))
-        return hit[1:]
+            hit = self._guards[cond] = (f, *st.guard(f))
+        return hit
 
     def block(self, stmts: Iterable[Stmt], st, met: list[_Met]):
         for s in stmts:

@@ -23,7 +23,16 @@ names no program may declare. A premise that left a position free
 could never change the verdict, and observer flags never reach the
 invariant; `check_target` says why.
 
-The instantiated query is decided by `lia.split`, the one depth-first
+The query is built by one walk per binding over the negation normal
+form of the invariant (`_instance`): an atom that names a bound
+variable is substituted, any other passed on as it is, a constant atom
+folds to true or false, and an `and` or `or` drops its unit and
+collapses to its zero. Nodes are built as they stand, with none of the
+flattening, deduplication or complement scan of `land` and `lor`. The
+query, the `and` of the premises and the negated clause, is not
+simplified either.
+
+The query is decided by `lia.split`, the one depth-first
 split of the library, with integer octagons as its conjunctions. Its
 literals are octagonal, ±x ±y >= c, whenever the invariant is: the
 invariant comes from the octagon × affine domain and clauses compare
@@ -57,11 +66,15 @@ from .bridge import BridgeError, cond_to_formula, formula_to_cond
 from .lang.ast import ArrRead, Target
 from .lang.printer import cond_str
 from .lia import (
+    FALSE,
+    TRUE,
     Budget,
     BudgetError,
     Formula,
     Lin,
+    dvd,
     eliminate_quantifiers,
+    ge0,
     implies,
     is_sat,
     land,
@@ -70,7 +83,6 @@ from .lia import (
     rename,
     simplify,
     split,
-    subst,
     to_str,
 )
 from .transform.core import Cell, ScalarProgram
@@ -209,10 +221,9 @@ def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | N
 
     The query (the premises and the negated clause) is built in
     negation normal form: U -> M is put in it once, before the
-    bindings, since substitution keeps it, and the clause is negated
-    by `nnf(goal, True)`. It is decided exactly: by `lia.split` with
-    the octagon meet of the module docstring when all its atoms are
-    octagonal, by `is_sat` otherwise.
+    bindings, each premise is one walk of it (`_instance`, module
+    docstring), and the clause is negated by `nnf(goal, True)`. The
+    query is decided exactly, as built (`_refuted`).
     `budget` pays one step per binding, one per node of the split, and
     the steps of `is_sat`; running out gives None, never False.
     """
@@ -233,18 +244,51 @@ def check_target(inv: QuantifiedInvariant, target: Target, *, budget: Budget | N
     budget = budget or Budget()
     try:
         indices = tuple(Lin.var(index_map[k]) for k in target.indices)
-        premises = [subst(base, env) for env in _cell_bindings(inv, accesses, indices, budget)]
-        return _refuted(land(*premises, nnf(goal, True)), budget)
+        premises = [_instance(base, env) for env in _cell_bindings(inv, accesses, indices, budget)]
+        return _refuted(Formula("and", args=(*premises, nnf(goal, True))), budget)
     except BudgetError:
         return None
+
+
+def _instance(f: Formula, env: Mapping[str, Lin]) -> Formula:
+    """f, in negation normal form, at the binding env (module
+    docstring): an `and` stops at its first false part and drops its
+    true ones, an `or` the other way round."""
+    k = f.kind
+    if k == "ge" or k == "dvd":
+        if not any(v in env for v, _ in f.lin.coeffs):
+            return f
+        return ge0(f.lin.subst(env)) if k == "ge" else dvd(f.mod, f.lin.subst(env))
+    if k == "not":
+        return lnot(_instance(f.args[0], env))
+    if k != "and" and k != "or":
+        return f
+    zero, unit = (FALSE, TRUE) if k == "and" else (TRUE, FALSE)
+    args = []
+    for a in f.args:
+        g = _instance(a, env)
+        if g.kind == zero.kind:
+            return zero
+        if g.kind != unit.kind:
+            args.append(g)
+    if len(args) < 2:
+        return args[0] if args else unit
+    return Formula(k, args=tuple(args))
 
 
 def _refuted(query: Formula, budget: Budget) -> bool:
     """Whether the query, which arrives in negation normal form, has no
     integer model: `lia.split` with an octagon meet when every atom is
-    octagonal, else `is_sat` on the query as given. Each atom is
-    lowered to `Octagon.add` terms once; `simplify` makes no atom the
-    query lacks, so the meet finds every literal it is handed."""
+    octagonal, else `is_sat` on the query as given. Each distinct atom
+    is lowered to `Octagon.add` terms once, and the split hands the
+    meet only atoms of the query.
+
+    Unsimplified, the answer is still exact, since the split decides
+    the formula whatever its shape: it opens nested `and`s as it walks,
+    a duplicate literal meets the octagon again to no effect, and a
+    literal beside its complement empties its branch's octagon, where
+    `land` would have folded the pair to false. The shape costs only
+    split nodes, that is budget steps."""
     vs = Vars.of(query.free_vars())
     terms = {a: lower(a.lin, vs.pos) if a.kind == "ge" else None for a in query.atoms()}
     if None in terms.values():
@@ -257,7 +301,7 @@ def _refuted(query: Formula, budget: Budget) -> bool:
                 return None
         return o
 
-    return split(simplify(query), meet, Octagon.top(vs), budget) is None
+    return split(query, meet, Octagon.top(vs), budget) is None
 
 
 # ---------------------------------------------------------- reduce_dual

@@ -2,14 +2,15 @@
 
 Brute-force evaluation of formulas over integer boxes, both pointwise
 and vectorized over the whole grid, plus small random generators used
-by the differential tests, and the references that the backend's
-differential tests compare with: a dense octagon and its pack split by
-a scan of every entry, column-wise row reduction, the affine
-assignment through a temporary column, the full reduction of the
-product, an octagon's meet with an inequality, the product's meet
-with a formula in negation normal form, and the loop with a separate
-check pass. The backend works by position in a variable tuple; `add`
-and `named` translate the names the tests write.
+by the differential tests, and the references that those tests compare
+with: a dense octagon and its pack split by a scan of every entry,
+column-wise row reduction, the affine assignment through a temporary
+column, the full reduction of the product, an octagon's meet with an
+inequality, the product's meet with a formula in negation normal form,
+the loop with a separate check pass, and the target check with its
+query built by `land` and simplified before the split. The backend
+works by position in a variable tuple; `add` and `named` translate the
+names the tests write.
 """
 
 from __future__ import annotations
@@ -20,11 +21,31 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from arrayabs import lift
 from arrayabs.backend import Product, abstract, analyze_scalar
 from arrayabs.backend.abstract import PARTITION_CAP, WIDENING_DELAY, Interpreter
-from arrayabs.backend.affine import _eliminate, _primitive
-from arrayabs.backend.octagon import _components, _half, lower
-from arrayabs.lia import FALSE, Formula, Lin, dvd, ge0, land, lnot, lor
+from arrayabs.backend.affine import Vars, _eliminate, _primitive
+from arrayabs.backend.octagon import Octagon, _components, _half, lower
+from arrayabs.bridge import cond_to_formula
+from arrayabs.lia import (
+    FALSE,
+    Budget,
+    BudgetError,
+    Formula,
+    Lin,
+    dvd,
+    ge0,
+    implies,
+    is_sat,
+    land,
+    lnot,
+    lor,
+    nnf,
+    rename,
+    simplify,
+    split,
+    subst,
+)
 
 
 def box_points(names: Sequence[str], lo: int, hi: int) -> Iterable[dict[str, int]]:
@@ -467,3 +488,41 @@ def analyze_with_check_pass(sp):
         return analyze_scalar(sp)
     finally:
         abstract.Interpreter = saved
+
+
+# ------------------------------------------------ the target check's query
+
+def reference_check_target(inv, target, budget=None):
+    """Reference for `lift.check_target`: the query built as a formula
+    by `subst` at each binding and `land` over the premises and the
+    negated clause, then `simplify`d before the octagon split, or handed
+    whole to `is_sat` when an atom is not octagonal."""
+    index_map = {k: f"{k}@" for k in target.indices}
+    accesses = {}
+
+    def read(e, index):
+        terms = tuple(t.rename(index_map) for t in index)
+        return Lin.var(lift._symbol(accesses, e.array, e.initial, terms))
+
+    goal = rename(cond_to_formula(target.cond, read), index_map)
+    base = nnf(implies(inv.universe, inv.matrix))
+    budget = budget or Budget()
+    try:
+        indices = tuple(Lin.var(index_map[k]) for k in target.indices)
+        premises = [subst(base, env) for env in lift._cell_bindings(inv, accesses, indices, budget)]
+        query = land(*premises, nnf(goal, True))
+        vs = Vars.of(query.free_vars())
+        terms = {a: lower(a.lin, vs.pos) if a.kind == "ge" else None for a in query.atoms()}
+        if None in terms.values():
+            return is_sat(query, budget) is None
+
+        def meet(o, lits):
+            for lit in lits:
+                o = o.add(*terms[lit])
+                if o.empty:
+                    return None
+            return o
+
+        return split(simplify(query), meet, Octagon.top(vs), budget) is None
+    except BudgetError:
+        return None

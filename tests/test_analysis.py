@@ -325,6 +325,33 @@ def test_each_guard_is_normalised_once_per_analysis(monkeypatch):
         assert len({f for f, _ in met}) == 2
 
 
+# the loop guard i < 10 stands at three nodes: the loop, the if in its
+# body, and the assume after it
+REPEATED = """
+proc repeated(n: int) {
+  var i: int;
+  var j: int;
+  i = 0;
+  while (i < 10) {
+    if (i < 10) {
+      j = j + 1;
+    }
+    i = i + 1;
+  }
+  assume(i < 10);
+}
+"""
+
+
+def test_a_condition_at_several_nodes_is_compiled_once_per_polarity(monkeypatch):
+    met = []
+    compile_guard = abstract.compile_guard
+    monkeypatch.setattr(abstract, "compile_guard", lambda f, vs, neg=False: met.append((f, neg)) or compile_guard(f, vs, neg))
+    analyze_scalar(transform_program(parse_program(REPEATED), IndexConfig()))
+    assert len({f for f, _ in met}) == 1
+    assert sorted(neg for _, neg in met) == [False, True]
+
+
 def cache_sizes() -> dict:
     """The size of every dict, list and set bound at module or class
     level in the package, and of every functools cache."""

@@ -10,13 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from arrayabs.backend import analyze_scalar
 from arrayabs.lang import CheckError, Cmp, Expr, Num, Target, decompose_accesses, parse_condition, parse_program
-from arrayabs.lia import TRUE, Budget, Lin, dvd, entails, equivalent, ge0, is_sat, land, lnot, lor, parse_formula
+from arrayabs.lia import FALSE, TRUE, Budget, Formula, Lin, dvd, entails, equivalent, ge0, implies, is_sat, land, lnot, lor, nnf, parse_formula
 from arrayabs import lift as lift_module
-from arrayabs.lift import LiftError, QuantifiedInvariant, _refuted, check_target, quantify, reduce_dual
+from arrayabs.lift import LiftError, QuantifiedInvariant, _instance, _refuted, check_target, quantify, reduce_dual
 from arrayabs.transform import ArrayCells, Cell, IndexConfig, ObserverSpec, ObsFlag, transform_program
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+import workloads  # noqa: E402
+from helpers import reference_check_target  # noqa: E402
 from reference import ensures_holds  # noqa: E402
 
 FILL = """
@@ -239,9 +241,31 @@ def nnf_formulas(names, hard, trees, leaves):
     return st.lists(tree, min_size=3, max_size=trees).map(lambda fs: land(*fs))
 
 
+def walk_trees(names, hard, trees, leaves):
+    """Queries as `check_target` builds them, each and/or node made as
+    drawn: nested `and`s, duplicate literals, and a literal beside its
+    complement, which `land` and `lor` would have folded."""
+
+    def node(kind, fs):
+        return Formula(kind, args=tuple(fs))
+
+    kinds, atom = st.sampled_from(("and", "or")), split_atoms(names, hard)
+    leaf = st.one_of(atom, st.builds(lambda k, a: node(k, (a, lnot(a))), kinds, atom), atom.map(lambda a: node("and", (a, a))))
+    tree = st.recursive(leaf, lambda kids: st.builds(node, kinds, st.lists(kids, min_size=2, max_size=3)), max_leaves=leaves)
+    return st.lists(tree, min_size=3, max_size=trees).map(lambda fs: node("and", fs))
+
+
 def split_queries(trees, leaves):
-    """`nnf_formulas` over 2, 3 or 4 variables, octagonal or mixed."""
-    return st.one_of(*(nnf_formulas(SPLIT_VARS[:n], hard, trees, leaves) for n in (2, 3, 4) for hard in (False, True)))
+    """`nnf_formulas` and `walk_trees` over 2, 3 or 4 variables,
+    octagonal or mixed."""
+    return st.one_of(
+        *(
+            make(SPLIT_VARS[:n], hard, trees, leaves)
+            for make in (nnf_formulas, walk_trees)
+            for n in (2, 3, 4)
+            for hard in (False, True)
+        )
+    )
 
 
 def split_agrees_with_lia(q):
@@ -259,6 +283,59 @@ def test_split_agrees_with_lia(q):
 @given(split_queries(8, 10))
 def test_long_sweep_of_the_split_against_lia(q):
     split_agrees_with_lia(q)
+
+
+# x is a position with the cell value v; U -> M is false at x = 0 for
+# n = 3, and true at x = -1 for any n
+FOLD_BASE = nnf(implies(parse_formula("0 <= x && x < n"), parse_formula("x >= 5 && v == 0")))
+
+
+def test_a_premise_that_folds_to_false_refutes_the_query():
+    premise = _instance(FOLD_BASE, {"x": Lin.of(0), "n": Lin.of(3)})
+    assert premise == FALSE
+    query = Formula("and", args=(_instance(FOLD_BASE, {"x": Lin.var("y")}), premise))
+    assert _refuted(query, Budget()) is True and is_sat(query) is None
+
+
+def test_a_query_that_folds_to_a_constant():
+    assert _instance(FOLD_BASE, {"x": Lin.of(-1)}) == TRUE
+    assert _refuted(TRUE, Budget()) is False and _refuted(FALSE, Budget()) is True
+
+
+def test_an_atom_without_a_bound_variable_is_passed_on():
+    premise = _instance(FOLD_BASE, {"x": Lin.of(7)})
+    # 0 <= 7 and 7 >= 5 fold away; n and v are not bound
+    assert premise == Formula("or", args=(ge0(Lin.make({"n": -1}, 7)), Formula("and", args=(ge0(Lin.var("v")), ge0(Lin.var("v", -1))))))
+    assert _instance(FOLD_BASE, {"y": Lin.of(7)}) == FOLD_BASE
+
+
+def test_folded_premises_agree_with_the_reference():
+    # at x = 0 the premise says n <= 0, against the clause's n >= 8; at
+    # x = 7 it folds to true and the clause is left unproved
+    cells = {"t": (Cell(("x",), "v"),)}
+    inv = QuantifiedInvariant(("x",), parse_formula("0 <= x && x < n"), parse_formula("x >= 5"), cells)
+    for clause, proved in (("t[0] == 1", True), ("t[7] == 1", False)):
+        target = Target((), parse_condition(f"n >= 8 ==> {clause}"))
+        assert check_target(inv, target) is proved is reference_check_target(inv, target)
+
+
+# -------------------------------------- the query against the reference
+
+
+@pytest.mark.parametrize("clause", ["t[k] == n - k", "t[k] == n - k - 1"])
+def test_non_octagonal_query_agrees_with_the_reference(clause):
+    inv, target = lift(COUNTDOWN % clause)
+    assert check_target(inv, target) is reference_check_target(inv, target)
+
+
+@pytest.mark.parametrize("job", workloads.paper_corpus(0), ids=lambda job: job.id)
+def test_corpus_query_agrees_with_the_reference(job):
+    sp = transform_program(decompose_accesses(parse_program(job.source)), job.cfg)
+    phi = analyze_scalar(sp).exit.to_formula()
+    if job.reduce_dual:
+        phi = reduce_dual(phi, sp)
+    inv = quantify(phi, sp)
+    assert check_target(inv, sp.target) is reference_check_target(inv, sp.target)
 
 
 FILL2 = """

@@ -23,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import output_hashes  # noqa: E402
 
 DEADLINE_S = 60.0
-PINNED = {"wide-bounds": "f1527bd7d94cb1a1", "paper-corpus": "d37f543e3a3e09df", "loopfree-exact": "4e32749176744c14"}
+PINNED = {"wide-bounds": "f1527bd7d94cb1a1", "paper-corpus": "173f6182fd67dd36", "loopfree-exact": "4e32749176744c14"}
 # the jobs pinned of a workload that is not pinned whole
 QUICK = {"loopfree-exact": {f"lf{g}" for g in (*range(2, 10), 12, 14, 15, 17, 19, 20, 22, 27, 29, 31, *range(33, 40))}}
 

@@ -9,9 +9,11 @@ and false clauses alike. Each array has one or
 two cells with the flag pair `x < i`, `x == i` at every access site,
 and a copy may tie the two arrays' first cells with a focus. A True
 verdict must agree with `perfbench/reference.ensures_holds`, which runs
-the program for n in 0..3 from every content over (0, 1, 2). Tier-1
-checks a fixed sample with one cell per array; the `slow` marker runs a
-larger one over the whole set.
+the program for n in 0..3 from every content over (0, 1, 2), and every
+verdict with `helpers.reference_check_target`, which builds the query
+by `land` and simplifies it. Tier-1 checks a fixed sample with one cell
+per array and a smaller one with two; the `slow` marker runs a larger
+one over the whole set.
 """
 
 import itertools
@@ -29,6 +31,7 @@ from arrayabs.transform import ArrayCells, IndexConfig, ObserverSpec, ObsFlag, t
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+from helpers import reference_check_target  # noqa: E402
 from reference import ensures_holds  # noqa: E402
 
 VALUES = ("0", "i", "i + 1", "2 * i")
@@ -103,7 +106,9 @@ def _job(shape, v, w, cells, focus, clause):
 def _check(example) -> bool | None:
     p, cfg = _job(*example)
     sp = transform_program(decompose_accesses(p), cfg)
-    verdict = check_target(quantify(analyze_scalar(sp).exit.to_formula(), sp), sp.target)
+    inv = quantify(analyze_scalar(sp).exit.to_formula(), sp)
+    verdict = check_target(inv, sp.target)
+    assert verdict is reference_check_target(inv, sp.target), f"differs from the reference: {example}"
     if verdict:
         assert ensures_holds(p, SIZES), f"proved but false: {example}"
     return verdict
@@ -121,6 +126,12 @@ def _sample(seed: int, per_shape: int, cells: tuple[int, ...]) -> list[tuple]:
 def test_proved_clauses_hold_on_every_run():
     verdicts = [_check(example) for example in _sample(0, 8, cells=(1,))]
     # the sample proves some clauses and leaves others, so it tests something
+    assert True in verdicts and False in verdicts
+
+
+def test_two_cells_per_array():
+    # two bindings per array or more, so the query has several premises
+    verdicts = [_check(example) for example in _sample(2, 3, cells=(2,))]
     assert True in verdicts and False in verdicts
 
 
