@@ -130,7 +130,8 @@ def test_proved_clauses_hold_on_every_run():
 
 
 def test_two_cells_per_array():
-    # two bindings per array or more, so the query has several premises
+    # both cells of an array are pinned where the clause reads it, in
+    # an invariant over twice the positions of the one-cell sample
     verdicts = [_check(example) for example in _sample(2, 3, cells=(2,))]
     assert True in verdicts and False in verdicts
 
