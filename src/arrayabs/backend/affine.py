@@ -43,9 +43,9 @@ Row = tuple[int, ...]  # coefficients per variable, then the constant
 
 
 class Vars(tuple):
-    """A variable tuple that carries its name -> position map, built on
-    first use. The elements of one analysis share one such tuple, so
-    they share the map, which goes when the tuple does."""
+    """A variable tuple that carries its name -> position map and a
+    memo, each built on first use. The elements of one analysis share
+    one such tuple, so they share both, which go when the tuple does."""
 
     @staticmethod
     def of(vars: Sequence[str]) -> "Vars":
@@ -54,6 +54,11 @@ class Vars(tuple):
     @functools.cached_property
     def pos(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self)}
+
+    @functools.cached_property
+    def memo(self) -> dict:
+        """Values built once per tuple: the product's bottom."""
+        return {}
 
     def row_of(self, lin: Lin) -> list[int]:
         """The row of lin = 0: coefficients by position, then -const."""

@@ -582,8 +582,15 @@ class Octagon:
         for g in unions:
             members = tuple(sorted(g))
             m = rows(self._view(members), other._view(members))
-            # a pack over the same variables on both sides stays whole
-            new += [_Pack(members, m, closed)] if isinstance(g, tuple) else _split(members, m, closed)
+            if isinstance(g, tuple):  # a pack over the same variables on both sides stays whole
+                new.append(_Pack(members, m, closed))
+                continue
+            for p in _split(members, m, closed):
+                q, r = pa[p.vars[0]], pb[p.vars[0]]
+                if q.vars == r.vars == p.vars:
+                    # a row both sides share is its own result: hand it on
+                    p.m = tuple([s if s is t else x for x, s, t in zip(p.m, q.m, r.m)])
+                new.append(p)
         return self._with(new, closed)
 
     def _moves(self, other: "Octagon", group: Sequence[int]) -> bool:
@@ -731,24 +738,29 @@ class Octagon:
         equalities and is left out. Each pack keeps its list, so
         callers only read the rows.
 
-        `known` is the `packs` of an element over the same variables
-        whose equalities the caller has read: a pack it holds at the
-        same place is skipped, and of any other pack, so is an equality
-        that a pack of `known` over its variables holds."""
+        `known` is the `packs` of a closed element over the same
+        variables whose equalities the caller holds: a pack it holds at
+        the same place is skipped, and of any other pack, so is an
+        equality that a pack of `known` over its variables holds."""
         a = self.close()
         if a.empty:
             return
         for i, p in enumerate(a.packs):
             if p.vars[0] != i or known and known[i] is p:
                 continue
-            if p.eqs is None:
-                p.eqs = list(a._pack_equalities(p))
-            if not known or not p.eqs:
-                yield from p.eqs
+            eqs = a._eqs(p)
+            if not known or not eqs:
+                yield from eqs
                 continue
             olds = {id(known[j]): known[j] for j in p.vars}
-            held = [e for q in olds.values() for e in q.eqs or ()]
-            yield from (e for e in p.eqs if e not in held)
+            held = [e for q in olds.values() for e in a._eqs(q)]
+            yield from (e for e in eqs if e not in held)
+
+    def _eqs(self, p: _Pack) -> list[list[int]]:
+        """The equalities of a closed pack over `vars`, kept with it."""
+        if p.eqs is None:
+            p.eqs = list(self._pack_equalities(p))
+        return p.eqs
 
     def _pack_equalities(self, p: _Pack) -> Iterator[list[int]]:
         m, n = p.m, len(self.vars)

@@ -15,23 +15,57 @@ neither side can change again; it terminates because octagon entries
 only tighten and affine rank only grows.
 
 The exchange is semi-naive: the iterated reduction of Cousot, Cousot
-and Mauborgne (FoSSaCS 2011), run only on what changed, as the packs of
-Singh, Puschel and Vechev (PLDI 2015) are. An element remembers that
-it is reduced, the affine element whose rows its octagon already
-entails, and the packs of the octagon whose equalities its affine part
-already holds. `reduce` hands a reduced element back
-as is, pushes only rows that the remembered affine element does not
-have, and reads equalities only from packs that are not the remembered
-ones (by identity), and of those only the equalities that no
-remembered pack holds (by value), since the affine part holds all of
-theirs. Pushing an entailed row or adding a held equality changes
-nothing, so the result is that of the full exchange. The memo
-stays valid through meets, which alone carry it on: an octagon meet
-only tightens, so it still entails the rows, and an affine meet only
-adds rows, so it still holds the equalities. Every other operation
-(`join`, `widen`, `assign`, `forget`) returns an element with no memo,
-which `reduce` treats with the full exchange. The memo is never part of
-`==` or the hash.
+and Mauborgne (FoSSaCS 2011), run only on what an operation could have
+changed, as the packs of Singh, Puschel and Vechev (PLDI 2015) are. An
+element's memo has four parts, none of them part of `==` or the hash:
+
+- reduced: the element is its own reduction, and `reduce` hands it
+  back as is;
+- pushed rows: affine rows its octagon entails, which `reduce` does not
+  push again;
+- read packs: packs of a closed octagon over the same tuple whose
+  equalities its affine part holds. `reduce` reads equalities only from
+  packs not among them (by identity), and of those only the equalities
+  that no read pack holds (by value);
+- equalities held: its affine part holds every equality of its own
+  octagon. `reduce` then takes that octagon's closed packs as the read
+  ones, so it reads only the packs that its own row pushes change.
+
+Pushing an entailed row or adding a held equality changes nothing, so
+`reduce` gives the result of the full exchange. It sets all four
+parts; `top` holds its equalities, and the bottom, one per `Vars`
+tuple (kept in its `memo`), is reduced. The operations carry the memo
+on as follows, each by an exact argument. Two use that tight closure
+is exact: every entry of a closed non-empty octagon is attained by an
+integer point, so an octagon constraint that holds on all its points
+is entailed, and an equality that holds on all its points is one of
+its equalities or, between packs, follows from two unary ones.
+
+- A meet (a guard) keeps the pushed rows and the read packs: an octagon
+  meet only tightens, so it still entails the rows, and an affine meet
+  only adds rows, so it still holds the equalities. It drops the flag,
+  since a tighter octagon can have new equalities; the packs of the
+  closed octagon the flag spoke of become its read packs.
+- `join` and `widen` hold the equalities when both sides do. An
+  equality of the resulting octagon, which contains both sides, holds
+  on the points of both, so by exactness it is an equality of each;
+  each affine part implies it, and so does the affine hull of the two.
+  They keep no pushed row.
+- `assign` and `forget` of v keep the flag, and the pushed rows that do
+  not name v: the new octagon constrains the other variables as the old
+  one did. For the flag, take an equality E of the new octagon. After a
+  havoc, v is unconstrained, so E does not name v; it holds on the old
+  octagon, which the new one contains, so by exactness the old affine
+  part implies it, and so does its projection away from v. After
+  v := lin, E with lin for v holds on every point of the old octagon,
+  whose image the new one contains. When lin is a constant or +-w + k,
+  that is a constant, an octagon equality or a unary one (2w = c),
+  which by exactness the old affine part implies; its exact image, the
+  new affine part, then implies E. For any other lin the octagon bounds
+  v alone in its pack by evaluating lin on intervals, so an E that
+  names v is v = c, which needs every variable of lin to be a constant
+  of the old octagon, pinned by the old affine part; so the new affine
+  part pins v to c too.
 
 Guards. A condition meets an element as a guard compiled over
 positions: `compile_guard(f, vars, neg)` lowers `nnf(f, neg)`, node
@@ -46,6 +80,10 @@ deduplicated and folded (a literal beside its `lnot` folds to false
 under "and" and to true under "or"), so it meets exactly as that
 formula walked node by node would, self handed back included; what it
 saves is reading names and pairing inequalities again at every meet.
+An "and" stops at the first part that leaves the octagon empty, since
+the meet is then empty whatever follows. `compile_guard` refuses a
+condition that names a variable outside the tuple, of any shape, with
+a `ValueError`.
 A guard holds positions of one `Vars` tuple, so it is good for the
 elements of one analysis only; the walker compiles each condition once
 per run and drops its guards with it (`abstract.py`). `assume`
@@ -70,20 +108,26 @@ from .octagon import Octagon, lower, octagonal
 class Product:
     oct: Octagon
     aff: AffineEqs
-    # the reduction memo (module docstring)
+    # the reduction memo (module docstring): reduced, pushed rows, read
+    # packs, equalities held
     _reduced: bool = field(default=False, compare=False, repr=False)
-    _pushed: AffineEqs | None = field(default=None, compare=False, repr=False)
+    _pushed: tuple = field(default=(), compare=False, repr=False)
     _read: tuple = field(default=(), compare=False, repr=False)
+    _held: bool = field(default=False, compare=False, repr=False)
 
     @staticmethod
     def top(vars: Sequence[str]) -> "Product":
         vs = Vars.of(vars)
-        return Product(Octagon.top(vs), AffineEqs.top(vs))
+        return Product(Octagon.top(vs), AffineEqs.top(vs), _held=True)
 
     @staticmethod
     def bottom(vars: Sequence[str]) -> "Product":
+        """The empty element, one per `Vars` tuple, which keeps it."""
         vs = Vars.of(vars)
-        return Product(Octagon.bottom(vs), AffineEqs.bottom(vs))
+        b = vs.memo.get(Product)
+        if b is None:
+            b = vs.memo[Product] = Product(Octagon.bottom(vs), AffineEqs.bottom(vs), True)
+        return b
 
     @property
     def vars(self) -> tuple[str, ...]:
@@ -97,23 +141,27 @@ class Product:
 
     def _meet(self, o: Octagon, a: AffineEqs) -> "Product":
         """self met with facts that made o and a: self itself when
-        neither moved, else the meet, which keeps the memo."""
+        neither moved, else the meet, which keeps the pushed rows and
+        the read packs, the closed octagon's packs when self holds its
+        equalities (module docstring)."""
         if o is self.oct and a is self.aff:
             return self
-        return Product(o, a, False, self._pushed, self._read)
+        read = self.oct.close().packs if self._held else self._read
+        return Product(o, a, False, self._pushed, read)
 
     def reduce(self) -> "Product":
         if self._reduced:
             return self
         o, a = self.oct.close(), self.aff
-        pushed, read = self._pushed, self._read
+        pushed = self._pushed
+        read = o.packs if self._held else self._read
         while True:
             if o.is_empty() or a.is_empty():
                 return self._as_bottom()
             # affine rows -> octagon: each row sum = b that it can hold
             # (one or two unit coefficients), as sum >= b, then sum <= b
-            if a is not pushed:
-                held = set(pushed.rows) if pushed is not None else ()
+            if a.rows is not pushed:
+                held = set(pushed)
                 n = len(a.vars)
                 for row in a.rows:
                     if row in held:
@@ -121,17 +169,26 @@ class Product:
                     up = [(i, row[i]) for i in range(n) if row[i]]
                     if octagonal([c for _, c in up]):
                         o = o.add([(i, -c) for i, c in up], -row[n]).add(up, row[n])
-                pushed = a
+                pushed = a.rows
                 if o.is_empty():
                     return self._as_bottom()
             # equalities of the closed octagon -> affine rows; add_eq
             # hands back the element itself for an implied row
             before = a
-            for row in o.equalities(read):
-                a = a.add_eq(row)
-            read = o.packs
+            if o.packs is not read:
+                for row in o.equalities(read):
+                    a = a.add_eq(row)
+                read = o.packs
             if a is before:
-                return Product(o, a, True, a, read)
+                return Product(o, a, True, pushed, read, True)
+
+    def _kept(self, v: str) -> tuple:
+        """The pushed rows that do not name v, which an assignment or a
+        havoc of v leaves entailed (module docstring)."""
+        c = self.vars.pos[v]
+        if not any(row[c] for row in self._pushed):
+            return self._pushed
+        return tuple(row for row in self._pushed if not row[c])
 
     # -- lattice
 
@@ -145,21 +202,25 @@ class Product:
             return other
         if other.is_empty():
             return self
-        return Product(self.oct.join(other.oct), self.aff.join(other.aff))
+        held = self._held and other._held
+        return Product(self.oct.join(other.oct), self.aff.join(other.aff), _held=held)
 
     def widen(self, other: "Product") -> "Product":
         # componentwise only; never reduce a widened element
         if self.is_empty():
             return other
-        return Product(self.oct.widen(other.oct), self.aff.widen(other.aff))
+        held = self._held and other._held
+        return Product(self.oct.widen(other.oct), self.aff.widen(other.aff), _held=held)
 
     # -- transfer
 
     def assign(self, v: str, lin: Lin) -> "Product":
-        return Product(self.oct.assign(v, lin), self.aff.assign(v, lin))
+        o, a = self.oct.assign(v, lin), self.aff.assign(v, lin)
+        return Product(o, a, False, self._kept(v), (), self._held)
 
     def forget(self, v: str) -> "Product":
-        return Product(self.oct.forget(v), self.aff.forget(v))
+        o, a = self.oct.forget(v), self.aff.forget(v)
+        return Product(o, a, False, self._kept(v), (), self._held)
 
     def assume(self, f: Formula) -> "Product":
         """Meet with f, through its guard (module docstring). A meet
@@ -213,8 +274,9 @@ class _Atom(Guard):
 
 
 class _And(Guard):
-    """Parts met in turn, then the affine rows of the complementary
-    inequality pairs among the conjuncts."""
+    """Parts met in turn, up to the first that empties the octagon,
+    then the affine rows of the complementary inequality pairs among
+    the conjuncts."""
 
     __slots__ = ("parts", "rows")
 
@@ -224,6 +286,8 @@ class _And(Guard):
     def meet(self, p: Product) -> Product:
         for g in self.parts:
             p = g.meet(p)
+            if p.oct.empty:
+                return p
         for row in self.rows:
             p = p._meet(p.oct, p.aff.add_eq(row))
         return p
@@ -249,8 +313,12 @@ _TOP, _BOTTOM = Guard(), _Bottom()
 
 def compile_guard(f: Formula, vars: Sequence[str], neg: bool = False) -> Guard:
     """The guard of f, or of its negation when neg, over the positions
-    of vars (module docstring)."""
-    return _lowered(nnf(f, neg), Vars.of(vars))
+    of vars (module docstring). Every variable of f must be one of vars."""
+    vs = Vars.of(vars)
+    unknown = [v for g in f.walk() if g.lin is not None for v in g.lin.vars() if v not in vs.pos]
+    if unknown:
+        raise ValueError(f"unknown variable {unknown[0]}")
+    return _lowered(nnf(f, neg), vs)
 
 
 def _lowered(f: Formula, vs: Vars) -> Guard:

@@ -416,7 +416,8 @@ def assume_nnf(p, f):
     """Reference for `Product.assume`: the meet with f, in negation
     normal form, walked as a formula. An "and" meets its arguments in
     turn, then the equality of each complementary inequality pair among
-    them; an "or" joins the meets of its arguments; divisibility, its
+    them, and stops at the first argument that leaves the octagon
+    empty; an "or" joins the meets of its arguments; divisibility, its
     negation and a non-octagonal inequality meet as top."""
     k = f.kind
     if k == "true":
@@ -429,6 +430,8 @@ def assume_nnf(p, f):
         out = p
         for g in f.args:
             out = assume_nnf(out, g)
+            if out.oct.is_empty():
+                return out
         atoms = [g.lin for g in f.args if g.kind == "ge"]
         for i, li in enumerate(atoms):
             for lj in atoms[i + 1:]:

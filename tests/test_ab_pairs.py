@@ -1,6 +1,8 @@
-"""The summary of `tools/ab_pairs.py` on fixed numbers; tier-1 runs no
-benchmark."""
+"""The summary of `tools/ab_pairs.py` on fixed numbers, and its loop
+over several workloads with the benchmark runs replaced by fixed
+numbers; tier-1 runs no benchmark."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -55,3 +57,36 @@ def test_a_metric_worse_past_its_bound_is_flagged():
     # a gain is never past a bound, and no bound given flags nothing
     assert not ab_pairs.summarize([(p, 30.0) for p in PARENT], higher_is_better=True, bound=0.0)["past_bound"]
     assert not ab_pairs.summarize(slower, higher_is_better=True)["past_bound"]
+
+
+def test_each_workload_runs_its_pairs_and_prints_its_table(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir(), change.mkdir()
+    spec = {"end_to_end": [
+        {"name": "programs_per_s", "better": "higher", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+    ]}
+    (change / "BENCHMARK.json").write_text(json.dumps(spec))
+    runs = []
+
+    def run_once(root, workload, seed, seconds):
+        # the change is faster on fast-one; on slow-one it is as fast
+        # and takes a third more memory
+        i = sum(w == workload and r == root for r, w in runs)
+        runs.append((root, workload))
+        faster = root == change and workload == "fast-one"
+        rss = 30.0 if root == change and workload == "slow-one" else 22.0
+        return {"programs_per_s": PARENT[i] + 4 * faster, "peak_rss_mb": rss}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    ab_pairs.main([str(parent), str(change), "--workload", "fast-one", "--workload", "slow-one",
+                   "--metric", "programs_per_s", "--pairs", "10", "--seconds", "1"])
+    # all pairs of one workload, then the next; the side that runs first alternates
+    assert [w for _, w in runs] == ["fast-one"] * 20 + ["slow-one"] * 20
+    assert [r for r, _ in runs[:4]] == [parent, change, change, parent]
+    out = capsys.readouterr().out
+    fast, slow = out.split("\nslow-one:\n")
+    assert "\nfast-one:\n" in fast and "WORSE" not in fast
+    assert "programs_per_s: change won 10 of 10 pairs (higher is better); gain claimable: yes" in fast
+    assert "peak_rss_mb: parent 22 (22 .. 22)  change 30 (30 .. 30)  WORSE PAST BOUND 0.1" in slow
+    assert "change won 0 of 10 pairs" in slow and "gain claimable: no" in slow

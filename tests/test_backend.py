@@ -410,12 +410,21 @@ class TestOctagon:
 
     @settings(max_examples=100, deadline=None)
     @given(oct_ops(NAMES4), oct_ops(NAMES4, 4), oct_ops(NAMES4, 4))
+    # the halves of x and y move apart, so the join merges their unions
+    # and cuts them again, with rows both sides share among the cut ones
+    @example(
+        [],
+        [("add", ({"x": 1}, 1)), ("add", ({"y": -1}, 1))],
+        [("wedge", ["x", "y", "z", "w"], [1, 1, 1, 1], 1, 1), ("add", ({"x": 1}, 0)),
+         ("join", [({"x": 1}, 0), ({"y": -1}, 0)])],
+    )
     def test_lattice_operations_are_entrywise(self, base, p, q):
         """join, widen and leq of two elements grown from one ancestor,
         so that most of their packs and rows are shared, against
         entrywise references on the dense views; a pack both sides
         share comes out of join as is, and so does a row both sides
-        share in packs over the same variables."""
+        share in packs over the same variables, also where the join
+        merged packs and split them again."""
         ancestor = build(base, NAMES4)
         a, b = build(p, NAMES4, ancestor), build(q, NAMES4, ancestor)
         assume(not a.is_empty() and not b.is_empty())
@@ -1022,11 +1031,50 @@ class TestReduction:
         assert read == []
         assert r == full_reduce(Product(q.oct, q.aff))
 
+    def test_equalities_held_through_a_join_are_not_read_again(self, monkeypatch):
+        # both sides hold x == y; the join keeps it with the flag, so
+        # pushing x - y == 0 back leaves the octagon as it is and no
+        # equality is read
+        left = Product.top(NAMES).assume(land(eq(x, y), le(z, Lin.of(1)))).reduce()
+        right = Product.top(NAMES).assume(land(eq(x, y), le(Lin.of(3), z))).reduce()
+        j = left.join(right)
+        read = []
+        add_eq = AffineEqs.add_eq
+        monkeypatch.setattr(AffineEqs, "add_eq", lambda self, row: read.append(row) or add_eq(self, row))
+        r = j.reduce()
+        assert read == []
+        assert r == full_reduce(Product(j.oct, j.aff)) and r.aff.rows == ((1, -1, 0, 0),)
+
+    def test_a_join_with_an_unreduced_side_reads_its_equalities(self):
+        # on the left only the octagon has x == y, met after the last
+        # reduction, so the join holds no flag and reads it
+        left = Product.top(NAMES).assume(le(y, x)).reduce().assume(le(x, y))
+        right = Product.top(NAMES).assume(land(eq(x, y), le(z, Lin.of(1)))).reduce()
+        for j in (left.join(right), right.join(left), right.widen(left)):
+            assert j.aff.rows == () and j.reduce().aff.rows == ((1, -1, 0, 0),)
+
+    def test_assignment_pushes_only_the_rows_that_name_its_variable(self, monkeypatch):
+        # y == z is pushed and held before x := y + 1; after it only
+        # x - z == 1 names x and is pushed, and the equalities of the
+        # pack that x joins are held, so none is read
+        p = Product.top(NAMES).assume(eq(y, z)).reduce()
+        q = p.assign("x", y + 1)
+        pushed, read = [], []
+        add, add_eq = Octagon.add, AffineEqs.add_eq
+        monkeypatch.setattr(Octagon, "add", lambda self, terms, k: pushed.append(terms) or add(self, terms, k))
+        monkeypatch.setattr(AffineEqs, "add_eq", lambda self, row: read.append(row) or add_eq(self, row))
+        r = q.reduce()
+        assert sorted(i for terms in pushed for i, _ in terms) == [0, 0, 2, 2]
+        assert read == []
+        assert r == full_reduce(Product(q.oct, q.aff))
+        assert q.aff.rows == ((1, 0, -1, 1), (0, 1, -1, 0)) and r.aff == q.aff
+
     def test_join_of_reduced_elements_need_not_be_reduced(self):
         # the affine hull of the two sides has the octagonal row
         # a - b == -1, but each side has it only as a combination of
-        # three-variable rows, so neither octagon holds it: only a full
-        # exchange after the join pushes it, and `join` keeps no memo
+        # three-variable rows, so neither octagon holds it: only an
+        # exchange after the join pushes it, and `join` keeps no
+        # pushed rows
         a, b, c, d = (Lin.var(v) for v in "abcd")
         top = Product.top(("a", "b", "c", "d"))
         left = top.assume(nnf(land(eq0(a - c - d + 1), eq0(b - c - d)))).reduce()
@@ -1115,6 +1163,22 @@ class TestCompiledGuards:
             meet_against_nnf(p, f)
         pinned = p.assume(land(ge0(x * 2 - y), ge0(y - x * 2)))
         assert pinned.aff == AffineEqs.top(NAMES).add_eq([2, -1, 0, 0])
+
+    def test_a_conjunction_stops_at_its_first_empty_part(self, monkeypatch):
+        p = Product.top(NAMES).assume(le(x, Lin.of(3))).reduce()
+        met = []
+        add = Octagon.add
+        monkeypatch.setattr(Octagon, "add", lambda self, terms, k: met.append(terms) or add(self, terms, k))
+        got = p.assume(land(le(Lin.of(5), x), le(y, z), ge0(y - z * 2), ge0(z * 2 - y)))
+        assert met == [[(0, -1)]] and got.is_empty() and got.aff == p.aff
+
+    def test_unknown_variables_are_refused_in_every_shape(self):
+        p = Product.top(("x", "y"))
+        for f in (ge0(x + z * 2 - 1), ge0(z - 1), eq0(x + y + z - 1), dvd(2, z), lor(ge0(x), ge0(z))):
+            with pytest.raises(ValueError, match="unknown variable z"):
+                p.assume(f)
+            with pytest.raises(ValueError, match="unknown variable z"):
+                compile_guard(f, p.vars, True)
 
 
 class TestProductLaws:
