@@ -74,13 +74,10 @@ Verdicts never depend on the iterates before the last round.
 
 Widened elements are stored unreduced; guard assumes reduce their own
 copies. Reducing the stored head element could re-tighten what the
-widening just relaxed and loop forever. Every part keeps the reduction
-memo of `product.py` through guards, assignments, havocs, joins and
-widenings, so the reduction after a guard exchanges only what could
-have changed since the last one: it pushes the affine rows that name
-an assigned or havocked variable, or every row after a join or a
-widening, and reads the equalities of the octagon packs that the
-guard or those rows tighten.
+widening just relaxed and loop forever. A part's affine half is built
+only where some operation makes a row its octagon cannot hold
+(`product.py`); the reduction after a guard of any other part is just
+its octagon's closure.
 """
 
 from __future__ import annotations

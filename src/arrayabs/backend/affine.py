@@ -19,10 +19,10 @@ or 2x - z = -1 with 2y + z = 0 (together 2x + 2y = -1), mark the
 element empty.
 
 Positions. Columns are positions in a `Vars` tuple, which the elements
-of an analysis share with their octagons, and `add_eq` takes a row
-(see `product.py`). Names are resolved only where a name or a `Lin`
-comes in (`Vars.row_of`, `forget`, `assign`), through the tuple's one
-name -> position map, and where a `Formula` goes out.
+of an analysis share with their octagons; `add_eq` takes a row, and
+the product builds an element from its octagon's equalities only
+where the octagon cannot hold a row (`product.py`). Names are resolved
+only where a `Lin` comes in (`Vars.row_of`, `forget`, `assign`).
 """
 
 from __future__ import annotations

@@ -729,54 +729,35 @@ class Octagon:
         lo = p.m[q ^ 1][q]
         return (None if lo == INF else -(lo // 2), None if up == INF else up // 2)
 
-    def equalities(self, known: Sequence[_Pack] = ()) -> Iterator[list[int]]:
+    def equalities(self) -> Iterator[list[int]]:
         """Yield integer rows over `vars`, coefficients then the
         constant b, meaning sum == b: once per equality inside a pack
-        of the closed form, +v - (signed w) bounded both ways by one
-        value. An equality between two packs holds only when both
-        variables are constants, so it follows from the two unary
-        equalities and is left out. Each pack keeps its list, so
-        callers only read the rows.
-
-        `known` is the `packs` of a closed element over the same
-        variables whose equalities the caller holds: a pack it holds at
-        the same place is skipped, and of any other pack, so is an
-        equality that a pack of `known` over its variables holds."""
+        of the closed form. One between packs follows from two unary
+        ones, as both variables are then constants."""
         a = self.close()
-        if a.empty:
-            return
         for i, p in enumerate(a.packs):
-            if p.vars[0] != i or known and known[i] is p:
-                continue
-            eqs = a._eqs(p)
-            if not known or not eqs:
-                yield from eqs
-                continue
-            olds = {id(known[j]): known[j] for j in p.vars}
-            held = [e for q in olds.values() for e in a._eqs(q)]
-            yield from (e for e in eqs if e not in held)
+            if p.vars[0] == i:
+                yield from a._eqs(p)
 
     def _eqs(self, p: _Pack) -> list[list[int]]:
-        """The equalities of a closed pack over `vars`, kept with it."""
+        """The equalities of a closed pack, kept with it: callers only read them."""
         if p.eqs is None:
-            p.eqs = list(self._pack_equalities(p))
+            m, n, eqs = p.m, len(self.vars), []
+            for i in range(0, len(m), 2):
+                row, mirror = m[i], m[i + 1]  # m[j][i] == m[i^1][j^1]: coherence
+                for j in range(i + 1, len(m)):
+                    c = row[j]
+                    if c == INF or c + mirror[j ^ 1] != 0:
+                        continue
+                    eq = [0] * (n + 1)
+                    eq[p.vars[i // 2]] = 1
+                    if j == i + 1:  # +v - (-v) == c
+                        eq[n] = c // 2
+                    else:  # j even: +v - (+w); j odd: +v - (-w)
+                        eq[p.vars[j // 2]], eq[n] = 1 if j % 2 else -1, c
+                    eqs.append(eq)
+            p.eqs = eqs
         return p.eqs
-
-    def _pack_equalities(self, p: _Pack) -> Iterator[list[int]]:
-        m, n = p.m, len(self.vars)
-        for i in range(0, len(m), 2):
-            row, mirror = m[i], m[i + 1]  # m[j][i] == m[i^1][j^1]: coherence
-            for j in range(i + 1, len(m)):
-                c = row[j]
-                if c == INF or c + mirror[j ^ 1] != 0:
-                    continue
-                eq = [0] * (n + 1)
-                eq[p.vars[i // 2]] = 1
-                if j == i + 1:  # +v - (-v) == c
-                    eq[n] = c // 2
-                else:  # j even: +v - (+w); j odd: +v - (-w)
-                    eq[p.vars[j // 2]], eq[n] = 1 if j % 2 else -1, c
-                yield eq
 
     def to_formula(self) -> Formula:
         """The closed form as a conjunction of the entries `_irredundant`

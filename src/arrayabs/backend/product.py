@@ -1,97 +1,62 @@
-"""Reduced product of the octagon and affine-equality domains.
+"""Reduced product of the octagon and affine-equality domains, by
+position in the `affine.Vars` tuple both share: octagonal rows (unit
+coefficients on one or two variables) go to `Octagon.add` as terms,
+the closed octagon's equalities to `AffineEqs.add_eq` as rows.
 
-Both components share one variable tuple, an `affine.Vars`, and
-reduction works by position in it: no name and no `Lin` passes between
-them. It exchanges facts in both directions: affine rows the octagon
-can hold (unit coefficients on one or two variables) go to
-`Octagon.add` as (position, coefficient) terms, and the equalities of
-the closed octagon, read off its matrix as integer rows, go to
-`AffineEqs.add_eq` as they are. Names are resolved only where a `Lin`
-or a condition comes in (`assign`, `forget`, `compile_guard`), through the
-tuple's one name -> position map, and where a `Formula` goes out
-(`to_formula`).
-The exchange repeats until the octagon adds no affine row, when
-neither side can change again; it terminates because octagon entries
-only tighten and affine rank only grows.
+The affine part is lazy. `aff is None` means absent: the part holds
+exactly the equalities of the element's own octagon. An `AffineEqs` is
+built (`_affine`) only where an operation makes a row the octagon
+cannot hold; a part is present only if it holds a row its closed
+octagon does not entail, so `==` and the hash mean "same element".
+Each operation gives the eager product's element (both parts always
+built), once reduced, by two facts. Tight closure is exact: every entry of a closed
+non-empty octagon is attained by an integer point, so it entails each
+octagon constraint and equality that holds on its points. And the part
+of every element an analysis keeps implies its octagon's equalities:
+`reduce` reads them, `assign` and `forget` keep them, and a join or a
+widening keeps them, as an equality of the result holds on both sides.
 
-The exchange is semi-naive: the iterated reduction of Cousot, Cousot
-and Mauborgne (FoSSaCS 2011), run only on what an operation could have
-changed, as the packs of Singh, Puschel and Vechev (PLDI 2015) are. An
-element's memo has four parts, none of them part of `==` or the hash:
+- A guard's octagon meet keeps a part absent: the next reduction
+  pushes no row that the tighter octagon does not entail.
+- `assign` of a constant, v + k or +-w + k (w not v), and `forget`,
+  are exact images in the octagon as in Karr's domain. Another right
+  side the octagon bounds by intervals; the part stays absent when
+  that pins v (every variable of lin constant), else it is built.
+- `join` of absent parts takes the hull of their equality sets, less
+  the packs both share by identity (the same rows, over variables of
+  their own). Equal sets, or one side's rows among the other's: the
+  hull is the smaller side. Only v = c on both sides: constants that
+  move by one magnitude keep v - w or v + w constant, and a second
+  magnitude makes a non-octagonal row ({i=0, t=0} and {i=1, t=2} give
+  t = 2i). An octagonal hull holds on both closed sides, so their
+  octagon join, entrywise on the dense views, keeps it. Other joins
+  build the Zassenhaus hull.
+- `widen` keeps an octagonal hull too. It keeps each entry of its
+  left side as stored that the closed right side does not exceed, and
+  a left side that widenings made from a closed element stores every
+  equality of its closure, since both sides that made it held it.
+- `leq` against an absent side is `Octagon.leq`: below its octagon its
+  equalities hold, so by exactness the left part implies them.
+- `reduce` closes an absent element. A present one exchanges until the
+  octagon adds no row (entries only tighten, rank only grows), then is
+  absent if every row is octagonal, each then entailed.
 
-- reduced: the element is its own reduction, and `reduce` hands it
-  back as is;
-- pushed rows: affine rows its octagon entails, which `reduce` does not
-  push again;
-- read packs: packs of a closed octagon over the same tuple whose
-  equalities its affine part holds. `reduce` reads equalities only from
-  packs not among them (by identity), and of those only the equalities
-  that no read pack holds (by value);
-- equalities held: its affine part holds every equality of its own
-  octagon. `reduce` then takes that octagon's closed packs as the read
-  ones, so it reads only the packs that its own row pushes change.
+A present part's memo, outside `==` (iterated reduction, Cousot,
+Cousot and Mauborgne, FoSSaCS 2011): reduced; pushed rows, entailed by
+its octagon; read packs, whose equalities it holds. A meet keeps the
+last two; `assign` and `forget` the pushed rows without v, and read
+their own closed packs.
 
-Pushing an entailed row or adding a held equality changes nothing, so
-`reduce` gives the result of the full exchange. It sets all four
-parts; `top` holds its equalities, and the bottom, one per `Vars`
-tuple (kept in its `memo`), is reduced. The operations carry the memo
-on as follows, each by an exact argument. Two use that tight closure
-is exact: every entry of a closed non-empty octagon is attained by an
-integer point, so an octagon constraint that holds on all its points
-is entailed, and an equality that holds on all its points is one of
-its equalities or, between packs, follows from two unary ones.
-
-- A meet (a guard) keeps the pushed rows and the read packs: an octagon
-  meet only tightens, so it still entails the rows, and an affine meet
-  only adds rows, so it still holds the equalities. It drops the flag,
-  since a tighter octagon can have new equalities; the packs of the
-  closed octagon the flag spoke of become its read packs.
-- `join` and `widen` hold the equalities when both sides do. An
-  equality of the resulting octagon, which contains both sides, holds
-  on the points of both, so by exactness it is an equality of each;
-  each affine part implies it, and so does the affine hull of the two.
-  They keep no pushed row.
-- `assign` and `forget` of v keep the flag, and the pushed rows that do
-  not name v: the new octagon constrains the other variables as the old
-  one did. For the flag, take an equality E of the new octagon. After a
-  havoc, v is unconstrained, so E does not name v; it holds on the old
-  octagon, which the new one contains, so by exactness the old affine
-  part implies it, and so does its projection away from v. After
-  v := lin, E with lin for v holds on every point of the old octagon,
-  whose image the new one contains. When lin is a constant or +-w + k,
-  that is a constant, an octagon equality or a unary one (2w = c),
-  which by exactness the old affine part implies; its exact image, the
-  new affine part, then implies E. For any other lin the octagon bounds
-  v alone in its pack by evaluating lin on intervals, so an E that
-  names v is v = c, which needs every variable of lin to be a constant
-  of the old octagon, pinned by the old affine part; so the new affine
-  part pins v to c too.
-
-Guards. A condition meets an element as a guard compiled over
-positions: `compile_guard(f, vars, neg)` lowers `nnf(f, neg)`, node
-for node, into a small tree. An octagonal inequality becomes the terms
-and bound of `Octagon.add` (`octagon.lower`); any other inequality, a
-divisibility and its negation meet as top; an "and" meets its parts in
-turn, then adds the row lin = 0 (`Vars.row_of`) for each pair
-lin >= 0, -lin >= 0 among its inequalities, octagonal or not; an "or"
-joins the meets of its parts, each from the same element. The tree has
-the shape of the normal form, which `land` and `lor` have flattened,
-deduplicated and folded (a literal beside its `lnot` folds to false
-under "and" and to true under "or"), so it meets exactly as that
-formula walked node by node would, self handed back included; what it
-saves is reading names and pairing inequalities again at every meet.
-An "and" stops at the first part that leaves the octagon empty, since
-the meet is then empty whatever follows. `compile_guard` refuses a
-condition that names a variable outside the tuple, of any shape, with
-a `ValueError`.
-A guard holds positions of one `Vars` tuple, so it is good for the
-elements of one analysis only; the walker compiles each condition once
-per run and drops its guards with it (`abstract.py`). `assume`
-compiles the formula it is handed, for callers outside a walk.
-
-Reduction must not run on widening results: re-tightening a widened
-bound can oscillate and break termination, so widen() is purely
-componentwise and callers reduce again only after the chain is stable.
+Guards. `compile_guard(f, vars, neg)` lowers `nnf(f, neg)` node for
+node: an octagonal inequality to the terms of `Octagon.add`, any other
+atom to top; an "and" meets its parts until one empties the octagon,
+then adds the row lin = 0 of each pair lin >= 0, -lin >= 0, building
+an absent part only for a non-octagonal one; an "or" joins the meets
+of its parts. Those carry the part of the element met, not their own
+octagons', so their join is an octagon join beside it, unless an
+"and" below adds rows: such a guard (`_Eager`) builds the part first.
+It meets as that normal form walked would, self handed back included.
+Widenings are never reduced: re-tightening could break termination.
 """
 
 from __future__ import annotations
@@ -104,141 +69,168 @@ from .affine import AffineEqs, Vars
 from .octagon import Octagon, lower, octagonal
 
 
+def _terms(row: Sequence[int]) -> list[tuple[int, int]]:
+    """A row's nonzero (position, coefficient) terms."""
+    return [(i, c) for i, c in enumerate(row[:-1]) if c]
+
+
+def _wide(row: Sequence[int]) -> bool:
+    return not octagonal([c for _, c in _terms(row)])
+
+
+def _entails(o: Octagon, rows) -> bool:
+    """Whether the closed octagon o entails every row, sum = b; a row
+    it cannot hold is not entailed."""
+    return all(not _wide(r) and o.add([(i, -c) for i, c in _terms(r)], -r[-1]) is o
+               and o.add(_terms(r), r[-1]) is o for r in rows)
+
+
+def _octagonal_hull(a: Octagon, b: Octagon) -> bool:
+    """Whether a filter finds the affine hull of the equalities of
+    closed a and b, less the packs both share, octagonal (module
+    docstring)."""
+    apart = ([e for i, p in enumerate(x.packs) if p.vars[0] == i and p is not y.packs[i] for e in x._eqs(p)]
+             for x, y in ((a, b), (b, a)))
+    e1, e2 = sorted(apart, key=len)
+    if e1 == e2 or all(e in e2 for e in e1):
+        return True
+    c1, c2 = ({_terms(e)[0][0]: e[-1] for e in es if len(_terms(e)) == 1} for es in (e1, e2))
+    # two constants that move by different magnitudes tie v to w
+    moves = {abs(c2[v] - c) for v, c in c1.items() if v in c2} - {0}
+    return len(c1) + len(c2) == len(e1) + len(e2) and len(moves) < 2
+
+
 @dataclass(frozen=True)
 class Product:
     oct: Octagon
-    aff: AffineEqs
-    # the reduction memo (module docstring): reduced, pushed rows, read
-    # packs, equalities held
+    aff: AffineEqs | None = None  # None: absent (module docstring)
+    # the memo of a present part: reduced, pushed rows, read packs
     _reduced: bool = field(default=False, compare=False, repr=False)
     _pushed: tuple = field(default=(), compare=False, repr=False)
     _read: tuple = field(default=(), compare=False, repr=False)
-    _held: bool = field(default=False, compare=False, repr=False)
 
     @staticmethod
     def top(vars: Sequence[str]) -> "Product":
-        vs = Vars.of(vars)
-        return Product(Octagon.top(vs), AffineEqs.top(vs), _held=True)
+        return Product(Octagon.top(Vars.of(vars)))
 
     @staticmethod
     def bottom(vars: Sequence[str]) -> "Product":
         """The empty element, one per `Vars` tuple, which keeps it."""
         vs = Vars.of(vars)
-        b = vs.memo.get(Product)
-        if b is None:
-            b = vs.memo[Product] = Product(Octagon.bottom(vs), AffineEqs.bottom(vs), True)
-        return b
+        if Product not in vs.memo:
+            vs.memo[Product] = Product(Octagon.bottom(vs))
+        return vs.memo[Product]
 
     @property
     def vars(self) -> tuple[str, ...]:
         return self.oct.vars
 
     def is_empty(self) -> bool:
-        return self.oct.is_empty() or self.aff.is_empty()
+        return self.oct.is_empty() or self.aff is not None and self.aff.is_empty()
 
-    def _as_bottom(self) -> "Product":
-        return Product.bottom(self.vars)
+    def _affine(self) -> AffineEqs:
+        """The affine part, built from the closed octagon when absent."""
+        if self.aff is not None:
+            return self.aff
+        o = self.oct.close()
+        return AffineEqs.bottom(o.vars) if o.empty else AffineEqs.top(o.vars)._canon(list(o.equalities()))
 
-    def _meet(self, o: Octagon, a: AffineEqs) -> "Product":
-        """self met with facts that made o and a: self itself when
-        neither moved, else the meet, which keeps the pushed rows and
-        the read packs, the closed octagon's packs when self holds its
-        equalities (module docstring)."""
+    def _meet(self, o: Octagon, a: AffineEqs | None) -> "Product":
+        """self met with the facts that made o and a: self if neither moved."""
         if o is self.oct and a is self.aff:
             return self
-        read = self.oct.close().packs if self._held else self._read
-        return Product(o, a, False, self._pushed, read)
+        return Product(o, a, False, self._pushed, self._read)
 
     def reduce(self) -> "Product":
         if self._reduced:
             return self
         o, a = self.oct.close(), self.aff
-        pushed = self._pushed
-        read = o.packs if self._held else self._read
+        if a is None and not o.empty:
+            return self if o is self.oct else Product(o)
+        pushed, read = self._pushed, self._read
         while True:
             if o.is_empty() or a.is_empty():
-                return self._as_bottom()
-            # affine rows -> octagon: each row sum = b that it can hold
-            # (one or two unit coefficients), as sum >= b, then sum <= b
+                return Product.bottom(self.vars)
+            # affine rows -> octagon, sum = b as sum >= b, then sum <= b
             if a.rows is not pushed:
                 held = set(pushed)
-                n = len(a.vars)
                 for row in a.rows:
-                    if row in held:
-                        continue
-                    up = [(i, row[i]) for i in range(n) if row[i]]
-                    if octagonal([c for _, c in up]):
-                        o = o.add([(i, -c) for i, c in up], -row[n]).add(up, row[n])
+                    if row not in held and not _wide(row):
+                        up = _terms(row)
+                        o = o.add([(i, -c) for i, c in up], -row[-1]).add(up, row[-1])
                 pushed = a.rows
-                if o.is_empty():
-                    return self._as_bottom()
-            # equalities of the closed octagon -> affine rows; add_eq
-            # hands back the element itself for an implied row
+                continue
+            # equalities -> affine rows; add_eq hands back self when implied
             before = a
             if o.packs is not read:
-                for row in o.equalities(read):
+                for row in o.equalities():
                     a = a.add_eq(row)
                 read = o.packs
             if a is before:
-                return Product(o, a, True, pushed, read, True)
+                return Product(o, a, True, pushed, read) if any(map(_wide, a.rows)) else Product(o)
 
-    def _kept(self, v: str) -> tuple:
-        """The pushed rows that do not name v, which an assignment or a
-        havoc of v leaves entailed (module docstring)."""
-        c = self.vars.pos[v]
-        if not any(row[c] for row in self._pushed):
-            return self._pushed
-        return tuple(row for row in self._pushed if not row[c])
+    def _moved(self, o: Octagon, a: AffineEqs, v: str) -> "Product":
+        """The image o (closed), a of an assignment or a havoc of v."""
+        if not a.empty and _entails(o, a.rows):
+            return Product(o)
+        return Product(o, a, False, tuple(row for row in self._pushed if not row[self.vars.pos[v]]), o.packs)
 
     # -- lattice
 
     def leq(self, other: "Product") -> bool:
         if self.is_empty():
             return True
-        return self.oct.leq(other.oct) and self.aff.leq(other.aff)
+        return self.oct.leq(other.oct) and (other.aff is None or self._affine().leq(other.aff))
+
+    def _hull(self, other: "Product", o: Octagon) -> AffineEqs | None:
+        """The affine part of o, the join or widening of self and other."""
+        if self.aff is None and other.aff is None and _octagonal_hull(self.oct.close(), other.oct.close()):
+            return None
+        a = self._affine().join(other._affine())
+        return None if not a.empty and _entails(o.close(), a.rows) else a
 
     def join(self, other: "Product") -> "Product":
-        if self.is_empty():
-            return other
-        if other.is_empty():
-            return self
-        held = self._held and other._held
-        return Product(self.oct.join(other.oct), self.aff.join(other.aff), _held=held)
+        if self.is_empty() or other.is_empty():
+            return other if self.is_empty() else self
+        o = self.oct.join(other.oct)
+        return Product(o, self._hull(other, o))
 
     def widen(self, other: "Product") -> "Product":
         # componentwise only; never reduce a widened element
         if self.is_empty():
             return other
-        held = self._held and other._held
-        return Product(self.oct.widen(other.oct), self.aff.widen(other.aff), _held=held)
+        o = self.oct.widen(other.oct)
+        return Product(o, self.aff if other.is_empty() else self._hull(other, o))
 
     # -- transfer
 
     def assign(self, v: str, lin: Lin) -> "Product":
-        o, a = self.oct.assign(v, lin), self.aff.assign(v, lin)
-        return Product(o, a, False, self._kept(v), (), self._held)
+        o, cs = self.oct.assign(v, lin), lin.coeffs
+        if self.aff is None:
+            if not cs or len(cs) == 1 and (cs[0] == (v, 1) or cs[0][0] != v and cs[0][1] in (1, -1)):
+                return Product(o)
+            lo, hi = o.bounds(v)
+            if lo is not None and lo == hi:
+                return Product(o)
+        return self._moved(o, self._affine().assign(v, lin), v)
 
     def forget(self, v: str) -> "Product":
-        o, a = self.oct.forget(v), self.aff.forget(v)
-        return Product(o, a, False, self._kept(v), (), self._held)
+        o = self.oct.forget(v)
+        return Product(o) if self.aff is None else self._moved(o, self.aff.forget(v), v)
 
     def assume(self, f: Formula) -> "Product":
-        """Meet with f, through its guard (module docstring). A meet
-        that changes nothing hands back self."""
+        """Meet with f through its guard; self if nothing changes."""
         return compile_guard(f, self.vars).meet(self)
 
     # -- output
 
     def to_formula(self) -> Formula:
-        """The reduced element: its octagon, and the affine rows the
-        octagon cannot hold. Reduction has met the octagon with every
-        other row, so writing those again would add nothing."""
+        """The reduced octagon and the affine rows it cannot hold."""
         r = self.reduce()
         if r.is_empty():
             return FALSE
-        lins = (Lin.make(zip(r.aff.vars, row), -row[-1]) for row in r.aff.rows)
-        rows = [eq0(lin) for lin in lins if not octagonal([c for _, c in lin.coeffs])]
-        return land(r.oct.to_formula(), *rows)
+        rows = filter(_wide, r.aff.rows if r.aff is not None else ())
+        return land(r.oct.to_formula(), *(eq0(Lin.make(zip(r.vars, row), -row[-1])) for row in rows))
 
 
 # -- guards
@@ -258,7 +250,7 @@ class _Bottom(Guard):
     __slots__ = ()
 
     def meet(self, p: Product) -> Product:
-        return p._as_bottom()
+        return Product.bottom(p.vars)
 
 
 class _Atom(Guard):
@@ -274,23 +266,26 @@ class _Atom(Guard):
 
 
 class _And(Guard):
-    """Parts met in turn, up to the first that empties the octagon,
-    then the affine rows of the complementary inequality pairs among
-    the conjuncts."""
+    """Parts met in turn, then the rows of complementary pairs."""
 
-    __slots__ = ("parts", "rows")
+    __slots__ = ("parts", "rows", "wide")
 
     def __init__(self, parts: list[Guard], rows: list[tuple[int, ...]]) -> None:
-        self.parts, self.rows = parts, rows
+        self.parts, self.rows, self.wide = parts, rows, any(map(_wide, rows))
 
     def meet(self, p: Product) -> Product:
+        q = p
         for g in self.parts:
-            p = g.meet(p)
-            if p.oct.empty:
-                return p
+            q = g.meet(q)
+            if q.oct.empty:
+                return q
+        # also with no octagonal part: the walk stops at an empty octagon
+        if q.oct.empty or q.aff is None and not self.wide:
+            return q
+        a = base = p._affine() if q.aff is None else q.aff
         for row in self.rows:
-            p = p._meet(p.oct, p.aff.add_eq(row))
-        return p
+            a = a.add_eq(row)
+        return q if a is base else q._meet(q.oct, a)
 
 
 class _Or(Guard):
@@ -304,8 +299,26 @@ class _Or(Guard):
     def meet(self, p: Product) -> Product:
         first, *rest = [g.meet(p) for g in self.parts]
         for q in rest:
-            first = first.join(q)
+            # the parts carry the affine part of p (module docstring)
+            if first.is_empty():
+                first = q
+            elif not q.is_empty():
+                first = Product(first.oct.join(q.oct), None if first.aff is None else first.aff.join(q.aff))
         return first
+
+
+class _Eager(Guard):
+    """A guard whose "or" has an "and" with rows below: met built."""
+
+    __slots__ = ("guard",)
+
+    def __init__(self, guard: Guard) -> None:
+        self.guard = guard
+
+    def meet(self, p: Product) -> Product:
+        q = p if p.aff is not None else Product(p.oct, p._affine())
+        r = self.guard.meet(q)
+        return p if r is q else r
 
 
 _TOP, _BOTTOM = Guard(), _Bottom()
@@ -313,17 +326,23 @@ _TOP, _BOTTOM = Guard(), _Bottom()
 
 def compile_guard(f: Formula, vars: Sequence[str], neg: bool = False) -> Guard:
     """The guard of f, or of its negation when neg, over the positions
-    of vars (module docstring). Every variable of f must be one of vars."""
+    of vars; a variable of f outside vars raises `ValueError`."""
     vs = Vars.of(vars)
     unknown = [v for g in f.walk() if g.lin is not None for v in g.lin.vars() if v not in vs.pos]
     if unknown:
         raise ValueError(f"unknown variable {unknown[0]}")
-    return _lowered(nnf(f, neg), vs)
+    g = _lowered(nnf(f, neg), vs)
+    return _Eager(g) if _rows_under_or(g) else g
+
+
+def _rows_under_or(g: Guard, under: bool = False) -> bool:
+    if isinstance(g, _And):
+        return under and bool(g.rows) or any(_rows_under_or(c, under) for c in g.parts)
+    return isinstance(g, _Or) and any(_rows_under_or(c, True) for c in g.parts)
 
 
 def _lowered(f: Formula, vs: Vars) -> Guard:
-    """The guard of f, a formula in negation normal form: its tree,
-    node for node."""
+    """The guard of f, in negation normal form, node for node."""
     k = f.kind
     if k == "false":
         return _BOTTOM

@@ -15,6 +15,7 @@ names the tests write.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Iterable, Mapping, Sequence
@@ -24,13 +25,14 @@ import numpy as np
 from arrayabs import lift
 from arrayabs.backend import Product, abstract, analyze_scalar
 from arrayabs.backend.abstract import PARTITION_CAP, WIDENING_DELAY, Interpreter
-from arrayabs.backend.affine import Vars, _eliminate, _primitive
-from arrayabs.backend.octagon import Octagon, _components, _half, lower
+from arrayabs.backend.affine import AffineEqs, Vars, _eliminate, _primitive
+from arrayabs.backend.octagon import Octagon, _components, _half, lower, octagonal
 from arrayabs.bridge import cond_to_formula
 from arrayabs.lia import (
     FALSE,
     Budget,
     BudgetError,
+    eq0,
     Formula,
     Lin,
     dvd,
@@ -385,25 +387,51 @@ def split_by_entries(members, m, closed):
     return out
 
 
-def full_reduce(p):
-    """Reference for `Product.reduce`: the whole exchange from the
-    components of p, with no memo. Every round pushes every affine row
-    into the octagon and reads every equality of every pack, until the
-    affine part stays put."""
-    o, a = p.oct.close(), p.aff
+def eager_reduce(o, a):
+    """The whole exchange between an octagon and an `AffineEqs`, with no
+    memo: every round pushes every affine row into the octagon and reads
+    every equality of every pack, until the affine part stays put. The
+    reduced pair, or None when it is empty."""
+    o = o.close()
     while True:
         if o.is_empty() or a.is_empty():
-            return Product.bottom(p.vars)
+            return None
         for row in a.rows:
             lin = Lin.make(zip(a.vars, row), -row[-1])
             o = oct_assume(oct_assume(o, lin), -lin)
         if o.is_empty():
-            return Product.bottom(p.vars)
+            return None
         before = a
         for row in o.equalities():
             a = a.add_eq(row)
         if a == before:
-            return Product(o, a)
+            return o, a
+
+
+def wide(row):
+    """Whether the octagon cannot hold the row, coefficients then b."""
+    return not octagonal([c for c in row[:-1] if c])
+
+
+def built_part(p):
+    """The affine part of a `Product`, built from the equalities of its
+    closed octagon when absent."""
+    if p.aff is not None:
+        return p.aff
+    o = p.oct.close()
+    if o.empty:
+        return AffineEqs.bottom(p.vars)
+    return functools.reduce(AffineEqs.add_eq, o.equalities(), AffineEqs.top(p.vars))
+
+
+def full_reduce(p):
+    """Reference for `Product.reduce`: `eager_reduce` of the octagon of p
+    and its affine part, top when absent, as a `Product` whose part is
+    absent when no row the octagon cannot hold is left."""
+    r = eager_reduce(p.oct, p.aff or AffineEqs.top(p.vars))
+    if r is None:
+        return Product.bottom(p.vars)
+    return Product(r[0], r[1] if any(map(wide, r[1].rows)) else None)
 
 
 def oct_assume(o, lin):
@@ -412,38 +440,91 @@ def oct_assume(o, lin):
     return o if o.empty or low is None else o.add(*low)
 
 
-def assume_nnf(p, f):
-    """Reference for `Product.assume`: the meet with f, in negation
-    normal form, walked as a formula. An "and" meets its arguments in
-    turn, then the equality of each complementary inequality pair among
-    them, and stops at the first argument that leaves the octagon
-    empty; an "or" joins the meets of its arguments; divisibility, its
-    negation and a non-octagonal inequality meet as top."""
-    k = f.kind
-    if k == "true":
-        return p
-    if k == "false":
-        return p._as_bottom()
-    if k == "ge":
-        return p._meet(oct_assume(p.oct, f.lin), p.aff)
-    if k == "and":
-        out = p
-        for g in f.args:
-            out = assume_nnf(out, g)
-            if out.oct.is_empty():
-                return out
-        atoms = [g.lin for g in f.args if g.kind == "ge"]
-        for i, li in enumerate(atoms):
-            for lj in atoms[i + 1:]:
-                if lj == -li:
-                    out = out._meet(out.oct, out.aff.add_eq(out.aff.vars.row_of(li)))
-        return out
-    if k == "or":
-        first, *rest = [assume_nnf(p, g) for g in f.args]
-        for q in rest:
-            first = first.join(q)
-        return first
-    return p
+class EagerProduct:
+    """Reference for the lazy affine part of `Product`: the pair of an
+    `Octagon` and an `AffineEqs` with every operation applied to both,
+    a guard met by walking its negation normal form (`meet_nnf`) and
+    then reduced in full (`eager_reduce`). `to_formula` writes the
+    reduced octagon and the affine rows it cannot hold."""
+
+    def __init__(self, oct, aff):
+        self.oct, self.aff = oct, aff
+
+    @staticmethod
+    def top(vars):
+        vs = Vars.of(vars)
+        return EagerProduct(Octagon.top(vs), AffineEqs.top(vs))
+
+    @staticmethod
+    def of(p):
+        """The pair a `Product` stands for."""
+        return EagerProduct(p.oct, built_part(p))
+
+    def is_empty(self):
+        return self.oct.is_empty() or self.aff.is_empty()
+
+    def _bottom(self):
+        return EagerProduct(Octagon.bottom(self.oct.vars), AffineEqs.bottom(self.oct.vars))
+
+    def assign(self, v, lin):
+        return EagerProduct(self.oct.assign(v, lin), self.aff.assign(v, lin))
+
+    def forget(self, v):
+        return EagerProduct(self.oct.forget(v), self.aff.forget(v))
+
+    def join(self, other):
+        if self.is_empty() or other.is_empty():
+            return other if self.is_empty() else self
+        return EagerProduct(self.oct.join(other.oct), self.aff.join(other.aff))
+
+    def widen(self, other):
+        if self.is_empty():
+            return other
+        return EagerProduct(self.oct.widen(other.oct), self.aff.widen(other.aff))
+
+    def meet_nnf(self, f):
+        """The meet with f, in negation normal form, walked as a formula.
+        An "and" meets its arguments in turn, up to the first that leaves
+        the octagon empty, then the equality of each complementary
+        inequality pair among them; an "or" joins the meets of its
+        arguments; divisibility, its negation and a non-octagonal
+        inequality meet as top. Self is handed back when nothing moves."""
+        k = f.kind
+        if k == "false":
+            return self._bottom()
+        if k == "ge":
+            o = oct_assume(self.oct, f.lin)
+            return self if o is self.oct else EagerProduct(o, self.aff)
+        if k == "and":
+            out = self
+            for g in f.args:
+                out = out.meet_nnf(g)
+                if out.oct.is_empty():
+                    return out
+            atoms = [g.lin for g in f.args if g.kind == "ge"]
+            for i, li in enumerate(atoms):
+                for lj in atoms[i + 1:]:
+                    if lj == -li:
+                        a = out.aff.add_eq(out.aff.vars.row_of(li))
+                        out = out if a is out.aff else EagerProduct(out.oct, a)
+            return out
+        if k == "or":
+            return functools.reduce(EagerProduct.join, [self.meet_nnf(g) for g in f.args])
+        return self
+
+    def assume(self, f):
+        return self.meet_nnf(nnf(f)).reduced()
+
+    def reduced(self):
+        r = eager_reduce(self.oct, self.aff)
+        return self._bottom() if r is None else EagerProduct(*r)
+
+    def to_formula(self):
+        r = self.reduced()
+        if r.is_empty():
+            return FALSE
+        rows = (row for row in r.aff.rows if wide(row))
+        return land(r.oct.to_formula(), *(eq0(Lin.make(zip(r.aff.vars, row), -row[-1])) for row in rows))
 
 
 # ------------------------------------------- loop with a check pass

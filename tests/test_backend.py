@@ -12,9 +12,10 @@ references, and the affine shortcuts against the full reduction. Row
 reduction, the affine assignment and the pack split are checked
 against the helpers' column-wise, temporary-column and every-entry
 references. The product's semi-naive reduction is checked against
-helpers.full_reduce after every step of random sequences, and its meet
-with a compiled guard against helpers.assume_nnf, the meet with the
-negation normal form walked as a formula.
+helpers.full_reduce after every step of random sequences, its lazy
+affine part against the eager pair of helpers.EagerProduct on the same
+sequences, and its meet with a compiled guard against that pair's meet
+with the negation normal form walked as a formula.
 """
 
 import itertools
@@ -42,10 +43,11 @@ from arrayabs.transform import IndexConfig, transform_program
 
 from helpers import (
     DenseOctagon,
+    EagerProduct,
     add,
-    assume_nnf,
     assign_through_a_column,
     box_points,
+    built_part,
     dense_close,
     dense_constraints,
     full_reduce,
@@ -904,30 +906,35 @@ class TestAffine:
 class TestProduct:
     def test_affine_row_reaches_octagon(self):
         p = Product.top(("x", "y"))
-        p = Product(p.oct, p.aff.add_eq([1, -1, 0])).reduce()
+        p = Product(p.oct, AffineEqs.top(p.vars).add_eq([1, -1, 0])).reduce()
         assert p.oct.leq(octagon([({"x": 1, "y": -1}, 0), ({"x": -1, "y": 1}, 0)], ("x", "y")))
 
     def test_octagon_pair_reaches_affine(self):
-        p = Product.top(("x", "y"))
-        p = Product(meet(p.oct, [({"x": 1}, 3), ({"x": -1}, -3)]), p.aff).reduce()
-        assert p.aff == AffineEqs.top(("x", "y")).add_eq([1, 0, 3])
+        # x + y + 2z == 0 keeps the part present; x == 3 reaches it
+        p = Product.top(NAMES)
+        p = Product(meet(p.oct, [({"x": 1}, 3), ({"x": -1}, -3)]), AffineEqs.top(NAMES).add_eq([1, 1, 2, 0])).reduce()
+        assert p.aff == AffineEqs.top(NAMES).add_eq([1, 1, 2, 0]).add_eq([1, 0, 0, 3])
 
 
 def product(ops, lins):
     return Product(build(ops), affine(lins))
 
 
-def product_steps(names, min_size, max_size):
-    """Steps for `run_against_full_reduce`: a guard (an inequality,
-    octagonal or not, an equality, or a disjunction of two of these),
-    both bounds of an equality as two guards in a row, which only the
-    octagon sees as one, an assignment, a havoc, a join with an earlier
-    state, a widening of an earlier state by the latest followed by a
-    guard, as at a loop head, and a rewind to an earlier state."""
+def product_steps(names, min_size, max_size, coeffs=(1, -1, 1, -1, 2, -3), width=3):
+    """Steps for `run_against_full_reduce` and `run_against_eager`: a
+    guard (an inequality, an equality, or a disjunction of two of
+    these), both bounds of an equality as two guards in a row, which
+    only the octagon sees as one, an assignment of a sum or of a
+    constant, a havoc, a join with an earlier state, a widening of an
+    earlier state by the latest, followed by a guard or kept
+    unreduced as a loop head is (so that a later widening has an
+    unclosed left side), and a rewind to an earlier state. Sums take up to `width` variables
+    with coefficients from `coeffs`; with unit ones over two variables,
+    only joins make a row the octagon cannot hold."""
     v, earlier = st.sampled_from(names), st.integers(1, 12)
     lin = st.builds(
         Lin.make,
-        st.dictionaries(v, st.sampled_from((1, -1, 1, -1, 2, -3)), min_size=1, max_size=3),
+        st.dictionaries(v, st.sampled_from(coeffs), min_size=1, max_size=width),
         st.integers(-3, 3),
     )
     atom = st.one_of(lin.map(ge0), lin.map(eq0))
@@ -937,9 +944,10 @@ def product_steps(names, min_size, max_size):
             st.tuples(st.just("assume"), guard),
             st.tuples(st.just("pin"), lin),
             st.tuples(st.just("assign"), v, lin),
+            st.tuples(st.just("assign"), v, st.integers(-3, 3).map(Lin.of)),
             st.tuples(st.just("forget"), v),
             st.tuples(st.just("join"), earlier),
-            st.tuples(st.just("widen"), earlier, guard),
+            st.tuples(st.just("widen"), earlier, st.one_of(guard, st.none())),
             st.tuples(st.just("rewind"), earlier),
         ),
         min_size=min_size,
@@ -948,7 +956,7 @@ def product_steps(names, min_size, max_size):
 
 
 def reduced_value(p):
-    return p.oct.m, p.aff.rows, p.aff.empty
+    return p.oct.m, None if p.aff is None else (p.aff.rows, p.aff.empty)
 
 
 def run_against_full_reduce(names, steps):
@@ -968,13 +976,57 @@ def run_against_full_reduce(names, steps):
         elif op != "assume":
             q = states[-1 - args[0] % len(states)]
             p = q if op == "rewind" else p.join(q) if op == "join" else q.widen(p)
-        if op in ("assume", "widen"):
+        guarded = op in ("assume", "pin") or op == "widen" and args[-1] is not None
+        if guarded and op != "pin":
             p = p.assume(nnf(args[-1]))
         assert reduced_value(p.reduce()) == reduced_value(full_reduce(Product(p.oct, p.aff))), op
         assert reduced_value(p.reduce()) == reduced_value(Product(p.oct, p.aff).reduce()), op
-        if op in ("assume", "pin", "widen"):
+        if guarded:
             p = p.reduce()
         states.append(p)
+
+
+def run_against_eager(names, steps):
+    """Each step on a product and on the eager pair of
+    `helpers.EagerProduct`, as the analysis takes them. After every step
+    both have the same octagon, reduced and not (in the dense view), and
+    the same formula."""
+    states = [(Product.top(names), EagerProduct.top(names))]
+    p, e = states[0]
+    for op, *args in steps:
+        if op == "assign":
+            p, e = p.assign(*args), e.assign(*args)
+        elif op == "forget":
+            p, e = p.forget(args[0]), e.forget(args[0])
+        elif op == "pin":
+            up, down = ge0(args[0]), ge0(-args[0])
+            p, e = p.assume(up).reduce().assume(down).reduce(), e.assume(up).assume(down)
+        elif op != "assume":
+            q, f = states[-1 - args[0] % len(states)]
+            if op == "rewind":
+                p, e = q, f
+            elif op == "join":
+                p, e = p.join(q), e.join(f)
+            else:
+                p, e = q.widen(p), f.widen(e)
+        if op in ("assume", "widen") and args[-1] is not None:
+            p, e = p.assume(args[-1]).reduce(), e.assume(args[-1])
+        assert p.oct.m == e.oct.m, op
+        assert p.reduce().oct.m == e.reduced().oct.m, op
+        assert p.to_formula() == e.to_formula(), op
+        states.append((p, e))
+
+
+def fail(*args):
+    raise AssertionError("Karr work on an absent part")
+
+
+def constants(**values):
+    """Top with each variable of `values` assigned its constant."""
+    p = Product.top(NAMES4)
+    for v, c in values.items():
+        p = p.assign(v, Lin.of(c))
+    return p
 
 
 class TestReduction:
@@ -1019,8 +1071,8 @@ class TestReduction:
         assert full_reduce(bare) == p
 
     def test_equalities_the_affine_part_holds_are_not_read_again(self, monkeypatch):
-        # x == y is read once; a bound on x changes the pack of x and y,
-        # whose equality the affine part still holds
+        # x == y is read once, into an absent part; a bound on x changes
+        # the pack of x and y, whose equality that part still holds
         p = Product.top(NAMES).assume(nnf(eq(x, y))).reduce()
         q = p.assume(nnf(le(x, Lin.of(3))))
         assert q.oct.packs[0] is not p.oct.packs[0]
@@ -1032,33 +1084,34 @@ class TestReduction:
         assert r == full_reduce(Product(q.oct, q.aff))
 
     def test_equalities_held_through_a_join_are_not_read_again(self, monkeypatch):
-        # both sides hold x == y; the join keeps it with the flag, so
-        # pushing x - y == 0 back leaves the octagon as it is and no
-        # equality is read
+        # both sides hold x == y in their octagons alone; the join keeps
+        # it there, and no equality is read
         left = Product.top(NAMES).assume(land(eq(x, y), le(z, Lin.of(1)))).reduce()
         right = Product.top(NAMES).assume(land(eq(x, y), le(Lin.of(3), z))).reduce()
+        monkeypatch.setattr(AffineEqs, "add_eq", fail)
         j = left.join(right)
-        read = []
-        add_eq = AffineEqs.add_eq
-        monkeypatch.setattr(AffineEqs, "add_eq", lambda self, row: read.append(row) or add_eq(self, row))
         r = j.reduce()
-        assert read == []
-        assert r == full_reduce(Product(j.oct, j.aff)) and r.aff.rows == ((1, -1, 0, 0),)
+        assert r.aff is None and ({"x": 1, "y": -1}, 0) in dense_constraints(r.oct)
+        monkeypatch.undo()
+        assert r == full_reduce(Product(j.oct, j.aff))
 
     def test_a_join_with_an_unreduced_side_reads_its_equalities(self):
-        # on the left only the octagon has x == y, met after the last
-        # reduction, so the join holds no flag and reads it
+        # on the left x == y is met after the last reduction, so only
+        # its closed octagon shows it; the join reads it there
         left = Product.top(NAMES).assume(le(y, x)).reduce().assume(le(x, y))
         right = Product.top(NAMES).assume(land(eq(x, y), le(z, Lin.of(1)))).reduce()
         for j in (left.join(right), right.join(left), right.widen(left)):
-            assert j.aff.rows == () and j.reduce().aff.rows == ((1, -1, 0, 0),)
+            assert j.aff is None and built_part(j.reduce()).rows == ((1, -1, 0, 0),)
 
     def test_assignment_pushes_only_the_rows_that_name_its_variable(self, monkeypatch):
-        # y == z is pushed and held before x := y + 1; after it only
-        # x - z == 1 names x and is pushed, and the equalities of the
-        # pack that x joins are held, so none is read
-        p = Product.top(NAMES).assume(eq(y, z)).reduce()
-        q = p.assign("x", y + 1)
+        # y == z and u == 2w (which keeps the part present) are pushed
+        # and held before x := y + 1; after it only x - z == 1 names x
+        # and is pushed, and the equalities of the pack that x joins
+        # are held, so none is read
+        names = ("x", "y", "z", "u", "w")
+        y5, z5, u5, w5 = (Lin.var(v) for v in names[1:])
+        p = Product.top(names).assume(land(eq(y5, z5), eq0(u5 - w5 * 2))).reduce()
+        q = p.assign("x", y5 + 1)
         pushed, read = [], []
         add, add_eq = Octagon.add, AffineEqs.add_eq
         monkeypatch.setattr(Octagon, "add", lambda self, terms, k: pushed.append(terms) or add(self, terms, k))
@@ -1067,14 +1120,14 @@ class TestReduction:
         assert sorted(i for terms in pushed for i, _ in terms) == [0, 0, 2, 2]
         assert read == []
         assert r == full_reduce(Product(q.oct, q.aff))
-        assert q.aff.rows == ((1, 0, -1, 1), (0, 1, -1, 0)) and r.aff == q.aff
+        assert q.aff.rows == ((1, 0, -1, 0, 0, 1), (0, 1, -1, 0, 0, 0), (0, 0, 0, 1, -2, 0)) and r.aff == q.aff
 
     def test_join_of_reduced_elements_need_not_be_reduced(self):
         # the affine hull of the two sides has the octagonal row
         # a - b == -1, but each side has it only as a combination of
-        # three-variable rows, so neither octagon holds it: only an
-        # exchange after the join pushes it, and `join` keeps no
-        # pushed rows
+        # three-variable rows, so neither octagon holds it: the join
+        # keeps it as a present part, and only an exchange after the
+        # join pushes it
         a, b, c, d = (Lin.var(v) for v in "abcd")
         top = Product.top(("a", "b", "c", "d"))
         left = top.assume(nnf(land(eq0(a - c - d + 1), eq0(b - c - d)))).reduce()
@@ -1084,6 +1137,93 @@ class TestReduction:
         assert row not in dense_constraints(j.oct)
         assert row in dense_constraints(full_reduce(j).oct)
         assert j.reduce() == full_reduce(j) != j
+
+
+class TestLazyAffinePart:
+    """The affine part is built only where an operation makes a row the
+    octagon cannot hold, and each filter that decides a join without it
+    (`backend/product.py`)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(product_steps(NAMES4, 4, 16))
+    def test_every_step_matches_the_eager_product(self, steps):
+        run_against_eager(NAMES4, steps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(product_steps(NAMES4, 4, 16, coeffs=(1, -1), width=2))
+    def test_steps_whose_only_wide_rows_come_from_joins(self, steps):
+        run_against_eager(NAMES4, steps)
+
+    @pytest.mark.slow
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(lambda n: product_steps(NAMES8[:n], 16, 32)),
+        st.integers(2, 6).flatmap(lambda n: product_steps(NAMES8[:n], 16, 32, coeffs=(1, -1), width=2)),
+    )
+    def test_long_sweep_against_the_eager_product(self, steps, octagonal_steps):
+        run_against_eager(NAMES8, steps)
+        run_against_eager(NAMES8, octagonal_steps)
+
+    def test_a_wide_assignment_builds_the_part(self):
+        p = Product.top(NAMES).assign("x", y * 2)
+        assert p.aff == AffineEqs.top(NAMES).add_eq([1, -2, 0, 0])
+        assert eq0(x - y * 2) in p.to_formula().args or ge0(x - y * 2) in p.to_formula().args
+
+    def test_a_wide_assignment_of_constants_stays_absent(self, monkeypatch):
+        p = Product.top(NAMES).assign("y", Lin.of(3))
+        monkeypatch.setattr(AffineEqs, "assign", fail)
+        q = p.assign("x", y * 2 + 1)
+        assert q.aff is None and q.oct.bounds("x") == (7, 7)
+
+    def test_a_wide_complementary_pair_builds_the_part(self):
+        lin = x + y - z
+        p = Product.top(NAMES).assume(land(ge0(lin), ge0(-lin)))
+        assert p.aff == AffineEqs.top(NAMES).add_eq([1, 1, -1, 0])
+        assert p.reduce().aff == p.aff
+
+    def test_crossed_offsets_join_to_a_wide_row(self):
+        # x = z + 1, y = z - 1 and x = z - 1, y = z + 1 differ in every
+        # binary equality: the hull is built, and holds x + y == 2z
+        left = Product.top(NAMES).assign("x", z + 1).assign("y", z - 1)
+        right = Product.top(NAMES).assign("x", z - 1).assign("y", z + 1)
+        for j in (left.join(right), left.widen(right)):
+            assert j.aff == AffineEqs.top(NAMES).add_eq([1, 1, -2, 0])
+            assert "x + y == 2*z" in str(j.to_formula())
+
+    def test_constants_moving_by_different_magnitudes_join_to_a_wide_row(self):
+        left, right = constants(x=0, z=0), constants(x=1, z=2)
+        for j in (left.join(right), left.widen(right)):
+            assert j.aff == Product.top(NAMES4).assign("z", x * 2).aff
+            assert "2*x == z" in str(j.to_formula())
+
+    def test_constants_moving_together_join_absent(self, monkeypatch):
+        # {x=0, y=0} and {x=1, y=1}, w = 5 on both: the hull is x == y,
+        # w == 5, which the octagon join holds
+        left, right = constants(x=0, y=0, w=5), constants(x=1, y=1, w=5)
+        monkeypatch.setattr(AffineEqs, "join", fail)
+        monkeypatch.setattr(AffineEqs, "add_eq", fail)
+        for j in (left.join(right), left.widen(right), right.join(left)):
+            assert j.aff is None and ({"x": 1, "y": -1}, 0) in dense_constraints(j.oct)
+
+    def test_equal_and_nested_equality_sets_join_absent(self, monkeypatch):
+        # both sides x == y: equal sets; one side also y == z, so its
+        # rows hold the other's: the hull is the smaller side
+        left = Product.top(NAMES).assume(land(eq(x, y), le(z, Lin.of(0))))
+        right = Product.top(NAMES).assume(land(eq(x, y), le(Lin.of(2), z)))
+        nested = Product.top(NAMES).assume(land(eq(x, y), eq(y, z)))
+        monkeypatch.setattr(AffineEqs, "join", fail)
+        monkeypatch.setattr(AffineEqs, "add_eq", fail)
+        for a, b in ((left, right), (left, nested), (nested, left)):
+            for j in (a.join(b), a.widen(b)):
+                assert j.aff is None and ({"x": 1, "y": -1}, 0) in dense_constraints(j.oct)
+
+    def test_leq_against_an_absent_side_is_the_octagon_order(self, monkeypatch):
+        p = Product.top(NAMES).assume(eq0(x + y - z * 2)).reduce()
+        q = Product.top(NAMES).assume(le(x, Lin.of(3)))
+        monkeypatch.setattr(AffineEqs, "leq", fail)
+        assert p.aff is not None and not p.leq(q) and p.assume(le(x, Lin.of(2))).leq(q)
+        monkeypatch.undo()
+        assert not q.leq(p)
 
 
 def guard_formulas(names):
@@ -1124,16 +1264,21 @@ def guard_formulas(names):
 
 
 def meet_against_nnf(p, f):
-    """The compiled meet of f and of its negation against the reference
-    walk of their negation normal forms: the same value, reduced and
-    not, the same refutation, and self handed back exactly when the
-    reference hands it back, so the reduction memo goes the same way."""
+    """The compiled meet of f and of its negation against the eager pair
+    that p stands for, met by walking their negation normal forms
+    (`helpers.EagerProduct.meet_nnf`): the same octagon, the same affine
+    part where the meet's is present, the same reduction and
+    refutation, and self handed back exactly when the walk hands back
+    its pair, so the reduction memo goes the same way; an empty p meets
+    as the one bottom, which may be p itself."""
+    e = EagerProduct.of(p)
     for neg in (False, True):
-        got, want = compile_guard(f, p.vars, neg).meet(p), assume_nnf(p, nnf(f, neg))
-        assert got == want and (got is p) == (want is p), (str(f), neg)
-        assert got.reduce() == want.reduce()
+        got, want = compile_guard(f, p.vars, neg).meet(p), e.meet_nnf(nnf(f, neg))
+        assert got.oct == want.oct and (p.is_empty() or (got is p) == (want is e)), (str(f), neg)
+        assert got.aff is None or got.aff == want.aff, (str(f), neg)
+        assert got.reduce().oct == want.reduced().oct and got.to_formula() == want.to_formula()
         state = AbstractState((), {(): p})
-        assert state.refutes(compile_guard(f, p.vars, neg)) == want.reduce().is_empty()
+        assert state.refutes(compile_guard(f, p.vars, neg)) == want.reduced().is_empty()
 
 
 class TestCompiledGuards:
@@ -1171,6 +1316,14 @@ class TestCompiledGuards:
         monkeypatch.setattr(Octagon, "add", lambda self, terms, k: met.append(terms) or add(self, terms, k))
         got = p.assume(land(le(Lin.of(5), x), le(y, z), ge0(y - z * 2), ge0(z * 2 - y)))
         assert met == [[(0, -1)]] and got.is_empty() and got.aff == p.aff
+
+    def test_a_conjunction_with_no_octagonal_part_stops_at_an_empty_octagon(self):
+        # the walk stops after x + y + z + 1 >= 0, which meets an empty
+        # octagon as top, so the pair adds no row
+        p = Product(octagon([({"x": 1}, -1), ({"x": -1}, 0)], NAMES), AffineEqs.top(NAMES))
+        lin = x + y + z + 1
+        meet_against_nnf(p, land(ge0(lin), ge0(-lin)))
+        assert p.assume(land(ge0(lin), ge0(-lin))) is p
 
     def test_unknown_variables_are_refused_in_every_shape(self):
         p = Product.top(("x", "y"))

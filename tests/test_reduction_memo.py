@@ -1,14 +1,17 @@
-"""The product's reduction memo, audited on every element that an
-analysis of benchmark jobs builds.
+"""The product's lazy affine part and reduction memo, audited on every
+element that an analysis of benchmark jobs builds.
 
 Each `Product` made while a job's scalar program is analysed is
 checked against what its memo claims (`backend/product.py`):
 
 - marked reduced: it equals `helpers.full_reduce` of its bare pair;
 - every octagonal row it records as pushed is entailed by its octagon;
-- every equality of the packs it records as read, and, with the
-  "equalities held" flag, every equality of its octagon, is implied by
-  its affine part.
+- every equality of the packs it records as read is implied by its
+  affine part.
+
+Each element the analysis keeps, a part of an `AbstractState`, is
+checked too: a present affine part holds a row its closed octagon does
+not entail, and implies every equality of that octagon.
 
 Tier-1 audits three jobs, two of paper-corpus and one of wide-bounds;
 the whole of both workloads goes under `slow`.
@@ -20,10 +23,10 @@ from pathlib import Path
 import pytest
 
 from arrayabs import lang, transform
-from arrayabs.backend import Octagon, Product, analyze_scalar
+from arrayabs.backend import AbstractState, Octagon, Product, analyze_scalar
 from arrayabs.lia import Lin
 
-from helpers import full_reduce, oct_assume
+from helpers import full_reduce, oct_assume, wide
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -39,47 +42,58 @@ def jobs(quick):
                 yield pytest.param(job, id=f"{name}-{job.id}")
 
 
-def products_made(job, monkeypatch):
-    """Every product built while the job's scalar program is analysed."""
+def made_while_analysed(job, monkeypatch):
+    """Every product and every abstract state built while the job's
+    scalar program is analysed."""
     sp = transform.transform_program(lang.decompose_accesses(lang.parse_program(job.source)), job.cfg)
-    made = []
-    init = Product.__init__
+    made = {Product: [], AbstractState: []}
+    for cls, out in made.items():
+        def recorded(self, *args, init=cls.__init__, out=out, **kwargs):
+            init(self, *args, **kwargs)
+            out.append(self)
 
-    def recorded(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(self)
-
-    monkeypatch.setattr(Product, "__init__", recorded)
+        monkeypatch.setattr(cls, "__init__", recorded)
     analyze_scalar(sp)
     monkeypatch.undo()
-    return made
+    return made[Product], [p for st in made[AbstractState] for p in st.parts.values()]
 
 
 def implied(aff, rows):
     return all(not any(aff._reduced(row)) for row in rows)
 
 
+def entailed(o, row):
+    """Whether the closed octagon o entails the row, which needs it to
+    be octagonal."""
+    lin = Lin.make(zip(o.vars, row), -row[-1])
+    return not wide(row) and oct_assume(oct_assume(o, lin), -lin) == o
+
+
 def audit(p):
     o = p.oct.close()
     if p._reduced:
         assert p == full_reduce(Product(p.oct, p.aff))
-    n = len(p.vars)
     for row in p._pushed:
-        lin = Lin.make(zip(p.vars, row), -row[n])
-        assert oct_assume(oct_assume(o, lin), -lin) == o, row
-    if p.aff.is_empty():
-        return
-    if p._read:
+        assert wide(row) or entailed(o, row), row
+    if p._read and not p.aff.is_empty():
         assert implied(p.aff, Octagon(p.vars, p._read, False, True).equalities())
-    if p._held:
-        assert implied(p.aff, o.equalities())
+
+
+def audit_kept(p):
+    o = p.oct.close()
+    if p.aff is None or p.aff.is_empty() or o.is_empty():
+        return
+    assert not all(entailed(o, row) for row in p.aff.rows)
+    assert implied(p.aff, o.equalities())
 
 
 def audit_job(job, monkeypatch):
-    made = products_made(job, monkeypatch)
-    assert any(p._held for p in made) and any(p._pushed for p in made)
+    made, kept = made_while_analysed(job, monkeypatch)
+    assert kept
     for p in made:
         audit(p)
+    for p in kept:
+        audit_kept(p)
 
 
 @pytest.mark.parametrize("job", jobs(quick=True))
