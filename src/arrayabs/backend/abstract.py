@@ -4,9 +4,10 @@ walker over scalar statements.
 `Interpreter` walks an array-free program over any state with
 `is_empty()`, `assign(var, lin)`, `forget(var)` (havoc), `guard(f)`,
 `assume(g)`, `refutes(g)` (a sound "no state satisfies g"),
-`join(other)` and `bounded()` (the state after a branch merge, within
-its cap). Once the state is empty it skips the rest of the block, so
-dead code records no assert.
+`keeps(g, names)` (a weak update under g leaves the state as it is,
+below), `join(other)` and `bounded()` (the state after a branch merge,
+within its cap). Once the state is empty it skips the rest of the
+block, so dead code records no assert.
 `AbstractState` and the path set of `exact.py` implement it. Only
 `AbstractState` has loops (`loop` needs its `widen`, `leq` and
 `collapse`) and flags; its `bounded` collapses the flag partitions past
@@ -33,6 +34,43 @@ positions of the `Vars` tuple its parts share
 a tree of octagon terms and affine rows, which meets exactly as that
 formula would, complement folding included. It holds positions of
 that one tuple, so it is good for one run only. The path set of `exact.py` takes the formula and its `lnot`.
+
+Weak updates. The transform turns each array access into one guarded
+update per cell: `if (i == x) { v = e; }` for a write, `havoc r;
+if (i == x) { assume(r == v); }` for a read. Most of them cannot
+change the state, and the walker hands it back from those. Which `If`s
+qualify is decided once per node (`_weak_update`): no else branch; a
+then-body that only assigns, havocs, or assumes v == w of two distinct
+variables that no earlier statement of the body names; and a
+condition that reads none of the variables N the body names.
+`AbstractState.keeps(g, N)` holds when no variable of N is a flag and
+every part passes all of these checks: its affine part is absent; each
+variable of N is alone in its pack of the closed octagon, and
+unconstrained; the condition's variables share one pack P; the guard is
+an octagon atom, or a conjunction of atoms with no wide row; and the
+closed octagon does not entail the guard. Then the general walk (meet
+the guard, walk the body, meet the negation, join, `bounded`) gives
+each part back, so the walker returns `st.bounded()`:
+- The guard and its negation cover every point, and tight closure is
+  exact, so the variables outside N come out as they went in. Every
+  entry of P is attained by an integer point, which one of the two
+  branches keeps; the body writes and relates only variables of N,
+  free and outside P, and each of its assumes meets two variables
+  still free, so the then-branch keeps every point of the guarded
+  state. The entrywise join is P again, and every other pack is one
+  both branches share.
+- The else branch keeps the named variables free: it is not empty, as
+  the octagon does not entail the guard, and no constraint it holds
+  names a variable of N. So the join makes them free again, whatever
+  the then-branch set.
+- No pack is merged: the condition's variables already share P, whose
+  join over the same variables stays whole, and the named ones never
+  move out of packs of their own.
+- No affine row survives the join: the guard's rows are its atoms'
+  equalities, the else branch's part stays absent, and a row that
+  holds on both branches names no variable of N and holds on every
+  point of the state, whose closed octagon entails it.
+`_Paths.keeps` always says no.
 
 The abstract state is a map from flag valuations to product-domain
 elements. Flags are write-only booleans assigned constants by
@@ -91,14 +129,17 @@ from ..lang.ast import (
     Assert,
     Assign,
     Assume,
+    Cmp,
     Cond,
     Havoc,
     If,
     Stmt,
+    Var,
     While,
     walk_stmts,
 )
 from ..lia import Formula, Lin, lor
+from .octagon import FREE
 from .product import Guard, Product, compile_guard
 
 Valuation = tuple  # of 0 | 1 | None per flag, None meaning unknown
@@ -182,6 +223,16 @@ class AbstractState:
         el = functools.reduce(Product.join, self.parts.values())
         return AbstractState(self.flags, {(None,) * len(self.flags): el})
 
+    def keeps(self, g: Guard, names: tuple[str, ...]) -> bool:
+        """Whether an `If` under g whose then-body names only `names`,
+        in the shape `_weak_update` accepts, hands the state back as it
+        met it: no name is a flag, and every part keeps it (`_keeps`,
+        module docstring)."""
+        atoms = g.atoms
+        return bool(atoms) and not any(v in self.flags for v in names) and all(
+            _keeps(el, atoms, names) for el in self.parts.values()
+        )
+
     def refutes(self, g: Guard) -> bool:
         """Sound refutation: g is unreachable in every bucket. g speaks
         of numeric variables only: no condition reads a flag."""
@@ -192,6 +243,52 @@ class AbstractState:
         partition keys only and never reach the formula."""
         parts = sorted(self.parts.items(), key=lambda kv: str(kv[0]))
         return lor(*(el.to_formula() for _, el in parts))
+
+
+def _keeps(el: Product, atoms: tuple, names: tuple[str, ...]) -> bool:
+    """The checks of one part (module docstring): an absent affine part,
+    each name alone in its pack and unconstrained, the condition's
+    variables in one pack, and a condition the octagon does not entail."""
+    if el.aff is not None:
+        return False
+    o = el.oct.close()
+    packs, pos = o.packs, o.vars.pos
+    if any(packs[pos[v]].m != FREE for v in names):
+        return False
+    pack = packs[atoms[0][0][0][0]]
+    return all(packs[i] is pack for terms, _ in atoms for i, _ in terms) and not all(
+        o.entails(terms, k) for terms, k in atoms
+    )
+
+
+def _weak_update(s: If, f: Formula) -> tuple[str, ...] | None:
+    """The variables the then-body of s names, if s has the shape of a
+    cell's weak update (module docstring), else None; f is the formula
+    of its condition."""
+    if s.els:
+        return None
+    names: list[str] = []
+    for b in s.then:
+        if isinstance(b, Assign):
+            names += (b.var, *expr_to_lin(b.expr).vars())
+        elif isinstance(b, Havoc):
+            names.append(b.var)
+        elif isinstance(b, Assume) and _equated(b.cond, names):
+            names += (b.cond.left.name, b.cond.right.name)
+        else:
+            return None
+    read = {v for g in f.walk() if g.lin is not None for v in g.lin.vars()}
+    return None if read.intersection(names) else tuple(dict.fromkeys(names))
+
+
+def _equated(c: Cond, named: list[str]) -> bool:
+    """Whether c is v == w of two distinct variables, neither in named."""
+    return (
+        isinstance(c, Cmp) and c.op == "=="
+        and isinstance(c.left, Var) and isinstance(c.right, Var)
+        and c.left.name != c.right.name
+        and c.left.name not in named and c.right.name not in named
+    )
 
 
 class _Met(NamedTuple):
@@ -233,12 +330,18 @@ class Interpreter:
     analysis resolves the list once the program is walked. Each
     condition is translated and guarded once, whatever node holds it:
     loop rounds meet the same nodes again, and the transform repeats
-    conditions such as the cell guards at each access."""
+    conditions such as the cell guards at each access. Whether an `If`
+    has the shape of a weak update is decided once per node too
+    (`_weak_update`)."""
 
     def __init__(self) -> None:
         # a condition -> (its formula, the state's guard of it and of
         # its negation)
         self._guards: dict[Cond, tuple] = {}
+        # id of an If -> `_weak_update` of it; the program, which holds
+        # every node, outlives the run, so no id is reused meanwhile,
+        # and a node is not hashed at each visit
+        self._updates: dict[int, tuple[str, ...] | None] = {}
 
     def _cond(self, cond: Cond, st) -> tuple:
         """The formula of a condition, then `st.guard` of it."""
@@ -268,7 +371,13 @@ class Interpreter:
             met.append(_Met(s.line, f, not_g, st))
             return st.assume(g)
         if isinstance(s, If):
-            _, g, not_g = self._cond(s.cond, st)
+            f, g, not_g = self._cond(s.cond, st)
+            try:
+                names = self._updates[id(s)]
+            except KeyError:
+                names = self._updates[id(s)] = _weak_update(s, f)
+            if names is not None and st.keeps(g, names):
+                return st.bounded()
             a = self.block(s.then, st.assume(g), met)
             b = self.block(s.els, st.assume(not_g), met)
             return a.join(b).bounded()

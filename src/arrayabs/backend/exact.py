@@ -113,6 +113,12 @@ class _Paths:
         failing = [is_sat(land(p.f, p.ground(g)), self.budget) is not None for p in self.paths]
         return not any(failing)
 
+    @staticmethod
+    def keeps(g: Formula, names: tuple[str, ...]) -> bool:
+        """A path set walks every `If`: each path is a formula, which
+        the walk splits on the guard."""
+        return False
+
     def join(self, other: "_Paths") -> "_Paths":
         return replace(self, paths=self.paths + other.paths)
 

@@ -61,8 +61,8 @@ How the operations keep the invariant:
   Robbins and King, FMSD 2019). Entries towards other packs follow
   from the moved unary bounds by themselves.
 - `forget` takes the variable out of its pack into a pack of its own;
-  `assign`, `_shift`, `bounds` and `equalities` touch only the packs
-  involved.
+  `assign`, `_negate`, `_shift`, `bounds`, `entails` and `equalities`
+  touch only the packs involved.
 - `join` and `widen` work entrywise, pack by pack; a pack both sides
   share is its own result. Every other result pack starts as a union
   of the packs of both sides that overlap. Between two unions both
@@ -622,23 +622,15 @@ class Octagon:
             return self
         if not self.closed:
             return self.close().add(terms, k)
-        (i, s), *rest = terms
-        p, a = self._node(i)
-        a += s < 0
+        p, a, q, b, k = self._edge(terms, k)
         members, m = p.vars, p.m
-        if not rest:  # s*v <= k  <=>  (s*v) - (-s*v) <= 2k
-            b, k = a ^ 1, 2 * k
-        else:  # s*v + t*w <= k  <=>  (s*v) - (-t*w) <= k
-            (j, t), = rest
-            q, b = self._node(j)
-            b = (b + (t < 0)) ^ 1
-            if q is not p:
-                # between two packs the entry is the sum of the halves
-                if _half(m[a][a ^ 1]) + _half(q.m[b ^ 1][b]) <= k:
-                    return self
-                members = tuple(sorted(p.vars + q.vars))
-                m = self._view(members)
-                a, b = 2 * members.index(i) + (s < 0), (2 * members.index(j) + (t < 0)) ^ 1
+        if q is not p:
+            # between two packs the entry is the sum of the halves
+            if _half(m[a][a ^ 1]) + _half(q.m[b ^ 1][b]) <= k:
+                return self
+            members = tuple(sorted(p.vars + q.vars))
+            m = self._view(members)
+            a, b = 2 * members.index(p.vars[a // 2]) + a % 2, 2 * members.index(q.vars[b // 2]) + b % 2
         if m[a][b] <= k:
             return self  # implied: keeps the element as it is
         if k + m[b][a] < 0:
@@ -647,6 +639,31 @@ class Octagon:
             rows = ((0, k), m[1]) if a == 0 else (m[0], (k, 0))
             return self._with([_Pack(members, rows, True)])
         return self._with([_Pack(members, _close_with(m, a, b, k), True)])
+
+    def entails(self, terms: Sequence[tuple[int, int]], k: int) -> bool:
+        """Whether every point of the element satisfies the constraint
+        `add` takes, sum(s * vars[i] for i, s in terms) <= k. The closed
+        entry of that edge is attained (tight closure is exact), so this
+        reads one entry, or two halves between packs, and closes no pack
+        when the element is closed."""
+        c = self.close()
+        if c.empty:
+            return True
+        p, a, q, b, k = c._edge(terms, k)
+        return (p.m[a][b] if q is p else _half(p.m[a][a ^ 1]) + _half(q.m[b ^ 1][b])) <= k
+
+    def _edge(self, terms: Sequence[tuple[int, int]], k: int) -> tuple[_Pack, int, _Pack, int, int]:
+        """The constraint of `add` as the edge a -> b of weight k: the
+        pack of a, a in it, the pack of b, b in it, and k. One term s*v
+        is (s*v) - (-s*v) <= 2k; two are s*v + t*w, (s*v) - (-t*w) <= k."""
+        (i, s), *rest = terms
+        p, a = self._node(i)
+        a += s < 0
+        if not rest:
+            return p, a, p, a ^ 1, 2 * k
+        (j, t), = rest
+        q, b = self._node(j)
+        return p, a, q, (b + (t < 0)) ^ 1, k
 
     # -- transfer helpers
 
@@ -676,9 +693,9 @@ class Octagon:
             return self._forget(i).add(((i, 1),), k).add(((i, -1),), -k)
         if len(terms) == 1:
             (j, c), = terms
-            if j == i and c == 1:
-                return self._shift(i, k)
-            if c in (1, -1) and j != i:
+            if j == i and c in (1, -1):  # v + k, or -v + k: the +v and -v nodes swap first
+                return (self if c == 1 else self._negate(i))._shift(i, k)
+            if c in (1, -1):
                 # v - c*w <= k and c*w - v <= -k
                 return self._forget(i).add(((i, 1), (j, -c)), k).add(((i, -1), (j, c)), -k)
         # general affine right side: fall back to interval evaluation
@@ -695,6 +712,19 @@ class Octagon:
         if lo is not None:
             out = out.add(((i, -1),), -lo)
         return out
+
+    def _negate(self, i: int) -> "Octagon":
+        """v := -v, by swapping the +v and -v nodes of v's pack: a
+        renaming of signed variables, so a closed pack stays closed."""
+        a = self.close()
+        pk, p = a._node(i)
+        q = p + 1
+        rows: list[Row] = []
+        for u in range(len(pk.m)):
+            r = list(pk.m[u ^ 1] if u in (p, q) else pk.m[u])
+            r[p], r[q] = r[q], r[p]
+            rows.append(tuple(r))
+        return a._with([_Pack(pk.vars, tuple(rows), True)])
 
     def _shift(self, i: int, k: int) -> "Octagon":
         a = self.close()

@@ -18,8 +18,8 @@ widening keeps them, as an equality of the result holds on both sides.
 
 - A guard's octagon meet keeps a part absent: the next reduction
   pushes no row that the tighter octagon does not entail.
-- `assign` of a constant, v + k or +-w + k (w not v), and `forget`,
-  are exact images in the octagon as in Karr's domain. Another right
+- `assign` of a constant or +-w + k (w may be v), and `forget`, are
+  exact images in the octagon as in Karr's domain. Another right
   side the octagon bounds by intervals; the part stays absent when
   that pins v (every variable of lin constant), else it is built.
 - `join` of absent parts takes the hull of their equality sets, less
@@ -56,6 +56,8 @@ of its parts. Those carry the part of the element met, not their own
 octagons', so their join is an octagon join beside it, unless an
 "and" below adds rows: such a guard (`_Eager`) builds the part first.
 It meets as that normal form walked would, self handed back included.
+`Guard.atoms` hands an atom, or an "and" of atoms with no wide row, to
+the walker's weak-update check (`abstract.py`) as its octagon atoms.
 Widenings are never reduced: re-tightening could break termination.
 """
 
@@ -79,10 +81,10 @@ def _wide(row: Sequence[int]) -> bool:
 
 
 def _entails(o: Octagon, rows) -> bool:
-    """Whether the closed octagon o entails every row, sum = b; a row
-    it cannot hold is not entailed."""
-    return all(not _wide(r) and o.add([(i, -c) for i, c in _terms(r)], -r[-1]) is o
-               and o.add(_terms(r), r[-1]) is o for r in rows)
+    """Whether the octagon o entails every row, sum = b; a row it
+    cannot hold is not entailed."""
+    return all(not _wide(r) and o.entails([(i, -c) for i, c in _terms(r)], -r[-1])
+               and o.entails(_terms(r), r[-1]) for r in rows)
 
 
 def _octagonal_hull(a: Octagon, b: Octagon) -> bool:
@@ -207,7 +209,7 @@ class Product:
     def assign(self, v: str, lin: Lin) -> "Product":
         o, cs = self.oct.assign(v, lin), lin.coeffs
         if self.aff is None:
-            if not cs or len(cs) == 1 and (cs[0] == (v, 1) or cs[0][0] != v and cs[0][1] in (1, -1)):
+            if not cs or len(cs) == 1 and cs[0][1] in (1, -1):
                 return Product(o)
             lo, hi = o.bounds(v)
             if lo is not None and lo == hi:
@@ -238,9 +240,13 @@ class Product:
 
 class Guard:
     """A condition compiled over the positions of one `Vars` tuple;
-    `meet(p)` is `p.assume` of it. This base meets as top."""
+    `meet(p)` is `p.assume` of it. `atoms` is the tuple of octagon
+    atoms, (terms, bound) as `Octagon.add` takes them, whose conjunction
+    the guard is on an element with an absent affine part, or None when
+    it is not one. This base meets as top."""
 
     __slots__ = ()
+    atoms: tuple | None = None
 
     def meet(self, p: Product) -> Product:
         return p
@@ -256,10 +262,10 @@ class _Bottom(Guard):
 class _Atom(Guard):
     """An octagonal inequality as the terms and bound of `Octagon.add`."""
 
-    __slots__ = ("terms", "k")
+    __slots__ = ("terms", "k", "atoms")
 
     def __init__(self, terms: list[tuple[int, int]], k: int) -> None:
-        self.terms, self.k = terms, k
+        self.terms, self.k, self.atoms = terms, k, ((terms, k),)
 
     def meet(self, p: Product) -> Product:
         return p._meet(p.oct.add(self.terms, self.k), p.aff)
@@ -268,10 +274,16 @@ class _Atom(Guard):
 class _And(Guard):
     """Parts met in turn, then the rows of complementary pairs."""
 
-    __slots__ = ("parts", "rows", "wide")
+    __slots__ = ("parts", "rows", "wide", "atoms")
 
     def __init__(self, parts: list[Guard], rows: list[tuple[int, ...]]) -> None:
         self.parts, self.rows, self.wide = parts, rows, any(map(_wide, rows))
+        # octagonal rows are the pairs of its atoms: they add nothing
+        # to an absent part
+        if not self.wide and all(isinstance(g, _Atom) for g in parts):
+            self.atoms = tuple(a for g in parts for a in g.atoms)
+        else:
+            self.atoms = None
 
     def meet(self, p: Product) -> Product:
         q = p

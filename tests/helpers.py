@@ -2,7 +2,8 @@
 
 Brute-force evaluation of formulas over integer boxes, both pointwise
 and vectorized over the whole grid, plus small random generators used
-by the differential tests, and the references that those tests compare
+by the differential tests (among them the steps of random product
+states, `product_steps`), and the references that those tests compare
 with: a dense octagon and its pack split by a scan of every entry,
 column-wise row reduction, the affine assignment through a temporary
 column, the full reduction of the product, an octagon's meet with an
@@ -21,6 +22,7 @@ import random
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from arrayabs import lift
 from arrayabs.backend import Product, abstract, analyze_scalar
@@ -264,21 +266,24 @@ class DenseOctagon:
         return (None if lo is None else -(lo // 2), None if up is None else up // 2)
 
     def assign(self, v, lin):
-        """The composition `Octagon.assign` uses: a shift for v + k, a
-        copy for ±w + k, interval bounds for anything else."""
+        """The composition `Octagon.assign` uses: a shift for v + k, the
+        +v and -v nodes swapped and then a shift for -v + k, a copy for
+        ±w + k, interval bounds for anything else."""
         coeffs, k = dict(lin.coeffs), lin.const
-        if coeffs == {v: 1}:
+        if coeffs in ({v: 1}, {v: -1}):
             c = self.close()
             if c.empty:
                 return c
             p = c._node(v, 1)
+            node = {p: p ^ 1, p ^ 1: p} if coeffs[v] < 0 else {}
+            m = [[c.m[node.get(i, i)][node.get(j, j)] for j in range(len(c.m))] for i in range(len(c.m))]
             sign = {p: 1, p ^ 1: -1}
             rows = tuple(
                 tuple(
                     None if x is None else x + k * (sign.get(i, 0) - sign.get(j, 0))
                     for j, x in enumerate(r)
                 )
-                for i, r in enumerate(c.m)
+                for i, r in enumerate(m)
             )
             return DenseOctagon(self.vars, rows)
         if len(coeffs) == 1 and v not in coeffs and abs(next(iter(coeffs.values()))) == 1:
@@ -525,6 +530,42 @@ class EagerProduct:
             return FALSE
         rows = (row for row in r.aff.rows if wide(row))
         return land(r.oct.to_formula(), *(eq0(Lin.make(zip(r.aff.vars, row), -row[-1])) for row in rows))
+
+
+def product_steps(names, min_size, max_size, coeffs=(1, -1, 1, -1, 2, -3), width=3):
+    """Random steps of a product, for `run_against_full_reduce` and
+    `run_against_eager` (`test_backend.py`) and the states of
+    `test_weak_updates.py`: a guard (an inequality, an equality, or a disjunction of two of
+    these), both bounds of an equality as two guards in a row, which
+    only the octagon sees as one, an assignment of a sum or of a
+    constant, a havoc, a join with an earlier state, a widening of an
+    earlier state by the latest, followed by a guard or kept
+    unreduced as a loop head is (so that a later widening has an
+    unclosed left side), and a rewind to an earlier state. Sums take up to `width` variables
+    with coefficients from `coeffs`; with unit ones over two variables,
+    only joins make a row the octagon cannot hold."""
+    v, earlier = st.sampled_from(names), st.integers(1, 12)
+    lin = st.builds(
+        Lin.make,
+        st.dictionaries(v, st.sampled_from(coeffs), min_size=1, max_size=width),
+        st.integers(-3, 3),
+    )
+    atom = st.one_of(lin.map(ge0), lin.map(eq0))
+    guard = st.one_of(atom, st.tuples(atom, atom).map(lambda ab: lor(*ab)))
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("assume"), guard),
+            st.tuples(st.just("pin"), lin),
+            st.tuples(st.just("assign"), v, lin),
+            st.tuples(st.just("assign"), v, st.integers(-3, 3).map(Lin.of)),
+            st.tuples(st.just("forget"), v),
+            st.tuples(st.just("join"), earlier),
+            st.tuples(st.just("widen"), earlier, st.one_of(guard, st.none())),
+            st.tuples(st.just("rewind"), earlier),
+        ),
+        min_size=min_size,
+        max_size=max_size,
+    )
 
 
 # ------------------------------------------- loop with a check pass

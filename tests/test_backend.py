@@ -53,6 +53,7 @@ from helpers import (
     full_reduce,
     named,
     oct_assume,
+    product_steps,
     rref_by_columns,
     split_by_entries,
     truth_table,
@@ -518,6 +519,17 @@ class TestOctagon:
         assert got.close().m == ref.close().m
 
     @settings(max_examples=60, deadline=None)
+    @given(st.lists(oct_constraint, max_size=6), st.integers(-3, 3))
+    def test_negation_is_the_exact_image(self, cs, k):
+        """x := k - x keeps every relation of x: a point is in the
+        post-state exactly when its preimage, x read as k - x, is in the
+        pre-state."""
+        pre = as_formula(cs)
+        post = octagon(cs).assign("x", Lin.of(k) - x).to_formula()
+        for p in box_points(NAMES, LO, HI):
+            assert post.evaluate(p) == pre.evaluate({**p, "x": k - p["x"]}), p
+
+    @settings(max_examples=60, deadline=None)
     @given(
         st.lists(oct_constraint, max_size=6),
         st.sampled_from([y * 2 + 1, x + y, x * -2 + z - 1, x * 3]),
@@ -920,41 +932,6 @@ def product(ops, lins):
     return Product(build(ops), affine(lins))
 
 
-def product_steps(names, min_size, max_size, coeffs=(1, -1, 1, -1, 2, -3), width=3):
-    """Steps for `run_against_full_reduce` and `run_against_eager`: a
-    guard (an inequality, an equality, or a disjunction of two of
-    these), both bounds of an equality as two guards in a row, which
-    only the octagon sees as one, an assignment of a sum or of a
-    constant, a havoc, a join with an earlier state, a widening of an
-    earlier state by the latest, followed by a guard or kept
-    unreduced as a loop head is (so that a later widening has an
-    unclosed left side), and a rewind to an earlier state. Sums take up to `width` variables
-    with coefficients from `coeffs`; with unit ones over two variables,
-    only joins make a row the octagon cannot hold."""
-    v, earlier = st.sampled_from(names), st.integers(1, 12)
-    lin = st.builds(
-        Lin.make,
-        st.dictionaries(v, st.sampled_from(coeffs), min_size=1, max_size=width),
-        st.integers(-3, 3),
-    )
-    atom = st.one_of(lin.map(ge0), lin.map(eq0))
-    guard = st.one_of(atom, st.tuples(atom, atom).map(lambda ab: lor(*ab)))
-    return st.lists(
-        st.one_of(
-            st.tuples(st.just("assume"), guard),
-            st.tuples(st.just("pin"), lin),
-            st.tuples(st.just("assign"), v, lin),
-            st.tuples(st.just("assign"), v, st.integers(-3, 3).map(Lin.of)),
-            st.tuples(st.just("forget"), v),
-            st.tuples(st.just("join"), earlier),
-            st.tuples(st.just("widen"), earlier, st.one_of(guard, st.none())),
-            st.tuples(st.just("rewind"), earlier),
-        ),
-        min_size=min_size,
-        max_size=max_size,
-    )
-
-
 def reduced_value(p):
     return p.oct.m, None if p.aff is None else (p.aff.rows, p.aff.empty)
 
@@ -1168,6 +1145,16 @@ class TestLazyAffinePart:
         p = Product.top(NAMES).assign("x", y * 2)
         assert p.aff == AffineEqs.top(NAMES).add_eq([1, -2, 0, 0])
         assert eq0(x - y * 2) in p.to_formula().args or ge0(x - y * 2) in p.to_formula().args
+
+    def test_a_negation_is_exact_and_builds_no_part(self, monkeypatch):
+        # from x == y, x := 3 - x: the octagon holds x + y == 3 itself
+        p = Product.top(NAMES).assume(eq(x, y)).reduce()
+        monkeypatch.setattr(AffineEqs, "assign", fail)
+        q = p.assign("x", Lin.of(3) - x)
+        monkeypatch.undo()
+        assert q.aff is None and ({"x": 1, "y": 1}, 3) in dense_constraints(q.oct)
+        e = EagerProduct.of(p).assign("x", Lin.of(3) - x)
+        assert q.oct.m == e.oct.m and q.to_formula() == e.to_formula()
 
     def test_a_wide_assignment_of_constants_stays_absent(self, monkeypatch):
         p = Product.top(NAMES).assign("y", Lin.of(3))
