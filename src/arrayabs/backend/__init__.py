@@ -3,8 +3,8 @@ octagon x affine-equality product partitioned on boolean flags, and an
 exact path-based analysis for loop-free programs.
 
 Both run one statement walker, `abstract.Interpreter`, over a state with
-`is_empty`, `assign`, `forget`, `guard`, `assume`, `refutes`, `join` and
-`bounded`; it knows no flags and trusts what `transform_program` checked.
+`is_empty`, `assign`, `forget`, `guard`, `assume`, `refutes`, `keeps`,
+`join` and `bounded`; it knows no flags and trusts what `transform_program` checked.
 `AbstractState` alone has loops and flags (its `assign` of a flag moves
 partitions); its `bounded` collapses the partitions past `PARTITION_CAP`
 (after each If, and at loop heads). The exact path set raises `ExactError` past `PATH_CAP`

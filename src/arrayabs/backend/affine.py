@@ -27,10 +27,9 @@ only where a `Lin` comes in (`Vars.row_of`, `forget`, `assign`).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..lia import FALSE, Formula, Lin, eq0, land
@@ -160,13 +159,9 @@ class AffineEqs:
     vars: Vars
     rows: tuple[Row, ...] = ()
     empty: bool = False
-    # the pivot column of each row, outside `==` and the hash
-    _pivots: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self._pivots is None:  # built directly, not by an operation
-            object.__setattr__(self, "vars", Vars.of(self.vars))
-            object.__setattr__(self, "_pivots", tuple(next(i for i, x in enumerate(r) if x) for r in self.rows))
+        object.__setattr__(self, "vars", Vars.of(self.vars))
 
     @staticmethod
     def top(vars: Sequence[str]) -> "AffineEqs":
@@ -182,35 +177,16 @@ class AffineEqs:
         # a row past the pivot rows is a 0 = b row
         if len(rows) > len(cols) or not _integral(rows, cols, n):
             return AffineEqs.bottom(self.vars)
-        return AffineEqs(self.vars, tuple(map(tuple, rows)), False, tuple(cols))
+        return AffineEqs(self.vars, tuple(map(tuple, rows)))
 
     # -- constraints
 
     def add_eq(self, row: Sequence[int]) -> "AffineEqs":
         """Meet with sum(row[i] * vars[i]) = row[-1], leaving the row as
-        it is. The row is reduced once: an implied one hands back the
-        element, else the other rows are cleared in its new pivot
-        column, which gives the unique reduced form `_canon` computes,
-        and only `_integral` is left to check."""
-        if self.empty:
+        it is; an implied row hands back the element."""
+        if self.empty or not any(self._reduced(row)):
             return self
-        row = self._reduced(row)
-        n = len(self.vars)
-        c = next((c for c, x in enumerate(row) if x), None)
-        if c is None:
-            return self
-        if c == n:  # 0 = b
-            return AffineEqs.bottom(self.vars)
-        row = _primitive(row)
-        # a row with a nonzero entry at c has its pivot left of c, where
-        # the new row is zero, so the pivot stays put
-        rows = [_eliminate(r, row, c) if r[c] else r for r in self.rows]
-        at = bisect.bisect(self._pivots, c)
-        rows.insert(at, row)
-        cols = [*self._pivots[:at], c, *self._pivots[at:]]
-        if not _integral(rows, cols, n):
-            return AffineEqs.bottom(self.vars)
-        return AffineEqs(self.vars, tuple(map(tuple, rows)), False, tuple(cols))
+        return self._canon([*self.rows, row])
 
     def meet(self, other: "AffineEqs") -> "AffineEqs":
         if self.empty:
@@ -260,7 +236,8 @@ class AffineEqs:
 
     def _reduced(self, row: Sequence[int]) -> Sequence[int]:
         """row with every pivot column cleared: zero when implied."""
-        for r, c in zip(self.rows, self._pivots):
+        for r in self.rows:
+            c = next(i for i, x in enumerate(r) if x)
             if row[c]:
                 row = _eliminate(row, r, c)
         return row

@@ -37,15 +37,10 @@ widening keeps them, as an equality of the result holds on both sides.
   equality of its closure, since both sides that made it held it.
 - `leq` against an absent side is `Octagon.leq`: below its octagon its
   equalities hold, so by exactness the left part implies them.
-- `reduce` closes an absent element. A present one exchanges until the
-  octagon adds no row (entries only tighten, rank only grows), then is
-  absent if every row is octagonal, each then entailed.
-
-A present part's memo, outside `==` (iterated reduction, Cousot,
-Cousot and Mauborgne, FoSSaCS 2011): reduced; pushed rows, entailed by
-its octagon; read packs, whose equalities it holds. A meet keeps the
-last two; `assign` and `forget` the pushed rows without v, and read
-their own closed packs.
+- `reduce` closes an absent element. A present one exchanges until
+  neither part moves (entries only tighten, rank only grows), then is
+  absent if every row is octagonal, each then entailed. It keeps no
+  memo of past exchanges, since no benchmark job reduces a present part.
 
 Guards. `compile_guard(f, vars, neg)` lowers `nnf(f, neg)` node for
 node: an octagonal inequality to the terms of `Octagon.add`, any other
@@ -63,7 +58,7 @@ Widenings are never reduced: re-tightening could break termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..lia import FALSE, Formula, Lin, eq0, land, nnf
@@ -106,10 +101,6 @@ def _octagonal_hull(a: Octagon, b: Octagon) -> bool:
 class Product:
     oct: Octagon
     aff: AffineEqs | None = None  # None: absent (module docstring)
-    # the memo of a present part: reduced, pushed rows, read packs
-    _reduced: bool = field(default=False, compare=False, repr=False)
-    _pushed: tuple = field(default=(), compare=False, repr=False)
-    _read: tuple = field(default=(), compare=False, repr=False)
 
     @staticmethod
     def top(vars: Sequence[str]) -> "Product":
@@ -141,41 +132,33 @@ class Product:
         """self met with the facts that made o and a: self if neither moved."""
         if o is self.oct and a is self.aff:
             return self
-        return Product(o, a, False, self._pushed, self._read)
+        return Product(o, a)
 
     def reduce(self) -> "Product":
-        if self._reduced:
-            return self
         o, a = self.oct.close(), self.aff
         if a is None and not o.empty:
             return self if o is self.oct else Product(o)
-        pushed, read = self._pushed, self._read
-        while True:
-            if o.is_empty() or a.is_empty():
-                return Product.bottom(self.vars)
+        while not (o.is_empty() or a.is_empty()):
             # affine rows -> octagon, sum = b as sum >= b, then sum <= b
-            if a.rows is not pushed:
-                held = set(pushed)
-                for row in a.rows:
-                    if row not in held and not _wide(row):
-                        up = _terms(row)
-                        o = o.add([(i, -c) for i, c in up], -row[-1]).add(up, row[-1])
-                pushed = a.rows
-                continue
+            for row in a.rows:
+                if not _wide(row):
+                    up = _terms(row)
+                    o = o.add([(i, -c) for i, c in up], -row[-1]).add(up, row[-1])
+            if o.is_empty():
+                break
             # equalities -> affine rows; add_eq hands back self when implied
             before = a
-            if o.packs is not read:
-                for row in o.equalities():
-                    a = a.add_eq(row)
-                read = o.packs
+            for row in o.equalities():
+                a = a.add_eq(row)
             if a is before:
-                return Product(o, a, True, pushed, read) if any(map(_wide, a.rows)) else Product(o)
+                if not any(map(_wide, a.rows)):
+                    return Product(o)
+                return self if o is self.oct and a is self.aff else Product(o, a)
+        return Product.bottom(self.vars)
 
-    def _moved(self, o: Octagon, a: AffineEqs, v: str) -> "Product":
-        """The image o (closed), a of an assignment or a havoc of v."""
-        if not a.empty and _entails(o, a.rows):
-            return Product(o)
-        return Product(o, a, False, tuple(row for row in self._pushed if not row[self.vars.pos[v]]), o.packs)
+    def _moved(self, o: Octagon, a: AffineEqs) -> "Product":
+        """The image o (closed), a of an assignment or a havoc."""
+        return Product(o) if not a.empty and _entails(o, a.rows) else Product(o, a)
 
     # -- lattice
 
@@ -214,11 +197,11 @@ class Product:
             lo, hi = o.bounds(v)
             if lo is not None and lo == hi:
                 return Product(o)
-        return self._moved(o, self._affine().assign(v, lin), v)
+        return self._moved(o, self._affine().assign(v, lin))
 
     def forget(self, v: str) -> "Product":
         o = self.oct.forget(v)
-        return Product(o) if self.aff is None else self._moved(o, self.aff.forget(v), v)
+        return Product(o) if self.aff is None else self._moved(o, self.aff.forget(v))
 
     def assume(self, f: Formula) -> "Product":
         """Meet with f through its guard; self if nothing changes."""
