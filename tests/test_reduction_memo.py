@@ -1,10 +1,14 @@
 """The product's lazy affine part, audited on every element that an
-analysis of benchmark jobs keeps.
+analysis of benchmark jobs builds.
 
-Each part of an `AbstractState` built while a job's scalar program is
-analysed is checked against what `backend/product.py` claims of a kept
-part: a present affine part holds a row its closed octagon does not
-entail, and implies every equality of that octagon.
+This file once audited the product's reduction memo, which is gone;
+the test names stay. Each `Product` made while a job's scalar program
+is analysed is checked against what `backend/product.py` claims:
+
+- every product reduces to `helpers.full_reduce` of itself;
+- every part of an `AbstractState`, an element the analysis keeps: a
+  present affine part holds a row its closed octagon does not entail,
+  and implies every equality of that octagon.
 
 Tier-1 audits three jobs, two of paper-corpus and one of wide-bounds;
 the whole of both workloads goes under `slow`.
@@ -16,10 +20,10 @@ from pathlib import Path
 import pytest
 
 from arrayabs import lang, transform
-from arrayabs.backend import AbstractState, analyze_scalar
+from arrayabs.backend import AbstractState, Product, analyze_scalar
 from arrayabs.lia import Lin
 
-from helpers import oct_assume, wide
+from helpers import full_reduce, oct_assume, wide
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -35,20 +39,20 @@ def jobs(quick):
                 yield pytest.param(job, id=f"{name}-{job.id}")
 
 
-def kept_while_analysed(job, monkeypatch):
-    """The part of every abstract state built while the job's scalar
-    program is analysed."""
+def made_while_analysed(job, monkeypatch):
+    """Every product, and the part of every abstract state, built while
+    the job's scalar program is analysed."""
     sp = transform.transform_program(lang.decompose_accesses(lang.parse_program(job.source)), job.cfg)
-    made = []
+    made = {Product: [], AbstractState: []}
+    for cls, out in made.items():
+        def recorded(self, *args, init=cls.__init__, out=out, **kwargs):
+            init(self, *args, **kwargs)
+            out.append(self)
 
-    def recorded(self, *args, init=AbstractState.__init__, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(self)
-
-    monkeypatch.setattr(AbstractState, "__init__", recorded)
+        monkeypatch.setattr(cls, "__init__", recorded)
     analyze_scalar(sp)
     monkeypatch.undo()
-    return [p for st in made for p in st.parts.values()]
+    return made[Product], [p for st in made[AbstractState] for p in st.parts.values()]
 
 
 def implied(aff, rows):
@@ -71,18 +75,20 @@ def audit_kept(p):
 
 
 def audit_job(job, monkeypatch):
-    kept = kept_while_analysed(job, monkeypatch)
+    made, kept = made_while_analysed(job, monkeypatch)
     assert kept
+    for p in made:
+        assert p.reduce() == full_reduce(p)
     for p in kept:
         audit_kept(p)
 
 
 @pytest.mark.parametrize("job", jobs(quick=True))
-def test_a_kept_affine_part_adds_a_row_and_holds_its_octagons_equalities(job, monkeypatch):
+def test_memo_of_every_product_holds(job, monkeypatch):
     audit_job(job, monkeypatch)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("job", jobs(quick=False))
-def test_a_kept_affine_part_adds_a_row_and_holds_its_octagons_equalities_on_every_job(job, monkeypatch):
+def test_memo_of_every_product_holds_on_every_job(job, monkeypatch):
     audit_job(job, monkeypatch)
